@@ -40,10 +40,12 @@ from .rates import (
     power_one_sided_z,
     sidak_adjust,
 )
-from .simulate import Estimates, simulate
+from .simulate import MAX_THREADS, Estimates, simulate
 
 MAX_REPS = 100_000_000
 SEED_ENV_VAR = "ALPHAGATE_SEED"
+#: 17 significant digits round-trip any double
+MAX_PRECISION = 17
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _precision(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = None
+    if digits is None or not 0 <= digits <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_PRECISION}], got {text!r}")
+    return digits
 
 
 def _fmt_real(value: float, precision: int) -> str:
@@ -202,7 +214,7 @@ def _cmd_simulate(args) -> str:
     if not 1 <= reps <= MAX_REPS:
         raise DomainError(f"reps must lie in [1, {MAX_REPS}], got {reps}")
     scenario = dataclasses.replace(scenario, reps=reps, seed=_resolve_seed(args, scenario.seed))
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    threads = args.threads if args.threads is not None else min(os.cpu_count() or 1, MAX_THREADS)
     est = simulate(scenario, threads=threads)
     print(
         f"simulated {est.reps} replications of k={scenario.k} "
@@ -232,7 +244,8 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("tsv", "pretty"), default="tsv")
     common.add_argument("--out", metavar="PATH", default=None, help="write results to PATH instead of stdout")
-    common.add_argument("--precision", type=int, default=6, metavar="DIGITS")
+    common.add_argument("--precision", type=_precision, default=6, metavar="DIGITS",
+                        help=f"digits after the point, 0 to {MAX_PRECISION} (default: 6)")
 
     parser = _Parser(prog="alphagate", description=__doc__.splitlines()[0] if __doc__ else None)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -273,7 +286,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=None, help=f"override replication count (max {MAX_REPS})")
     p.add_argument("--seed", type=int, default=None,
                    help=f"override the seed (wins over ${SEED_ENV_VAR} and the file)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: available parallelism)")
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads, at most {MAX_THREADS} (default: available parallelism)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("power", parents=[common], help="one-sided two-sample z power, optionally for a k-test conjunction")

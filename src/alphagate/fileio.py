@@ -127,13 +127,15 @@ def _parse_family(obj, loc: _Locator) -> FamilySpec:
     if not isinstance(obj["joint_id"], str):
         raise loc.fail(f"family.joint_id must be a string, got {obj['joint_id']!r}", "joint_id")
     mode = _parse_enum(TestingMode, obj["mode"], "mode", "family", loc)
+    exchangeable = _as_bool(obj, "exchangeable", "family", loc)
+    independent = _as_bool(obj, "independent", "family", loc)
     try:
         family = FamilySpec(
             joint_id=obj["joint_id"],
             constituents=tuple(constituents),
             mode=mode,
-            exchangeable=_as_bool(obj, "exchangeable", "family", loc),
-            independent=_as_bool(obj, "independent", "family", loc),
+            exchangeable=exchangeable,
+            independent=independent,
         )
     except ValueError as exc:
         raise loc.fail(f"family: {exc}", "family") from None
@@ -158,8 +160,9 @@ def _parse_alpha(obj, family: FamilySpec, loc: _Locator) -> AlphaConfig:
             "mode",
             (loc.line_of("alpha") or 1) - 1,
         )
+    alpha_joint = _as_real(obj, "alpha_joint", "alpha", loc)
     try:
-        return AlphaConfig(alpha_joint=_as_real(obj, "alpha_joint", "alpha", loc), method=method, mode=mode)
+        return AlphaConfig(alpha_joint=alpha_joint, method=method, mode=mode)
     except ValueError as exc:
         raise loc.fail(f"alpha: {exc}", "alpha") from None
 
@@ -221,18 +224,22 @@ def _parse_simulation(obj, family: FamilySpec, alpha: AlphaConfig, loc: _Locator
         if "sides" in obj
         else Sides.ONE_SIDED
     )
+    n = _as_int(obj, "n", "simulation", loc) if "n" in obj else 2
+    method = _resolve_method(alpha, family, loc)
+    reps = _as_int(obj, "reps", "simulation", loc) if "reps" in obj else DEFAULT_REPS
+    seed = _as_int(obj, "seed", "simulation", loc) if "seed" in obj else 0
     try:
         return Scenario(
             k=k,
             null_pattern=tuple(null_pattern),
             deltas=tuple(float(d) for d in deltas),
-            n=_as_int(obj, "n", "simulation", loc) if "n" in obj else 2,
+            n=n,
             design=design,
             sides=sides,
             alpha_joint=alpha.alpha_joint,
-            method=_resolve_method(alpha, family, loc),
-            reps=_as_int(obj, "reps", "simulation", loc) if "reps" in obj else DEFAULT_REPS,
-            seed=_as_int(obj, "seed", "simulation", loc) if "seed" in obj else 0,
+            method=method,
+            reps=reps,
+            seed=seed,
         )
     except ValueError as exc:
         raise loc.fail(f"simulation: {exc}", "simulation") from None
@@ -247,14 +254,21 @@ def _parse_classification(obj, loc: _Locator) -> ClassificationInput:
     )
 
 
-def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
-    loc = _Locator(text, source)
+def _load_json_object(text: str, source: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{source}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise FileFormatError(f"{source}: JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{source}: top level must be a JSON object")
+    return doc
+
+
+def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
+    loc = _Locator(text, source)
+    doc = _load_json_object(text, source)
     _require_keys(doc, {"family", "alpha", "simulation", "classification"}, {"family", "alpha"}, "", loc)
     family = _parse_family(doc["family"], loc)
     alpha = _parse_alpha(doc["alpha"], family, loc)
@@ -270,6 +284,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: byte offset {exc.start}: {exc.reason}") from None
 
 
 def load_scenario_file(path: str | Path) -> ScenarioDoc:
@@ -281,12 +297,7 @@ def parse_classification_text(text: str, source: str = "<classification>") -> Cl
     """Classification answers: either a bare object of the five booleans, or a
     full scenario document whose ``classification`` section is used."""
     loc = _Locator(text, source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{source}:{exc.lineno}: not valid JSON: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{source}: top level must be a JSON object")
+    doc = _load_json_object(text, source)
     if "family" in doc or "alpha" in doc or "classification" in doc:
         parsed = parse_scenario_text(text, source)
         if parsed.classification is None:

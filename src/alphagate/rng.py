@@ -12,9 +12,13 @@ addressed by a counter, so parallel scheduling can never change results.
 Reference sequence from seed 0 (first outputs):
 ``e220a8397b1dcdaf 6e789e6aa1b965f4 06c45d188009454f``.
 
-Uniforms take the top 53 bits of a mixed word plus a half-ulp offset, which
-keeps them strictly inside (0, 1); normals are the inverse normal CDF of
-those uniforms, so each draw consumes exactly one counter slot.
+Uniforms take the top 53 bits of a mixed word plus a half-ulp offset; the
+one word whose top bits are all ones would round to exactly 1.0 and is
+capped at the largest double below 1, so uniforms lie strictly inside
+(0, 1). Normals are the inverse normal CDF of those uniforms, so each draw
+consumes exactly one counter slot. :func:`uniform_from_words` is the only
+word-to-uniform map: the simulator also applies it to search the words at
+which a decision changes.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ _SHIFT27 = np.uint64(27)
 _SHIFT31 = np.uint64(31)
 _SHIFT11 = np.uint64(11)
 _TWO_NEG53 = 2.0**-53
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def mix64(state: int) -> int:
@@ -58,9 +63,14 @@ def derive_rep_seed(seed: int, rep: int) -> int:
 
 
 def _mix64_array(state: np.ndarray) -> np.ndarray:
-    z = (state ^ (state >> _SHIFT30)) * _U64_MULT1
-    z = (z ^ (z >> _SHIFT27)) * _U64_MULT2
-    return z ^ (z >> _SHIFT31)
+    """Mix a uint64 array in place (the caller's array is consumed) and return it."""
+    z = state
+    z ^= z >> _SHIFT30
+    z *= _U64_MULT1
+    z ^= z >> _SHIFT27
+    z *= _U64_MULT2
+    z ^= z >> _SHIFT31
+    return z
 
 
 def rep_seed_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -69,12 +79,25 @@ def rep_seed_block(seed: int, start: int, count: int) -> np.ndarray:
     return _mix64_array(np.uint64(seed & _MASK64) + (reps + np.uint64(1)) * _U64_GAMMA)
 
 
-def uniform_block(seeds: np.ndarray, draws: int) -> np.ndarray:
-    """Uniforms in (0, 1), shape (len(seeds), draws); draw j of row i is
+def word_block(seeds: np.ndarray, draws: int) -> np.ndarray:
+    """Raw 64-bit words, shape (len(seeds), draws); word j of row i is
     output j of the splitmix64 stream seeded with seeds[i]."""
     counters = np.arange(1, draws + 1, dtype=np.uint64) * _U64_GAMMA
-    words = _mix64_array(seeds[:, None].astype(np.uint64) + counters[None, :])
-    return ((words >> _SHIFT11).astype(np.float64) + 0.5) * _TWO_NEG53
+    return _mix64_array(seeds[:, None].astype(np.uint64) + counters[None, :])
+
+
+def uniform_from_words(words: np.ndarray) -> np.ndarray:
+    """The uniform in (0, 1) that each word stands for: its top 53 bits plus
+    one half, times 2**-53, capped at the largest double below 1."""
+    u = (words >> _SHIFT11).astype(np.float64)
+    u += 0.5
+    u *= _TWO_NEG53
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def uniform_block(seeds: np.ndarray, draws: int) -> np.ndarray:
+    """Uniforms in (0, 1) of :func:`word_block`'s words."""
+    return uniform_from_words(word_block(seeds, draws))
 
 
 def normal_block(seeds: np.ndarray, draws: int) -> np.ndarray:

@@ -23,29 +23,50 @@ how replications are scheduled. Replications are seeded individually by a
 counter-based derivation (:mod:`alphagate.rng`), work is cut into
 fixed-size chunks independent of the thread count, and partial sums are
 combined in chunk order.
+
+Decisions are made in threshold space. Every rule compares p-values with
+thresholds (alpha, the single-step level, Hochberg's alpha/(k-i+1)), and a
+p-value falls as z (|z| when two-sided) grows, so once per run each
+threshold t becomes a cutoff on z found by bisection over the ordered
+doubles against :func:`p_from_z` itself. The chunks then compare z with
+the cutoffs and never call erfc; Hochberg compares each sorted row with the
+reversed cutoff vector. Under the independent design with one-sided tests
+and a single-step rule, z = shift + ndtri(u(word)) only grows with the top
+53 bits of the word, so a second bisection per distinct shift turns each
+cutoff into an integer, and the chunks compare raw SplitMix64 words: no
+ndtri either. Because scipy's erfc and ndtri are monotone only to within an
+ulp, each cutoff is a narrow band (about 1e-13 wide in z) rather than a
+point: the bisections run at thresholds loosened by far more than those
+functions' error, so outside the band the answer is certain, and the rare
+statistic inside it is judged by p_from_z. Every decision therefore equals
+the one the p-values give, and so do the estimates.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, ndtr, ndtri
 
 from .errors import DomainError, InvalidScenario
 from .families import AdjustmentMethod, TestingMode
 from .rates import bonferroni_adjust, sidak_adjust
-from .rng import normal_block, rep_seed_block
+from .rng import normal_block, rep_seed_block, uniform_from_words, word_block
 
 _SQRT2 = math.sqrt(2.0)
 
 #: Replications per work unit. Fixed (never derived from the thread count)
 #: so that chunk boundaries, and therefore partial-sum order, are stable.
 CHUNK_REPS = 16_384
+#: Upper bound of ``simulate``'s ``threads``; workers are further capped at
+#: the chunk count and the CPU count.
+MAX_THREADS = 1024
 
 
 class Sides(Enum):
@@ -197,26 +218,36 @@ def wilson_ci(successes: int, trials: int, level: float) -> tuple[float, float]:
     return (lower, upper)
 
 
-def _draws_per_rep(design: Design, k: int) -> int:
-    # equicorrelated spends draw 0 on the shared factor; shared_control on
-    # the control-arm mean; independent uses exactly k draws
-    return k if design.kind == "independent" else k + 1
+def _shift(scenario: Scenario) -> np.ndarray:
+    """Mean of each test's z statistic."""
+    return np.asarray(scenario.deltas, dtype=np.float64) * math.sqrt(scenario.n / 2.0)
 
 
 def _z_block(scenario: Scenario, rep_seeds: np.ndarray) -> np.ndarray:
     """Z statistics for one batch of replications, shape (len(rep_seeds), k)."""
     k = scenario.k
-    shift = np.asarray(scenario.deltas, dtype=np.float64) * math.sqrt(scenario.n / 2.0)
+    shift = _shift(scenario)
     kind = scenario.design.kind
+    # in-place steps keep one (rows, k) temporary alive; each step is the
+    # same IEEE operation on the same operands as the plain expression
     if kind == "independent":
-        return shift + normal_block(rep_seeds, k)
+        z = normal_block(rep_seeds, k)
+        z += shift
+        return z
     draws = normal_block(rep_seeds, k + 1)
     if kind == "equicorrelated":
         rho = scenario.design.rho
-        return shift + math.sqrt(rho) * draws[:, :1] + math.sqrt(1.0 - rho) * draws[:, 1:]
+        z = shift + math.sqrt(rho) * draws[:, :1]
+        own = draws[:, 1:]
+        own *= math.sqrt(1.0 - rho)
+        z += own
+        return z
     # shared control: Z_i = (mean_i - mean_0) / sqrt(2/n) with all group
     # means at their defining variance 1/n
-    return shift + (draws[:, 1:] - draws[:, :1]) / _SQRT2
+    z = draws[:, 1:] - draws[:, :1]
+    z /= _SQRT2
+    z += shift
+    return z
 
 
 def sample_statistics(scenario: Scenario, rep_seed: int) -> tuple[float, ...]:
@@ -238,23 +269,182 @@ class _ChunkTotals:
     per_test: np.ndarray
 
 
-def _disjunction_joint(p: np.ndarray, alpha: float, method: AdjustmentMethod) -> np.ndarray:
-    """Vectorized joint verdict of decide_disjunction for each row of p.
+# -- threshold space (see the module docstring) ----------------------------------
 
-    Single-step rules compare the row minimum to the adjusted threshold; the
-    joint verdict of Holm coincides with Bonferroni because Holm's first
-    step is the Bonferroni threshold. Hochberg needs the sorted row. The
-    thresholds come from the same functions decide_disjunction uses, so the
-    two routes agree bit for bit.
-    """
-    k = p.shape[1]
-    if method in (AdjustmentMethod.BONFERRONI, AdjustmentMethod.HOLM):
-        return p.min(axis=1) <= bonferroni_adjust(alpha, k)
-    if method is AdjustmentMethod.SIDAK:
-        return p.min(axis=1) <= sidak_adjust(alpha, k)
-    sorted_p = np.sort(p, axis=1)
-    steps = alpha / np.arange(k, 0, -1, dtype=np.float64)
-    return (sorted_p <= steps).any(axis=1)
+#: Relative and absolute error allowed to p_from_z when loosening a threshold
+#: (erfc is good to about 1e-15; the absolute part covers subnormal p-values).
+_P_REL_ERR = 2.0**-40
+_P_ABS_ERR = 2.0**-1060
+#: Error allowed to a word's z = shift + ndtri(u), relative to 1 + |shift|.
+_Z_REL_ERR = 2.0**-40
+#: Order key of +inf. Keys number the doubles upward and -x has key -key(x).
+_INF_KEY = 0x7FF0000000000000
+_SIGN_BIT = np.uint64(1 << 63)
+_MAGNITUDE_BITS = np.int64((1 << 63) - 1)
+#: A uniform is made of the top 53 bits of a word.
+_WORD_DROP = np.uint64(11)
+_TOPS = 1 << 53
+
+
+def _double_at(key: np.ndarray) -> np.ndarray:
+    magnitude = np.abs(key).astype(np.uint64)
+    return np.where(key < 0, magnitude | _SIGN_BIT, magnitude).view(np.float64)
+
+
+def _key_of(x: np.ndarray) -> np.ndarray:
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(bits < 0, -(bits & _MAGNITUDE_BITS), bits)
+
+
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, reach: int) -> np.ndarray:
+    """Per entry, an integer x in (lo, hi] with pred false at x - 1 (or
+    x - 1 == lo) and true at x (or x == hi), by bisection; ``pred(x, idx)``
+    judges the integers x of the entries idx and never sees lo or hi. The
+    bisection starts from [guess - reach, guess + reach] where pred bears
+    that bracket out, and from (lo, hi] elsewhere."""
+    a = np.clip(guess - reach, lo + 1, hi - 1)
+    b = np.clip(guess + reach, lo + 1, hi - 1)
+    every = np.arange(lo.size)
+    ok = pred(np.concatenate([a, b]), np.concatenate([every, every]))
+    lo, hi = np.where(ok[: lo.size], lo, a), np.where(ok[lo.size :], b, hi)
+    while True:
+        idx = np.flatnonzero(lo < hi - 1)
+        if idx.size == 0:
+            return hi
+        a, b = lo[idx], hi[idx]
+        mid = (a & b) + ((a ^ b) >> 1)  # floor((a + b) / 2) without overflow
+        ok = pred(mid, idx)
+        hi[idx[ok]] = mid[ok]
+        lo[idx[~ok]] = mid[~ok]
+
+
+@dataclass(frozen=True)
+class _Band:
+    """A cutoff: below ``lower`` the statistic never passes, from ``upper``
+    on it always does, and in between p_from_z decides."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def _z_bands(t: np.ndarray, sides: Sides) -> _Band:
+    """Bands on z (on |z| when two-sided) for ``p_from_z(z) <= t``."""
+    loose = np.concatenate([t * (1.0 + _P_REL_ERR) + _P_ABS_ERR, t * (1.0 - _P_REL_ERR) - _P_ABS_ERR])
+    start = -_INF_KEY if sides is Sides.ONE_SIDED else 0
+    guess = -ndtri(loose if sides is Sides.ONE_SIDED else loose / 2.0)
+    keys = _first_true(
+        lambda key, idx: p_from_z(_double_at(key), sides) <= loose[idx],
+        np.full(loose.size, start - 1, dtype=np.int64),
+        np.full(loose.size, _INF_KEY + 1, dtype=np.int64),
+        _key_of(guess),
+        1 << 24,
+    )
+    # p_from_z(+inf) = 0 <= t, so +inf is a valid top for every band
+    cut = _double_at(np.minimum(keys, _INF_KEY))
+    return _Band(cut[: t.size], cut[t.size :])
+
+
+def _word_z(shift, tops):
+    """z of 53-bit word tops under the independent design, by the same
+    operations on the same values as the draws."""
+    return shift + ndtri(uniform_from_words(tops << _WORD_DROP))
+
+
+def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Band:
+    """Bands on word tops, shape (len(shift), len(lower)), for z >= the z
+    band (lower, upper) at each shift; 2**53 stands for never."""
+    slack = _Z_REL_ERR * (1.0 + np.abs(shift))
+    slack = np.where(np.isfinite(slack), slack, 0.0)[:, None]
+    goal = np.concatenate([lower - slack, upper + slack], axis=1)
+    shifts = np.broadcast_to(shift[:, None], goal.shape).ravel()
+    with np.errstate(invalid="ignore"):  # an infinite shift meets an infinite goal
+        guess = np.nan_to_num(ndtr(goal.ravel() - shifts) * _TOPS).astype(np.int64)
+    tops = _first_true(
+        lambda m, idx: _word_z(shifts[idx], m.astype(np.uint64)) >= goal.flat[idx],
+        np.full(goal.size, -1, dtype=np.int64),
+        np.full(goal.size, _TOPS, dtype=np.int64),
+        guess,
+        1 << 20,
+    ).astype(np.uint64).reshape(goal.shape)
+    return _Band(tops[:, : lower.size], tops[:, lower.size :])
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How one run decides. With ``words`` the statistics are the word tops
+    of the draws; otherwise they are z (|z| when two-sided). ``test`` bands
+    each test's decision at alpha. ``joint`` bands the disjunction: a scalar
+    band meets the row maximum, a band per column meets the row as it is,
+    or, for Hochberg, sorted ascending. Rows that fall inside a joint band
+    are judged on their p-values against ``steps``."""
+
+    words: bool
+    hochberg: bool
+    shift: np.ndarray
+    test: _Band
+    joint: _Band
+    steps: np.ndarray
+
+
+def _plan(scenario: Scenario) -> _Plan:
+    k, alpha, method = scenario.k, scenario.alpha_joint, scenario.method
+    hochberg = method is AdjustmentMethod.HOCHBERG
+    if hochberg:
+        steps = alpha / np.arange(k, 0, -1, dtype=np.float64)
+        joint_t = steps[::-1]  # the sorted row's column j meets alpha / (j + 1)
+    else:  # Holm's joint verdict is Bonferroni's: its first step is the Bonferroni level
+        level = sidak_adjust(alpha, k) if method is AdjustmentMethod.SIDAK else bonferroni_adjust(alpha, k)
+        steps = np.full(k, level)
+        joint_t = steps[:1]
+    z = _z_bands(np.concatenate([[alpha], joint_t]), scenario.sides)
+    test = _Band(z.lower[0], z.upper[0])
+    joint = _Band(z.lower[1:], z.upper[1:]) if hochberg else _Band(z.lower[1], z.upper[1])
+    shift = _shift(scenario)
+    words = scenario.design.kind == "independent" and scenario.sides is Sides.ONE_SIDED and not hochberg
+    if words:
+        distinct, column = np.unique(shift, return_inverse=True)
+        if distinct.size == 1:  # every test has the same cutoffs
+            column = 0
+        tops = _word_bands(distinct, z.lower[:2], z.upper[:2])
+        test = _Band(tops.lower[column, 0], tops.upper[column, 0])
+        joint = _Band(tops.lower[column, 1], tops.upper[column, 1])
+    return _Plan(words, hochberg, shift, test, joint, steps)
+
+
+def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-test rejections at alpha and the disjunction verdict of each
+    replication, equal to judging p_from_z of each statistic."""
+    if plan.words:
+        x = word_block(seeds, scenario.k)
+        np.right_shift(x, _WORD_DROP, out=x)
+
+        def z_of(rows, cols):
+            return _word_z(plan.shift[cols], x[rows, cols])
+    else:
+        x = _z_block(scenario, seeds)
+        if scenario.sides is Sides.TWO_SIDED:
+            np.abs(x, out=x)
+
+        def z_of(rows, cols):
+            return x[rows, cols]
+
+    rejected = x >= plan.test.upper
+    if np.count_nonzero(x >= plan.test.lower) != np.count_nonzero(rejected):
+        rows, cols = np.nonzero((x >= plan.test.lower) & ~rejected)
+        rejected[rows, cols] = p_from_z(z_of(rows, cols), scenario.sides) <= scenario.alpha_joint
+
+    if plan.hochberg:
+        x.sort(axis=1)
+    if np.ndim(plan.joint.upper) == 0:
+        top = x.max(axis=1)
+        joint, maybe = top >= plan.joint.upper, top >= plan.joint.lower
+    else:
+        joint, maybe = (x >= plan.joint.upper).any(axis=1), (x >= plan.joint.lower).any(axis=1)
+    rows = np.flatnonzero(maybe & ~joint)
+    if rows.size:
+        p = p_from_z(z_of(rows[:, None], np.arange(scenario.k)), scenario.sides)
+        joint[rows] = (np.sort(p, axis=1) <= plan.steps).any(axis=1)
+    return rejected, joint
 
 
 def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
@@ -267,40 +457,47 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     the joint decision was a rejection; for individual mode this is the
     rate of at least one rejection of any kind, i.e. what an unadjusted
     disjunction reading of the same results would conclude.
+
+    ``threads`` (1 to :data:`MAX_THREADS`) bounds the worker threads, which
+    are also capped at the chunk count and the CPU count; the estimates
+    never depend on it.
     """
     if not isinstance(scenario, Scenario):
         raise InvalidScenario(f"expected a Scenario, got {type(scenario).__name__}")
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
+    if not isinstance(threads, int) or isinstance(threads, bool) or not 1 <= threads <= MAX_THREADS:
+        raise DomainError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
 
     start_time = time.perf_counter()
-    k, reps, alpha = scenario.k, scenario.reps, scenario.alpha_joint
+    k, reps = scenario.k, scenario.reps
     nulls = np.asarray(scenario.null_pattern, dtype=bool)
-    any_nulls = bool(nulls.any())
+    all_nulls, any_nulls = bool(nulls.all()), bool(nulls.any())
+    plan = _plan(scenario)
 
     def run_chunk(chunk_index: int) -> _ChunkTotals:
         start = chunk_index * CHUNK_REPS
         count = min(CHUNK_REPS, reps - start)
-        seeds = rep_seed_block(scenario.seed, start, count)
-        p = p_from_z(_z_block(scenario, seeds), scenario.sides)
-        rejected = p <= alpha
+        rejected, joint = _decide(plan, scenario, rep_seed_block(scenario.seed, start, count))
         r = rejected.sum(axis=1)
-        v = rejected[:, nulls].sum(axis=1) if any_nulls else np.zeros(count, dtype=np.int64)
+        if all_nulls:
+            v = r
+        else:
+            v = rejected[:, nulls].sum(axis=1) if any_nulls else np.zeros(count, dtype=np.int64)
         return _ChunkTotals(
             fwer_events=int((v >= 1).sum()),
             v_sum=int(v.sum()),
             fdp_sum=float(np.sum(v / np.maximum(r, 1))),
             any_reject=int((r >= 1).sum()),
-            disjunction_rejects=int(_disjunction_joint(p, alpha, scenario.method).sum()),
-            conjunction_rejects=int(rejected.all(axis=1).sum()),
+            disjunction_rejects=int(joint.sum()),
+            conjunction_rejects=int((r == k).sum()),
             per_test=rejected.sum(axis=0, dtype=np.int64),
         )
 
     n_chunks = (reps + CHUNK_REPS - 1) // CHUNK_REPS
-    if threads == 1 or n_chunks == 1:
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    if workers == 1:
         chunk_totals = [run_chunk(i) for i in range(n_chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             chunk_totals = list(pool.map(run_chunk, range(n_chunks)))
 
     # reduce in chunk order so float accumulation is schedule-independent

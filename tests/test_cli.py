@@ -204,6 +204,15 @@ class TestSimulateCommand:
         assert out == ""
         assert "reps" in err
 
+    def test_threads_bound_is_a_validation_failure(self, run, tmp_path):
+        path = write_scenario(tmp_path, reps=1_000)
+        code, out, err = run(["simulate", "--scenario", path, "--threads", "1025"])
+        assert code == 2
+        assert out == ""
+        assert "threads" in err
+        code, _, _ = run(["simulate", "--scenario", path, "--threads", "1024"])
+        assert code == 0
+
     def test_out_file(self, run, tmp_path):
         path = write_scenario(tmp_path, reps=5_000)
         target = tmp_path / "estimates.tsv"
@@ -238,6 +247,30 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"{battery}:3" in err
+
+    def test_precision_out_of_range_names_the_flag(self, run):
+        for value in ("-1", "18", "100000", "six"):
+            code, out, err = run(["rates", "--alpha", "0.05", "--k", "3", "--precision", value])
+            assert code == 1
+            assert out == ""
+            assert "--precision" in err and "[0, 17]" in err
+
+    def test_non_utf8_battery_names_file_and_offset(self, run, tmp_path):
+        battery = tmp_path / "latin1.csv"
+        battery.write_bytes(b"id,p\nt1,0.01\n\xe9t2,0.2\n")
+        code, out, err = run(["decide", "--battery", str(battery), "--mode", "individual", "--alpha", "0.05"])
+        assert code == 2
+        assert out == ""
+        assert str(battery) in err
+        assert "byte offset 13" in err
+
+    def test_deeply_nested_scenario_is_two(self, run, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(["simulate", "--scenario", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "nests too deeply" in err
 
     def test_help_exits_zero(self, run):
         code, _, _ = run(["--help"])

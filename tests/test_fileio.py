@@ -152,6 +152,20 @@ class TestScenarioDocument:
         with pytest.raises(FileFormatError, match="boolean"):
             parse_scenario_text(render(document))
 
+    def test_field_error_carries_one_location_prefix(self):
+        text = render(doc(simulation={"n": float("nan")}))
+        with pytest.raises(FileFormatError) as info:
+            parse_scenario_text(text, source="s.json")
+        message = str(info.value)
+        assert message.startswith("s.json:")
+        assert "simulation.n must be an integer, got nan" in message
+        assert message.count("s.json") == 1
+
+    def test_deep_nesting_is_a_format_error(self):
+        deep = '{"family": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(FileFormatError, match="nests too deeply"):
+            parse_scenario_text(deep, source="deep.json")
+
     def test_family_structure_enforced_at_parse(self):
         duplicated = doc()
         duplicated["family"]["constituents"] = ["green", "green"]
@@ -190,6 +204,12 @@ class TestClassificationDocument:
     def test_scenario_document_without_classification(self):
         with pytest.raises(FileFormatError, match="no classification section"):
             parse_classification_text(render(doc()))
+
+
+def test_deep_nesting_in_classification_is_a_format_error():
+    deep = '{"exchangeable": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(FileFormatError, match="nests too deeply"):
+        parse_classification_text(deep, source="deep.json")
 
 
 class TestBatteryFile:

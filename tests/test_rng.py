@@ -1,6 +1,7 @@
 """Counter-based seed derivation against a stateful SplitMix64 reference."""
 
 import numpy as np
+from scipy.special import ndtri
 
 from alphagate.rng import (
     GOLDEN_GAMMA,
@@ -9,6 +10,8 @@ from alphagate.rng import (
     normal_block,
     rep_seed_block,
     uniform_block,
+    uniform_from_words,
+    word_block,
 )
 
 _MASK = (1 << 64) - 1
@@ -99,3 +102,28 @@ def test_normal_block_moments():
     z = normal_block(seeds, 4)
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
+
+
+def test_word_block_is_counter_addressable():
+    seeds = rep_seed_block(11, 0, 4)
+    words = word_block(seeds, 6)
+    assert words.dtype == np.uint64
+    for i in range(4):
+        ref = _ReferenceSplitMix64(int(seeds[i]))
+        assert [int(w) for w in words[i]] == [ref.next() for _ in range(6)]
+
+
+def test_uniform_block_maps_word_block():
+    seeds = rep_seed_block(5, 0, 300)
+    assert np.array_equal(uniform_block(seeds, 7), uniform_from_words(word_block(seeds, 7)))
+
+
+def test_all_ones_top_word_stays_below_one():
+    """(2**53 - 1) + 0.5 rounds to 2**53; the map caps that one word."""
+    tops = np.array([2**53 - 1, 2**53 - 2, 0], dtype=np.uint64)
+    words = (tops << np.uint64(11)) | np.uint64(0x7FF)
+    u = uniform_from_words(words)
+    assert u[0] == np.nextafter(1.0, 0.0)
+    assert u[1] == ((2**53 - 2) + 0.5) * 2.0**-53
+    assert u[2] == 0.5 * 2.0**-53
+    assert np.all(np.isfinite(ndtri(u)))

@@ -7,6 +7,7 @@ with per-replication runs of the decision functions.
 """
 
 import dataclasses
+import importlib
 import math
 
 import mpmath
@@ -17,10 +18,12 @@ from scipy.special import ndtri
 from alphagate.decisions import Verdict, decide_conjunction, decide_disjunction, decide_individual
 from alphagate.errors import DomainError, InvalidScenario
 from alphagate.families import AdjustmentMethod, TestBattery, TestingMode
-from alphagate.rates import conjunction_power, fwer_independent
-from alphagate.rng import derive_rep_seed, rep_seed_block
+from alphagate.rates import bonferroni_adjust, conjunction_power, fwer_independent, sidak_adjust
+from alphagate.rng import derive_rep_seed, rep_seed_block, uniform_from_words
 from alphagate.simulate import (
+    CHUNK_REPS,
     Design,
+    Estimates,
     Scenario,
     Sides,
     _z_block,
@@ -30,6 +33,9 @@ from alphagate.simulate import (
     simulate,
     wilson_ci,
 )
+
+# the package re-exports the function simulate under the submodule's name
+SIM = importlib.import_module("alphagate.simulate")
 
 Z_95 = 1.6448536269514722  # one-sided 5% critical value
 Z_80 = 0.8416212335729143  # 80th percentile
@@ -371,3 +377,246 @@ class TestSimulateEstimates:
     def test_threads_domain(self):
         with pytest.raises(DomainError):
             simulate(scenario(2, reps=100), threads=0)
+
+
+class TestThreadBound:
+    def test_workers_capped_at_chunks_and_cpus(self, monkeypatch):
+        seen = []
+
+        class Recorder:
+            """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(SIM, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(SIM, "CHUNK_REPS", 64)
+        s = scenario(3, reps=5 * 64)
+        serial = simulate(s, threads=1)
+        for cpus, threads, workers in ((3, 1024, 3), (64, 1024, 5), (64, 2, 2), (None, 8, None)):
+            monkeypatch.setattr(SIM.os, "cpu_count", lambda cpus=cpus: cpus)
+            seen.clear()
+            assert simulate(s, threads=threads) == serial
+            assert seen == ([] if workers is None else [workers])
+
+    def test_threads_above_bound_rejected(self):
+        with pytest.raises(DomainError, match="1024"):
+            simulate(scenario(2, reps=100), threads=SIM.MAX_THREADS + 1)
+
+
+# -- the threshold-space route against the p-value route -----------------------
+
+
+def p_space_joint(p, alpha, method):
+    """Joint disjunction verdict of each row of p, as decide_disjunction gives it."""
+    k = p.shape[1]
+    if method in (AdjustmentMethod.BONFERRONI, AdjustmentMethod.HOLM):
+        return p.min(axis=1) <= bonferroni_adjust(alpha, k)
+    if method is AdjustmentMethod.SIDAK:
+        return p.min(axis=1) <= sidak_adjust(alpha, k)
+    steps = alpha / np.arange(k, 0, -1, dtype=np.float64)
+    return (np.sort(p, axis=1) <= steps).any(axis=1)
+
+
+def p_space_simulate(s):
+    """The simulator judged on p-values: p_from_z of every statistic, chunk
+    by chunk, reduced in chunk order."""
+    nulls = np.asarray(s.null_pattern, dtype=bool)
+    fwer_events = v_sum = any_reject = disj = conj = 0
+    fdp_sum = 0.0
+    per_test = np.zeros(s.k, dtype=np.int64)
+    for start in range(0, s.reps, SIM.CHUNK_REPS):
+        count = min(SIM.CHUNK_REPS, s.reps - start)
+        p = p_from_z(_z_block(s, rep_seed_block(s.seed, start, count)), s.sides)
+        rejected = p <= s.alpha_joint
+        r = rejected.sum(axis=1)
+        v = rejected[:, nulls].sum(axis=1)
+        fwer_events += int((v >= 1).sum())
+        v_sum += int(v.sum())
+        fdp_sum += float(np.sum(v / np.maximum(r, 1)))
+        any_reject += int((r >= 1).sum())
+        disj += int(p_space_joint(p, s.alpha_joint, s.method).sum())
+        conj += int(rejected.all(axis=1).sum())
+        per_test += rejected.sum(axis=0, dtype=np.int64)
+    return Estimates(
+        reps=s.reps,
+        fwer_hat=fwer_events / s.reps,
+        fwer_ci=wilson_ci(fwer_events, s.reps, 0.95),
+        fwer_events=fwer_events,
+        mean_false_positives=v_sum / s.reps,
+        fdr_hat=fdp_sum / s.reps,
+        per_test_rejection=tuple(float(c) / s.reps for c in per_test),
+        joint_reject_rate={
+            TestingMode.INDIVIDUAL: any_reject / s.reps,
+            TestingMode.DISJUNCTION: disj / s.reps,
+            TestingMode.CONJUNCTION: conj / s.reps,
+        },
+        seed_echo=s.seed,
+        elapsed=0.0,
+    )
+
+
+def effect_patterns(k):
+    """(nulls, deltas): all null; half null, half small effects; strong
+    effects both ways, so a word cutoff can be 'always' or 'never'; all
+    strongly negative."""
+    yield [True] * k, [0.0] * k
+    yield [i % 2 == 0 for i in range(k)], [0.0 if i % 2 == 0 else 0.3 for i in range(k)]
+    yield [False] * k, [(-3.0, 3.0, 0.5)[i % 3] for i in range(k)]
+    yield [False] * k, [-3.0] * k
+
+
+DESIGNS = {
+    "independent": Design.independent(),
+    "equicorrelated": Design.equicorrelated(0.4),
+    "rho0": Design.equicorrelated(0.0),
+    "shared_control": Design.shared_control(),
+}
+FWER_METHODS = [
+    AdjustmentMethod.BONFERRONI,
+    AdjustmentMethod.SIDAK,
+    AdjustmentMethod.HOLM,
+    AdjustmentMethod.HOCHBERG,
+]
+
+
+class TestThresholdRoute:
+    @pytest.mark.parametrize("method", FWER_METHODS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
+    @pytest.mark.parametrize("design", list(DESIGNS), ids=str)
+    def test_equals_p_value_route_on_grid(self, design, sides, method, monkeypatch):
+        # 64-replication chunks, so 165 replications end in a partial chunk
+        monkeypatch.setattr(SIM, "CHUNK_REPS", 64)
+        seed = 0
+        for k in (1, 7, 20):
+            for nulls, deltas in effect_patterns(k):
+                for alpha in (0.05, 0.3, 0.7):  # one-sided cutoffs are negative above 0.5
+                    seed += 1
+                    s = scenario(
+                        k, alpha=alpha, nulls=nulls, deltas=deltas, design=DESIGNS[design],
+                        sides=sides, method=method, reps=165, seed=seed,
+                    )
+                    assert simulate(s) == p_space_simulate(s), (k, deltas, alpha)
+
+    def test_equals_p_value_route_at_full_chunks(self):
+        reps = CHUNK_REPS + 1001
+        mixed = [0.0] * 6 + [0.4] * 7 + [-0.2] * 7
+        cases = [
+            (scenario(20, method=AdjustmentMethod.SIDAK, reps=reps, seed=11), True),
+            (scenario(20, nulls=[d == 0.0 for d in mixed], deltas=mixed,
+                      method=AdjustmentMethod.BONFERRONI, reps=reps, seed=12), True),
+            (scenario(20, design=Design.equicorrelated(0.5), sides=Sides.TWO_SIDED,
+                      method=AdjustmentMethod.HOCHBERG, reps=reps, seed=13), False),
+            (scenario(20, method=AdjustmentMethod.HOCHBERG, reps=reps, seed=14), False),
+        ]
+        for s, on_words in cases:
+            assert SIM._plan(s).words is on_words
+            assert simulate(s, threads=2) == p_space_simulate(s)
+
+
+def order_keys(x):
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(bits < 0, -(bits & 0x7FFFFFFFFFFFFFFF), bits)
+
+
+THRESHOLDS = np.array(
+    [0.7, 0.5, 0.3, 0.05, 0.05 / 7, 0.05 / 20, sidak_adjust(0.05, 20), 1e-6, 1e-300]
+)
+
+
+class TestCutoffBands:
+    """Below a band's lower edge p_from_z(z) > t, from its upper edge on
+    p_from_z(z) <= t; checked on the 256 doubles or word tops on each side."""
+
+    @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
+    def test_z_bands(self, sides):
+        band = SIM._z_bands(THRESHOLDS, sides)
+        steps = np.arange(1, 257)
+        below = SIM._double_at(order_keys(band.lower)[:, None] - steps)
+        above = SIM._double_at(order_keys(band.upper)[:, None] + steps - 1)
+        t = THRESHOLDS[:, None]
+        assert np.all(p_from_z(below, sides) > t)
+        assert np.all(p_from_z(above, sides) <= t)
+        assert np.all(band.upper - band.lower < 1e-10 * np.maximum(1.0, band.upper))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.8, 3.0, -3.0, 12.0, -12.0])
+    def test_word_bands(self, shift):
+        t = np.array([0.7, 0.05, sidak_adjust(0.05, 20)])
+        z = SIM._z_bands(t, Sides.ONE_SIDED)
+        tops = SIM._word_bands(np.array([shift]), z.lower, z.upper)
+        for j in range(t.size):
+            lower, upper = int(tops.lower[0, j]), int(tops.upper[0, j])
+            below = np.arange(max(lower - 256, 0), lower, dtype=np.uint64)
+            above = np.arange(upper, min(upper + 256, 2**53), dtype=np.uint64)
+            assert np.all(p_from_z(SIM._word_z(shift, below), Sides.ONE_SIDED) > t[j])
+            assert np.all(p_from_z(SIM._word_z(shift, above), Sides.ONE_SIDED) <= t[j])
+        if shift == 12.0:
+            assert tops.upper.max() == 0  # always
+        if shift == -12.0:
+            assert tops.lower.min() == 2**53  # never
+
+
+class TestInsideBands:
+    """Statistics planted inside and around every band: the decisions must
+    still equal the p-value route's, so the in-band fallback is exact."""
+
+    @staticmethod
+    def near(edges, rng, shape, reach=300):
+        """Values whose order keys lie within ``reach`` of a random edge."""
+        pick = rng.integers(0, len(edges), size=shape)
+        offsets = rng.integers(-reach, reach, size=shape)
+        return edges[pick] + offsets
+
+    def check(self, s, plan, z):
+        rejected, joint = SIM._decide(plan, s, np.zeros(len(z), dtype=np.uint64))
+        p = p_from_z(z, s.sides)
+        assert np.array_equal(rejected, p <= s.alpha_joint)
+        assert np.array_equal(joint, p_space_joint(p, s.alpha_joint, s.method))
+
+    @pytest.mark.parametrize("method", FWER_METHODS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
+    def test_z_route(self, sides, method, monkeypatch):
+        k, rng = 7, np.random.default_rng(5)
+        s = scenario(k, design=Design.equicorrelated(0.3), sides=sides, method=method, alpha=0.3)
+        plan = SIM._plan(s)
+        edges = order_keys(np.concatenate([np.ravel(b) for b in (
+            plan.test.lower, plan.test.upper, plan.joint.lower, plan.joint.upper)]))
+        z = SIM._double_at(self.near(edges, rng, (3000, k)))
+        if method is AdjustmentMethod.HOCHBERG:  # sorted column j near step j's band
+            step = rng.integers(0, 2, size=(3000, k)) * k + np.arange(k)
+            hochberg = order_keys(np.concatenate([plan.joint.lower, plan.joint.upper]))
+            planted = SIM._double_at(hochberg[step] + rng.integers(-300, 300, size=(3000, k)))
+            z = np.concatenate([z, rng.permuted(planted, axis=1)])
+        if sides is Sides.TWO_SIDED:
+            z *= rng.choice([-1.0, 1.0], size=z.shape)
+        inside = (np.abs(z) >= plan.test.lower) & (np.abs(z) < plan.test.upper)
+        assert inside.any()
+        monkeypatch.setattr(SIM, "_z_block", lambda scenario, seeds: z.copy())
+        self.check(s, plan, z)
+
+    @pytest.mark.parametrize("method", FWER_METHODS[:3], ids=lambda m: m.value)
+    def test_word_route(self, method, monkeypatch):
+        k, rng = 6, np.random.default_rng(6)
+        deltas = [0.0, 0.0, 0.3, 0.3, -0.5, 2.0]
+        s = scenario(k, nulls=[d == 0.0 for d in deltas], deltas=deltas, method=method, alpha=0.3)
+        plan = SIM._plan(s)
+        assert plan.words
+        edges = np.stack([plan.test.lower, plan.test.upper, plan.joint.lower, plan.joint.upper])
+        pick = rng.integers(0, 4, size=(3000, k))
+        tops = edges[pick, np.arange(k)].astype(np.int64) + rng.integers(-300, 300, size=(3000, k))
+        tops = np.clip(tops, 0, 2**53 - 1).astype(np.uint64)
+        words = (tops << np.uint64(11)) | rng.integers(0, 2048, size=tops.shape, dtype=np.uint64)
+        inside = (tops >= plan.test.lower) & (tops < plan.test.upper)
+        assert inside.any()
+        monkeypatch.setattr(SIM, "word_block", lambda seeds, draws: words.copy())
+        z = plan.shift + ndtri(uniform_from_words(words))
+        self.check(s, plan, z)
