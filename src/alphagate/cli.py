@@ -27,10 +27,11 @@ from .decisions import (
     decide_disjunction,
     decide_individual,
 )
-from .errors import DomainError, FileFormatError, InvalidBattery, InvalidMethod, InvalidScenario
+from .errors import DomainError, FileFormatError
 from .families import AdjustmentMethod, TestingMode, classify_testing_mode
 from .fileio import load_battery_file, load_classification_file, load_scenario_file
 from .rates import (
+    _check_k,
     bonferroni_adjust,
     conjunction_power,
     conjunction_type2,
@@ -140,6 +141,7 @@ def _cmd_power(args) -> str:
     if args.conjunction and args.k is None:
         raise DomainError("--conjunction requires --k")
     if args.k is not None:
+        _check_k(args.k)
         if 0.0 < power < 1.0:
             joint = conjunction_power(power, args.k)
             type2 = conjunction_type2(1.0 - power, args.k)
@@ -309,7 +311,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         output = args.func(args)
-    except (DomainError, InvalidBattery, InvalidMethod, InvalidScenario, FileFormatError, ValueError) as exc:
+    except ValueError as exc:  # every validation error of the package is one
         print(f"alphagate: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

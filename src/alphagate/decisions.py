@@ -14,12 +14,18 @@ Three rules cover the three testing modes:
 use; it controls the false discovery rate, not the familywise error rate,
 and its per-hypothesis decisions remain individual decisions.
 
+Every rule is the same two steps. :func:`steps` gives the threshold the
+i-th smallest p-value faces: the unadjusted alpha (individual and
+conjunction testing), the Bonferroni or Sidak level, ``alpha / (k - i + 1)``
+(Holm and Hochberg) or ``i * q / m`` (Benjamini-Hochberg). :func:`reject`
+meets a batch of batteries with those thresholds: single-step, step-down
+(Holm: reject up to the first failure) or step-up (Hochberg and BH: reject
+up to the last pass). The rules above judge a one-row batch; the simulator
+takes its joint thresholds from the same :func:`steps`.
+
 Throughout, a test is significant when ``p <= threshold`` (rejection at
-equality). The stepwise procedures use the standard threshold sequences:
-Holm and Hochberg compare the i-th smallest p-value against
-``alpha / (k - i + 1)``, and Benjamini-Hochberg against ``i * q / m``.
-Ties in p are ordered stably by battery position, which never changes which
-hypotheses get rejected, only the bookkeeping order.
+equality). Ties in p are ordered stably by battery position, which never
+changes which hypotheses get rejected, only the bookkeeping order.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, InvalidBattery, InvalidMethod
-from .families import AdjustmentMethod, TestBattery, TestingMode
-from .rates import bonferroni_adjust, sidak_adjust
+import numpy as np
+
+from .errors import InvalidBattery, InvalidMethod
+from .families import FWER_METHODS, AdjustmentMethod, TestBattery, TestingMode
+from .rates import _check_unit_open, bonferroni_adjust, sidak_adjust
 
 
 class Verdict(Enum):
@@ -54,31 +62,62 @@ class Decision:
     notes: tuple[str, ...] = ()
 
 
-_DISJUNCTION_METHODS = (
-    AdjustmentMethod.BONFERRONI,
-    AdjustmentMethod.SIDAK,
-    AdjustmentMethod.HOLM,
-    AdjustmentMethod.HOCHBERG,
-)
-
 #: Advisory note attached to every disjunction decision: constituent-level
 #: outcomes under disjunction testing license only the joint inference.
 NOTE_JOINT_INFERENCE_ONLY = "joint-inference-only"
 NOTE_FDR_NOT_FWER = "fdr-control-not-fwer"
 
-
-def _check_alpha(alpha: float, name: str) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {alpha}")
-    return alpha
+_SINGLE_STEP = (AdjustmentMethod.NONE, AdjustmentMethod.BONFERRONI, AdjustmentMethod.SIDAK)
 
 
-def _require_entries(battery: TestBattery) -> None:
+def steps(method: AdjustmentMethod, alpha: float, k: int) -> np.ndarray:
+    """Threshold that the i-th smallest of k p-values faces, i = 1..k."""
+    if method is AdjustmentMethod.HOLM or method is AdjustmentMethod.HOCHBERG:
+        return alpha / np.arange(k, 0, -1, dtype=np.float64)
+    if method is AdjustmentMethod.BENJAMINI_HOCHBERG:
+        return np.arange(1, k + 1, dtype=np.float64) * alpha / k
+    if method is AdjustmentMethod.BONFERRONI:
+        alpha = bonferroni_adjust(alpha, k)
+    elif method is AdjustmentMethod.SIDAK:
+        alpha = sidak_adjust(alpha, k)
+    elif method is not AdjustmentMethod.NONE:
+        raise InvalidMethod(f"unknown adjustment method {method!r}")
+    return np.full(k, alpha)
+
+
+def reject(p: np.ndarray, alpha: float, method: AdjustmentMethod) -> tuple[np.ndarray, np.ndarray]:
+    """Rejections and thresholds, both in input order, of each row of p
+    (shape (rows, k)) under ``method`` at level ``alpha``."""
+    p = np.asarray(p, dtype=np.float64)
+    t = steps(method, alpha, p.shape[1])
+    if method in _SINGLE_STEP:
+        return p <= t, np.broadcast_to(t, p.shape)
+    order = np.argsort(p, axis=1, kind="stable")  # ties keep battery order
+    passes = np.take_along_axis(p, order, axis=1) <= t
+    if method is AdjustmentMethod.HOLM:  # step down: every rank before the first failure
+        passes = np.logical_and.accumulate(passes, axis=1)
+    else:  # step up: every rank up to the last pass
+        passes = np.logical_or.accumulate(passes[:, ::-1], axis=1)[:, ::-1]
+    rejected = np.empty_like(passes)
+    np.put_along_axis(rejected, order, passes, axis=1)
+    thresholds = np.empty_like(p)
+    np.put_along_axis(thresholds, order, np.broadcast_to(t, p.shape), axis=1)
+    return rejected, thresholds
+
+
+def _judge(
+    battery: TestBattery, alpha: float, name: str, method: AdjustmentMethod
+) -> tuple[dict[str, Verdict], dict[str, float]]:
+    """Verdicts and thresholds, in battery order, of one battery."""
     if not isinstance(battery, TestBattery):
         raise InvalidBattery(f"expected a TestBattery, got {type(battery).__name__}")
     if len(battery) == 0:
         raise InvalidBattery("battery holds no tests")
+    alpha = _check_unit_open(alpha, name)
+    rejected, thresholds = reject(np.array([battery.pvalues]), alpha, method)
+    ids, verdicts = battery.ids, (Verdict.RETAIN, Verdict.REJECT)
+    per = {hid: verdicts[r] for hid, r in zip(ids, rejected[0].tolist())}
+    return per, dict(zip(ids, thresholds[0].tolist()))
 
 
 def decide_individual(battery: TestBattery, alpha_individual: float) -> Decision:
@@ -88,10 +127,7 @@ def decide_individual(battery: TestBattery, alpha_individual: float) -> Decision
     entries the battery holds: each decision depends only on its own p-value,
     so adding unrelated tests can never flip an existing decision.
     """
-    _require_entries(battery)
-    alpha_individual = _check_alpha(alpha_individual, "alpha_individual")
-    per = {hid: (Verdict.REJECT if p <= alpha_individual else Verdict.RETAIN) for hid, p in battery.entries}
-    thresholds = {hid: alpha_individual for hid, _ in battery.entries}
+    per, thresholds = _judge(battery, alpha_individual, "alpha_individual", AdjustmentMethod.NONE)
     return Decision(
         mode=TestingMode.INDIVIDUAL,
         per_hypothesis=per,
@@ -111,48 +147,16 @@ def decide_disjunction(
     below the largest passing position. Both use thresholds
     ``alpha_joint / (k - i + 1)`` at sorted position i.
     """
-    _require_entries(battery)
-    alpha_joint = _check_alpha(alpha_joint, "alpha_joint")
-    if method not in _DISJUNCTION_METHODS:
+    if method not in FWER_METHODS:
         raise InvalidMethod(
             f"disjunction testing needs a FWER-controlling method "
-            f"(bonferroni, sidak, holm, hochberg), got {getattr(method, 'value', method)!r}"
+            f"({', '.join(m.value for m in FWER_METHODS)}), got {getattr(method, 'value', method)!r}"
         )
-    k = len(battery)
-    entries = battery.entries
-
-    if method in (AdjustmentMethod.BONFERRONI, AdjustmentMethod.SIDAK):
-        if method is AdjustmentMethod.BONFERRONI:
-            threshold = bonferroni_adjust(alpha_joint, k)
-        else:
-            threshold = sidak_adjust(alpha_joint, k)
-        rejected = {hid for hid, p in entries if p <= threshold}
-        thresholds = {hid: threshold for hid, _ in entries}
-    else:
-        order = sorted(range(k), key=lambda i: entries[i][1])  # stable: ties keep battery order
-        steps = [alpha_joint / (k - rank) for rank in range(k)]
-        if method is AdjustmentMethod.HOLM:
-            n_reject = 0
-            for rank, idx in enumerate(order):
-                if entries[idx][1] <= steps[rank]:
-                    n_reject = rank + 1
-                else:
-                    break
-        else:  # Hochberg
-            n_reject = 0
-            for rank in range(k - 1, -1, -1):
-                if entries[order[rank]][1] <= steps[rank]:
-                    n_reject = rank + 1
-                    break
-        rejected = {entries[idx][0] for idx in order[:n_reject]}
-        thresholds = {entries[idx][0]: steps[rank] for rank, idx in enumerate(order)}
-        thresholds = {hid: thresholds[hid] for hid, _ in entries}  # back to battery order
-
-    per = {hid: (Verdict.REJECT if hid in rejected else Verdict.RETAIN) for hid, _ in entries}
+    per, thresholds = _judge(battery, alpha_joint, "alpha_joint", method)
+    rejected = [hid for hid, v in per.items() if v is Verdict.REJECT]
     notes = [NOTE_JOINT_INFERENCE_ONLY]
     if rejected:
-        triggering = ",".join(hid for hid, _ in entries if hid in rejected)
-        notes.append(f"triggered-by={triggering}")
+        notes.append(f"triggered-by={','.join(rejected)}")
     return Decision(
         mode=TestingMode.DISJUNCTION,
         per_hypothesis=per,
@@ -170,11 +174,8 @@ def decide_conjunction(battery: TestBattery, alpha_joint: float) -> Decision:
     (the per-test level can never sit above the joint level, and raising it
     is not on offer either).
     """
-    _require_entries(battery)
-    alpha_joint = _check_alpha(alpha_joint, "alpha_joint")
-    per = {hid: (Verdict.REJECT if p <= alpha_joint else Verdict.RETAIN) for hid, p in battery.entries}
+    per, thresholds = _judge(battery, alpha_joint, "alpha_joint", AdjustmentMethod.NONE)
     all_rejected = all(v is Verdict.REJECT for v in per.values())
-    thresholds = {hid: alpha_joint for hid, _ in battery.entries}
     return Decision(
         mode=TestingMode.CONJUNCTION,
         per_hypothesis=per,
@@ -192,24 +193,11 @@ def apply_bh(battery: TestBattery, q: float) -> Decision:
     procedure bounds the expected fraction of false rejections, not the
     probability of any false rejection), so no joint verdict is made.
     """
-    _require_entries(battery)
-    q = _check_alpha(q, "q")
-    entries = battery.entries
-    m = len(entries)
-    order = sorted(range(m), key=lambda i: entries[i][1])
-    steps = [(rank + 1) * q / m for rank in range(m)]
-    n_reject = 0
-    for rank in range(m - 1, -1, -1):
-        if entries[order[rank]][1] <= steps[rank]:
-            n_reject = rank + 1
-            break
-    rejected = {entries[idx][0] for idx in order[:n_reject]}
-    thresholds_sorted = {entries[idx][0]: steps[rank] for rank, idx in enumerate(order)}
-    per = {hid: (Verdict.REJECT if hid in rejected else Verdict.RETAIN) for hid, _ in entries}
+    per, thresholds = _judge(battery, q, "q", AdjustmentMethod.BENJAMINI_HOCHBERG)
     return Decision(
         mode=TestingMode.INDIVIDUAL,
         per_hypothesis=per,
         joint=Verdict.NOT_APPLICABLE,
-        thresholds_used={hid: thresholds_sorted[hid] for hid, _ in entries},
+        thresholds_used=thresholds,
         notes=(NOTE_FDR_NOT_FWER,),
     )

@@ -47,14 +47,13 @@ class AdjustmentMethod(Enum):
     BENJAMINI_HOCHBERG = "bh"
 
 
-#: Methods that control the familywise error rate for disjunction testing.
-FWER_METHODS = frozenset(
-    {
-        AdjustmentMethod.BONFERRONI,
-        AdjustmentMethod.SIDAK,
-        AdjustmentMethod.HOLM,
-        AdjustmentMethod.HOCHBERG,
-    }
+#: Methods that control the familywise error rate: the ones disjunction
+#: testing and the simulator accept.
+FWER_METHODS = (
+    AdjustmentMethod.BONFERRONI,
+    AdjustmentMethod.SIDAK,
+    AdjustmentMethod.HOLM,
+    AdjustmentMethod.HOCHBERG,
 )
 
 

@@ -31,6 +31,8 @@ from .errors import DomainError
 
 #: Largest supported family size.
 K_MAX = 10_000_000
+#: Largest supported per-group sample size: every integer up to it is a double.
+N_MAX = 2**53
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,6 +50,12 @@ def _check_k(k: int) -> int:
     if not 1 <= k <= K_MAX:
         raise DomainError(f"k must lie in [1, {K_MAX}], got {k}")
     return k
+
+
+def _check_n(n: int, error: type[ValueError] = DomainError) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= N_MAX:
+        raise error(f"n must be an integer in [2, 2**53], got {n!r}")
+    return n
 
 
 def fwer_independent(alpha: float, k: int) -> float:
@@ -110,9 +118,10 @@ def power_one_sided_z(alpha: float, delta: float, n: int) -> float:
     delta = float(delta)
     if not delta >= 0.0 or not math.isfinite(delta):
         raise DomainError(f"delta must be a finite real >= 0, got {delta}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    return float(ndtr(delta * math.sqrt(n / 2.0) - ndtri(1.0 - alpha)))
+    n = _check_n(n)
+    # z_{1-alpha} is exactly -ndtri(alpha); ndtri(1 - alpha) would lose a
+    # tiny alpha to the rounding of 1 - alpha
+    return float(ndtr(delta * math.sqrt(n / 2.0) + ndtri(alpha)))
 
 
 @dataclass(frozen=True)
@@ -135,8 +144,7 @@ class CostModel:
             raise DomainError(f"omega must lie in [0, 1], got {self.omega}")
         if not self.delta >= 0.0 or not math.isfinite(self.delta):
             raise DomainError(f"delta must be a finite real >= 0, got {self.delta}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
+        _check_n(self.n)
         lower, upper = self.alpha_bounds
         if not (0.0 < lower < upper < 1.0):
             raise DomainError(

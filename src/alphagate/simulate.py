@@ -54,9 +54,10 @@ from enum import Enum
 import numpy as np
 from scipy.special import erfc, ndtr, ndtri
 
+from .decisions import reject, steps
 from .errors import DomainError, InvalidScenario
-from .families import AdjustmentMethod, TestingMode
-from .rates import bonferroni_adjust, sidak_adjust
+from .families import FWER_METHODS, AdjustmentMethod, TestingMode
+from .rates import _check_n
 from .rng import normal_block, rep_seed_block, uniform_from_words, word_block
 
 _SQRT2 = math.sqrt(2.0)
@@ -133,27 +134,21 @@ class Scenario:
             )
         if len(self.deltas) != self.k:
             raise InvalidScenario(f"deltas has length {len(self.deltas)}, expected k={self.k}")
+        _check_n(self.n, InvalidScenario)
         for i, (is_null, delta) in enumerate(zip(self.null_pattern, self.deltas)):
-            if not math.isfinite(delta):
-                raise InvalidScenario(f"deltas[{i}] must be finite, got {delta}")
+            if not math.isfinite(delta * math.sqrt(self.n / 2.0)):
+                raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
             if is_null and delta != 0.0:
                 raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise InvalidScenario(f"n must be an integer >= 2, got {self.n!r}")
         if not isinstance(self.design, Design):
             raise InvalidScenario(f"design must be a Design, got {type(self.design).__name__}")
         if not isinstance(self.sides, Sides):
             raise InvalidScenario(f"sides must be a Sides value, got {self.sides!r}")
         if not 0.0 < self.alpha_joint < 1.0:
             raise InvalidScenario(f"alpha_joint must lie in (0, 1), got {self.alpha_joint}")
-        if self.method not in (
-            AdjustmentMethod.BONFERRONI,
-            AdjustmentMethod.SIDAK,
-            AdjustmentMethod.HOLM,
-            AdjustmentMethod.HOCHBERG,
-        ):
+        if self.method not in FWER_METHODS:
             raise InvalidScenario(
-                "scenario method must control the FWER (bonferroni, sidak, holm, hochberg), "
+                f"scenario method must control the FWER ({', '.join(m.value for m in FWER_METHODS)}), "
                 f"got {getattr(self.method, 'value', self.method)!r}"
             )
         if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
@@ -376,26 +371,22 @@ class _Plan:
     each test's decision at alpha. ``joint`` bands the disjunction: a scalar
     band meets the row maximum, a band per column meets the row as it is,
     or, for Hochberg, sorted ascending. Rows that fall inside a joint band
-    are judged on their p-values against ``steps``."""
+    are judged on their p-values by :func:`~alphagate.decisions.reject`."""
 
     words: bool
     hochberg: bool
     shift: np.ndarray
     test: _Band
     joint: _Band
-    steps: np.ndarray
 
 
 def _plan(scenario: Scenario) -> _Plan:
     k, alpha, method = scenario.k, scenario.alpha_joint, scenario.method
     hochberg = method is AdjustmentMethod.HOCHBERG
-    if hochberg:
-        steps = alpha / np.arange(k, 0, -1, dtype=np.float64)
-        joint_t = steps[::-1]  # the sorted row's column j meets alpha / (j + 1)
-    else:  # Holm's joint verdict is Bonferroni's: its first step is the Bonferroni level
-        level = sidak_adjust(alpha, k) if method is AdjustmentMethod.SIDAK else bonferroni_adjust(alpha, k)
-        steps = np.full(k, level)
-        joint_t = steps[:1]
+    t = steps(method, alpha, k)
+    # the sorted row's column j meets alpha / (j + 1); otherwise the joint
+    # verdict is the row minimum against the first step (Holm's is Bonferroni's)
+    joint_t = t[::-1] if hochberg else t[:1]
     z = _z_bands(np.concatenate([[alpha], joint_t]), scenario.sides)
     test = _Band(z.lower[0], z.upper[0])
     joint = _Band(z.lower[1:], z.upper[1:]) if hochberg else _Band(z.lower[1], z.upper[1])
@@ -408,7 +399,7 @@ def _plan(scenario: Scenario) -> _Plan:
         tops = _word_bands(distinct, z.lower[:2], z.upper[:2])
         test = _Band(tops.lower[column, 0], tops.upper[column, 0])
         joint = _Band(tops.lower[column, 1], tops.upper[column, 1])
-    return _Plan(words, hochberg, shift, test, joint, steps)
+    return _Plan(words, hochberg, shift, test, joint)
 
 
 def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +434,7 @@ def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray) -> tuple[np.ndar
     rows = np.flatnonzero(maybe & ~joint)
     if rows.size:
         p = p_from_z(z_of(rows[:, None], np.arange(scenario.k)), scenario.sides)
-        joint[rows] = (np.sort(p, axis=1) <= plan.steps).any(axis=1)
+        joint[rows] = reject(p, scenario.alpha_joint, scenario.method)[0].any(axis=1)
     return rejected, joint
 
 

@@ -17,7 +17,7 @@ def run(capsys):
     return _run
 
 
-def write_scenario(tmp_path, *, k=8, reps=20_000, seed=1, method="sidak", name="scenario.json"):
+def write_scenario(tmp_path, *, k=8, reps=20_000, seed=1, method="sidak", name="scenario.json", **simulation):
     document = {
         "family": {
             "joint_id": "joint",
@@ -27,7 +27,7 @@ def write_scenario(tmp_path, *, k=8, reps=20_000, seed=1, method="sidak", name="
             "independent": True,
         },
         "alpha": {"alpha_joint": 0.05, "method": method, "mode": "disjunction"},
-        "simulation": {"n": 16, "reps": reps, "seed": seed},
+        "simulation": {"n": 16, "reps": reps, "seed": seed, **simulation},
     }
     path = tmp_path / name
     path.write_text(json.dumps(document, indent=2), encoding="utf-8")
@@ -271,6 +271,36 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "nests too deeply" in err
+
+    def test_power_k_checked_when_power_saturates(self, run):
+        for delta in ("100", "0.5"):
+            for k in ("0", "-3"):
+                code, out, err = run(
+                    ["power", "--alpha", "0.05", "--delta", delta, "--n", "100", "--k", k, "--conjunction"]
+                )
+                assert code == 2
+                assert out == ""
+                assert "k must lie in [1, " in err
+
+    def test_power_huge_n_is_two(self, run):
+        code, out, err = run(["power", "--alpha", "0.05", "--delta", "0.5", "--n", "1" + "0" * 400])
+        assert code == 2
+        assert out == ""
+        assert "n must be an integer in [2, 2**53]" in err
+
+    def test_scenario_huge_n_is_two(self, run, tmp_path):
+        code, out, err = run(["simulate", "--scenario", write_scenario(tmp_path, k=2, reps=100, n=10**400)])
+        assert code == 2
+        assert out == ""
+        assert "n must be an integer in [2, 2**53]" in err
+        assert "internal error" not in err
+
+    def test_scenario_infinite_shift_is_two(self, run, tmp_path):
+        path = write_scenario(tmp_path, k=2, reps=100, n=10, null_pattern=[True, False], deltas=[0, 1e308])
+        code, out, err = run(["simulate", "--scenario", path])
+        assert code == 2
+        assert out == ""
+        assert "deltas[1] * sqrt(n/2) must be finite" in err
 
     def test_help_exits_zero(self, run):
         code, _, _ = run(["--help"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphagate.decisions import (
     NOTE_FDR_NOT_FWER,
@@ -11,9 +13,12 @@ from alphagate.decisions import (
     decide_conjunction,
     decide_disjunction,
     decide_individual,
+    reject,
+    steps,
 )
 from alphagate.errors import DomainError, InvalidBattery, InvalidMethod
 from alphagate.families import AdjustmentMethod, TestBattery
+from alphagate.rates import bonferroni_adjust, sidak_adjust
 
 
 def battery(*pairs):
@@ -245,3 +250,144 @@ class TestProcedureDominance:
         assert decide_disjunction(b, 0.05, AdjustmentMethod.HOLM) == decide_disjunction(
             b, 0.05, AdjustmentMethod.HOLM
         )
+
+
+# -- the kernel against the plain-Python loops it replaced -----------------------
+
+M = AdjustmentMethod
+
+
+def reference(pvalues, alpha, method):
+    """(rejected, thresholds) in battery order, by explicit loops over the
+    stably sorted p-values."""
+    k = len(pvalues)
+    if method in (M.NONE, M.BONFERRONI, M.SIDAK):
+        level = {M.NONE: alpha, M.BONFERRONI: bonferroni_adjust(alpha, k), M.SIDAK: sidak_adjust(alpha, k)}
+        return [p <= level[method] for p in pvalues], [level[method]] * k
+    order = sorted(range(k), key=lambda i: pvalues[i])
+    if method is M.BENJAMINI_HOCHBERG:
+        sorted_steps = [(rank + 1) * alpha / k for rank in range(k)]
+    else:
+        sorted_steps = [alpha / (k - rank) for rank in range(k)]
+    n_reject = 0
+    if method is M.HOLM:
+        for rank, idx in enumerate(order):
+            if pvalues[idx] > sorted_steps[rank]:
+                break
+            n_reject = rank + 1
+    else:  # Hochberg, BH
+        for rank in range(k - 1, -1, -1):
+            if pvalues[order[rank]] <= sorted_steps[rank]:
+                n_reject = rank + 1
+                break
+    rejected, thresholds = [False] * k, [0.0] * k
+    for rank, idx in enumerate(order):
+        rejected[idx] = rank < n_reject
+        thresholds[idx] = sorted_steps[rank]
+    return rejected, thresholds
+
+
+@st.composite
+def batteries(draw, rows=1):
+    """(p of shape (rows, k), alpha). Each p-value is a uniform draw, a draw
+    near the thresholds, a value exactly on some method's threshold (or 0 or
+    1), or one of a few tie values; hypothesis picks k, alpha and the seed
+    of the draws."""
+    k = draw(st.integers(1, 24))
+    alpha = draw(st.sampled_from([0.01, 0.05, 0.1, 0.5]) | st.floats(1e-6, 0.999))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_steps = np.concatenate([steps(method, alpha, k) for method in M] + [[0.0, 1.0]])
+    ties = rng.choice(np.concatenate([on_steps, rng.uniform(size=2)]), size=3)
+    shape = (rows, k)
+    cells = [
+        rng.uniform(size=shape),
+        rng.uniform(0.0, min(1.0, 2.0 * alpha), size=shape),
+        rng.choice(on_steps, size=shape),
+        rng.choice(ties, size=shape),
+    ]
+    return np.choose(rng.integers(0, len(cells), size=shape), cells), alpha
+
+
+DETERMINISTIC = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+class TestKernel:
+    @DETERMINISTIC
+    @given(batteries(rows=3))
+    def test_reject_equals_reference(self, battery):
+        p, alpha = battery
+        for method in M:
+            rejected, thresholds = reject(p, alpha, method)
+            for row, got, used in zip(p.tolist(), rejected.tolist(), thresholds.tolist()):
+                assert (got, used) == reference(row, alpha, method)
+
+    @DETERMINISTIC
+    @given(batteries())
+    def test_rejection_set_chain(self, battery):
+        p, alpha = battery
+        bonf, holm, hoch, bh = (reject(p, alpha, method)[0] for method in (M.BONFERRONI, M.HOLM, M.HOCHBERG, M.BENJAMINI_HOCHBERG))
+        assert not (bonf & ~holm).any() and not (holm & ~hoch).any()
+        # BH's last step k * alpha / k can round to one double below alpha,
+        # Hochberg's last step; only a largest p-value in that gap can put a
+        # Hochberg rejection outside BH's set
+        last = steps(M.BENJAMINI_HOCHBERG, alpha, p.shape[1])[-1]
+        assert last >= np.nextafter(alpha, 0.0)
+        in_gap = (p.max(axis=1) > last) & (p.max(axis=1) <= alpha)
+        assert not (hoch & ~bh)[~in_gap].any()
+
+    @DETERMINISTIC
+    @given(batteries(rows=4))
+    def test_each_row_of_a_batch_equals_a_one_row_call(self, battery):
+        p, alpha = battery
+        for method in M:
+            rejected, thresholds = reject(p, alpha, method)
+            for i in range(len(p)):
+                one_rejected, one_thresholds = reject(p[i : i + 1], alpha, method)
+                assert np.array_equal(rejected[i], one_rejected[0])
+                assert np.array_equal(thresholds[i], one_thresholds[0])
+
+    @DETERMINISTIC
+    @given(batteries(rows=2))
+    def test_individual_decisions_ignore_appended_tests(self, battery):
+        p, alpha = battery
+        base = decide_individual(numbered(p[0].tolist()), alpha)
+        extended = decide_individual(numbered(p[0].tolist() + p[1].tolist()), alpha)
+        for hid, verdict in base.per_hypothesis.items():
+            assert extended.per_hypothesis[hid] is verdict
+            assert extended.thresholds_used[hid] == base.thresholds_used[hid]
+
+    @DETERMINISTIC
+    @given(batteries())
+    def test_decide_rules_equal_reference(self, battery):
+        """Every mode/method of ``decide``: verdicts, thresholds, joint and notes."""
+        p, alpha = battery
+        b = numbered(p[0].tolist())
+        rules = [
+            (decide_individual(b, alpha), M.NONE),
+            (decide_conjunction(b, alpha), M.NONE),
+            (apply_bh(b, alpha), M.BENJAMINI_HOCHBERG),
+        ] + [(decide_disjunction(b, alpha, method), method) for method in (M.BONFERRONI, M.SIDAK, M.HOLM, M.HOCHBERG)]
+        for decision, method in rules:
+            rejected, thresholds = reference(list(b.pvalues), alpha, method)
+            hits = [hid for hid, r in zip(b.ids, rejected) if r]
+            assert list(decision.per_hypothesis) == list(b.ids)
+            assert rejected_ids(decision) == set(hits)
+            assert list(decision.thresholds_used.values()) == thresholds
+            assert all(type(t) is float for t in decision.thresholds_used.values())
+            if decision.mode.value == "disjunction":
+                assert (decision.joint is Verdict.REJECT) == bool(hits)
+                assert decision.notes == (NOTE_JOINT_INFERENCE_ONLY,) + (
+                    (f"triggered-by={','.join(hits)}",) if hits else ()
+                )
+            elif decision.mode.value == "conjunction":
+                assert (decision.joint is Verdict.REJECT) == all(rejected)
+
+    def test_steps_sequences(self):
+        assert steps(M.NONE, 0.05, 3).tolist() == [0.05] * 3
+        assert steps(M.BONFERRONI, 0.05, 4).tolist() == [0.05 / 4] * 4
+        assert steps(M.SIDAK, 0.05, 2).tolist() == [sidak_adjust(0.05, 2)] * 2
+        assert steps(M.HOLM, 0.05, 3).tolist() == [0.05 / 3, 0.05 / 2, 0.05 / 1]
+        assert steps(M.HOCHBERG, 0.05, 3).tolist() == steps(M.HOLM, 0.05, 3).tolist()
+        assert steps(M.BENJAMINI_HOCHBERG, 0.05, 4).tolist() == [1 * 0.05 / 4, 2 * 0.05 / 4, 3 * 0.05 / 4, 4 * 0.05 / 4]
+        with pytest.raises(InvalidMethod):
+            steps("holm", 0.05, 3)

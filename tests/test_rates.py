@@ -199,6 +199,23 @@ class TestPowerOneSidedZ:
             power_one_sided_z(0.05, -0.1, 64)
         with pytest.raises(DomainError):
             power_one_sided_z(0.05, 0.5, 1)
+        with pytest.raises(DomainError, match=r"\[2, 2\*\*53\]"):
+            power_one_sided_z(0.05, 0.5, 2**53 + 1)
+        with pytest.raises(DomainError):
+            power_one_sided_z(0.05, 0.5, 10**400)
+        assert power_one_sided_z(0.05, 0.0, 2**53) == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [5e-8, 1e-10, 1e-12, 1e-20])
+    def test_genome_scale_alpha_keeps_full_precision(self, alpha):
+        # 1 - alpha rounds to the nearest double near 1: ndtri(1 - alpha) is
+        # off by 2e-11 relative at 5e-8, 4e-7 at 1e-12, and infinite below 1.1e-16
+        import mpmath
+
+        with mpmath.workdps(60):
+            z_crit = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(alpha))
+            for delta, n in ((0.0, 2), (1.0, 50)):
+                expected = float(mpmath.ncdf(delta * mpmath.sqrt(mpmath.mpf(n) / 2) - z_crit))
+                assert power_one_sided_z(alpha, delta, n) == pytest.approx(expected, rel=1e-12)
 
 
 def _grid_oracle(cost: CostModel, points: int = 1_000_000) -> float:
@@ -251,6 +268,8 @@ class TestOptimalAlpha:
             CostModel(omega=1.2, delta=0.5, n=64, alpha_bounds=(1e-6, 0.2))
         with pytest.raises(DomainError):
             CostModel(omega=0.5, delta=0.5, n=1, alpha_bounds=(1e-6, 0.2))
+        with pytest.raises(DomainError):
+            CostModel(omega=0.5, delta=0.5, n=10**400, alpha_bounds=(1e-6, 0.2))
         with pytest.raises(DomainError):
             CostModel(omega=0.5, delta=0.5, n=64, alpha_bounds=(0.0, 0.2))
         with pytest.raises(DomainError):

@@ -228,6 +228,20 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario):
             scenario(2, method=AdjustmentMethod.NONE)
 
+    def test_n_range(self):
+        for n in (1, 2**53 + 1, 10**400, 16.0, True):
+            with pytest.raises(InvalidScenario, match=r"\[2, 2\*\*53\]"):
+                scenario(2, n=n)
+        assert scenario(2, n=2**53).n == 2**53
+
+    def test_shift_must_be_finite(self):
+        with pytest.raises(InvalidScenario, match=r"deltas\[1\] \* sqrt\(n/2\)"):
+            scenario(2, nulls=[True, False], deltas=[0.0, 1e308], n=10)
+        with pytest.raises(InvalidScenario):
+            scenario(2, nulls=[False, False], deltas=[0.5, float("nan")])
+        # the same delta is fine where sqrt(n/2) = 1
+        assert scenario(2, nulls=[True, False], deltas=[0.0, 1e308], n=2).deltas[1] == 1e308
+
     def test_seed_range(self):
         with pytest.raises(InvalidScenario):
             scenario(2, seed=-1)
