@@ -4,7 +4,14 @@ Three testing modes (individual, disjunction, conjunction) with their
 alpha-adjustment contracts, closed-form error-rate math, FWER/FDR decision
 procedures, and a seeded Monte Carlo simulator that verifies the analytic
 claims over independent, equicorrelated, and shared-control test designs.
+
+The simulator's names (and ``derive_rep_seed``) load on first access, so
+importing the package does not import numpy or scipy.
 """
+
+import importlib
+import sys
+from types import ModuleType
 
 from .decisions import (
     Decision,
@@ -25,9 +32,12 @@ from .families import (
     AdjustmentMethod,
     AlphaConfig,
     ClassificationInput,
+    Design,
     FamilySpec,
     Rationale,
     Recommendation,
+    Scenario,
+    Sides,
     TestBattery,
     TestingMode,
     ValidationIssue,
@@ -49,20 +59,42 @@ from .rates import (
     power_one_sided_z,
     sidak_adjust,
 )
-from .rng import derive_rep_seed
-from .simulate import (
-    Design,
-    Estimates,
-    Scenario,
-    Sides,
-    normal_cdf,
-    p_from_z,
-    sample_statistics,
-    simulate,
-    wilson_ci,
-)
 
 __version__ = "0.1.0"
+
+#: names resolved on first access -> the submodule that defines them
+_LAZY = {
+    "derive_rep_seed": "rng",
+    "Estimates": "simulate",
+    "normal_cdf": "simulate",
+    "p_from_z": "simulate",
+    "sample_statistics": "simulate",
+    "simulate": "simulate",
+    "wilson_ci": "simulate",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
+class _Package(ModuleType):
+    # importing the submodule simulate assigns it to the package attribute of
+    # that name, which is the function simulate
+    def __setattr__(self, name, value):
+        if not (name == "simulate" and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "AdjustmentMethod",

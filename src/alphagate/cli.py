@@ -11,6 +11,9 @@ pretty`` renders aligned tables that show a 3-significant-digit rounding
 next to each full-precision value. Reals print fixed-point at ``--precision``
 digits except nonzero magnitudes below 1e-4, which print in scientific
 notation so tiny thresholds stay legible.
+
+numpy and scipy load only where a subcommand calls them: ``decide`` loads
+numpy, ``power`` scipy, ``simulate`` both; the others load neither.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .decisions import (
@@ -28,7 +32,7 @@ from .decisions import (
     decide_individual,
 )
 from .errors import DomainError, FileFormatError
-from .families import AdjustmentMethod, TestingMode, classify_testing_mode
+from .families import MAX_THREADS, AdjustmentMethod, TestingMode, classify_testing_mode
 from .fileio import load_battery_file, load_classification_file, load_scenario_file
 from .rates import (
     _check_k,
@@ -41,7 +45,9 @@ from .rates import (
     power_one_sided_z,
     sidak_adjust,
 )
-from .simulate import MAX_THREADS, Estimates, simulate
+
+if TYPE_CHECKING:
+    from .simulate import Estimates
 
 MAX_REPS = 100_000_000
 SEED_ENV_VAR = "ALPHAGATE_SEED"
@@ -208,6 +214,8 @@ def _resolve_seed(args, scenario_seed: int) -> int:
 
 
 def _cmd_simulate(args) -> str:
+    from .simulate import simulate  # numpy and scipy load only for this subcommand
+
     doc = load_scenario_file(args.scenario)
     if doc.scenario is None:
         raise FileFormatError(f"{args.scenario}: document has no simulation section")

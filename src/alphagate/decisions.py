@@ -17,10 +17,10 @@ and its per-hypothesis decisions remain individual decisions.
 Every rule is the same two steps. :func:`steps` gives the threshold the
 i-th smallest p-value faces: the unadjusted alpha (individual and
 conjunction testing), the Bonferroni or Sidak level, ``alpha / (k - i + 1)``
-(Holm and Hochberg) or ``i * q / m`` (Benjamini-Hochberg). :func:`reject`
-meets a batch of batteries with those thresholds: single-step, step-down
-(Holm: reject up to the first failure) or step-up (Hochberg and BH: reject
-up to the last pass). The rules above judge a one-row batch; the simulator
+(Holm and Hochberg) or ``i * q / m`` (Benjamini-Hochberg, whose last
+step is exactly q). :func:`reject` meets a batch of batteries with those
+thresholds: single-step, step-down (Holm: reject up to the first failure)
+or step-up (Hochberg and BH: reject up to the last pass). The rules above judge a one-row batch; the simulator
 takes its joint thresholds from the same :func:`steps`.
 
 Throughout, a test is significant when ``p <= threshold`` (rejection at
@@ -32,12 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidBattery, InvalidMethod
 from .families import FWER_METHODS, AdjustmentMethod, TestBattery, TestingMode
 from .rates import _check_unit_open, bonferroni_adjust, sidak_adjust
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Verdict(Enum):
@@ -72,10 +74,16 @@ _SINGLE_STEP = (AdjustmentMethod.NONE, AdjustmentMethod.BONFERRONI, AdjustmentMe
 
 def steps(method: AdjustmentMethod, alpha: float, k: int) -> np.ndarray:
     """Threshold that the i-th smallest of k p-values faces, i = 1..k."""
+    import numpy as np  # only the kernel needs numpy, so importing decisions stays light
+
     if method is AdjustmentMethod.HOLM or method is AdjustmentMethod.HOCHBERG:
         return alpha / np.arange(k, 0, -1, dtype=np.float64)
     if method is AdjustmentMethod.BENJAMINI_HOCHBERG:
-        return np.arange(1, k + 1, dtype=np.float64) * alpha / k
+        t = np.arange(1, k + 1, dtype=np.float64) * alpha / k
+        # k * q / k can round one double below q, Hochberg's last step, which
+        # would let Hochberg reject a battery that BH retains
+        t[-1] = alpha
+        return t
     if method is AdjustmentMethod.BONFERRONI:
         alpha = bonferroni_adjust(alpha, k)
     elif method is AdjustmentMethod.SIDAK:
@@ -88,6 +96,8 @@ def steps(method: AdjustmentMethod, alpha: float, k: int) -> np.ndarray:
 def reject(p: np.ndarray, alpha: float, method: AdjustmentMethod) -> tuple[np.ndarray, np.ndarray]:
     """Rejections and thresholds, both in input order, of each row of p
     (shape (rows, k)) under ``method`` at level ``alpha``."""
+    import numpy as np
+
     p = np.asarray(p, dtype=np.float64)
     t = steps(method, alpha, p.shape[1])
     if method in _SINGLE_STEP:
@@ -114,7 +124,7 @@ def _judge(
     if len(battery) == 0:
         raise InvalidBattery("battery holds no tests")
     alpha = _check_unit_open(alpha, name)
-    rejected, thresholds = reject(np.array([battery.pvalues]), alpha, method)
+    rejected, thresholds = reject([battery.pvalues], alpha, method)
     ids, verdicts = battery.ids, (Verdict.RETAIN, Verdict.REJECT)
     per = {hid: verdicts[r] for hid, r in zip(ids, rejected[0].tolist())}
     return per, dict(zip(ids, thresholds[0].tolist()))
@@ -188,8 +198,8 @@ def apply_bh(battery: TestBattery, q: float) -> Decision:
     """Benjamini-Hochberg step-up procedure at FDR level q.
 
     Sorting p ascending, find the largest position i with
-    ``p_(i) <= i * q / m`` and reject positions 1..i (none when no position
-    passes). The decisions are individual screening decisions (the
+    ``p_(i) <= i * q / m`` (``q`` itself at i = m) and reject positions
+    1..i (none when no position passes). The decisions are individual screening decisions (the
     procedure bounds the expected fraction of false rejections, not the
     probability of any false rejection), so no joint verdict is made.
     """

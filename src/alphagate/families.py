@@ -7,8 +7,8 @@ test significant) or a conjunction rule (all constituent tests significant).
 family. Only disjunction testing requires lowering the per-test alpha;
 conjunction and individual testing run each test at the unadjusted level.
 
-This module holds the value types for families, batteries of p-values, and
-alpha configurations, plus two operations:
+This module holds the value types for families, batteries of p-values,
+alpha configurations and simulation scenarios, plus two operations:
 
 * :func:`validate_family` checks the declared structure of a family and
   warns when a disjunction family is not declared exchangeable.
@@ -22,10 +22,12 @@ theoretical judgments they are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidBattery
+from .errors import DomainError, InvalidBattery, InvalidScenario
+from .rates import _check_n
 
 
 class TestingMode(Enum):
@@ -59,7 +61,7 @@ FWER_METHODS = (
 
 def _check_id(token: str, what: str) -> None:
     if not isinstance(token, str) or not token:
-        raise ValueError(f"{what} must be a non-empty string, got {token!r}")
+        raise DomainError(f"{what} must be a non-empty string, got {token!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class FamilySpec:
         for token in self.constituents:
             _check_id(token, "constituent id")
         if self.mode is TestingMode.INDIVIDUAL:
-            raise ValueError("a family implies a joint hypothesis; mode cannot be 'individual'")
+            raise DomainError("a family implies a joint hypothesis; mode cannot be 'individual'")
 
     @property
     def k(self) -> int:
@@ -138,12 +140,12 @@ class AlphaConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha_joint < 1.0:
-            raise ValueError(f"alpha_joint must lie in (0, 1), got {self.alpha_joint}")
+            raise DomainError(f"alpha_joint must lie in (0, 1), got {self.alpha_joint}")
         if self.mode is TestingMode.DISJUNCTION:
             if self.method is AdjustmentMethod.NONE:
-                raise ValueError("disjunction testing requires an adjustment method")
+                raise DomainError("disjunction testing requires an adjustment method")
         elif self.method is not AdjustmentMethod.NONE:
-            raise ValueError(
+            raise DomainError(
                 f"{self.mode.value} testing uses the unadjusted alpha; method must be 'none'"
             )
 
@@ -171,7 +173,7 @@ class ClassificationInput:
             "family_theoretically_relevant",
         ):
             if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be an explicit boolean")
+                raise DomainError(f"{name} must be an explicit boolean")
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ class Recommendation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rationale", tuple(self.rationale))
         if self.adjust_alpha != (self.mode is TestingMode.DISJUNCTION):
-            raise ValueError("adjust_alpha must hold exactly when mode is disjunction")
+            raise DomainError("adjust_alpha must hold exactly when mode is disjunction")
 
 
 @dataclass(frozen=True)
@@ -210,6 +212,98 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+
+#: Upper bound of ``simulate``'s ``threads``; workers are further capped at
+#: the chunk count and the CPU count.
+MAX_THREADS = 1024
+
+
+class Sides(Enum):
+    ONE_SIDED = "one_sided"
+    TWO_SIDED = "two_sided"
+
+
+@dataclass(frozen=True)
+class Design:
+    """Dependence structure of the k test statistics."""
+
+    kind: str
+    rho: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("independent", "equicorrelated", "shared_control"):
+            raise InvalidScenario(f"unknown design kind {self.kind!r}")
+        if self.kind == "equicorrelated":
+            if self.rho is None:
+                raise InvalidScenario("equicorrelated design requires rho")
+            rho = float(self.rho)
+            if not 0.0 <= rho < 1.0:
+                raise InvalidScenario(f"rho must lie in [0, 1), got {rho}")
+            object.__setattr__(self, "rho", rho)
+        elif self.rho is not None:
+            raise InvalidScenario(f"design {self.kind!r} takes no rho")
+
+    @classmethod
+    def independent(cls) -> "Design":
+        return cls("independent")
+
+    @classmethod
+    def equicorrelated(cls, rho: float) -> "Design":
+        return cls("equicorrelated", rho)
+
+    @classmethod
+    def shared_control(cls) -> "Design":
+        return cls("shared_control")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Full specification of one Monte Carlo run."""
+
+    k: int
+    null_pattern: tuple[bool, ...]
+    deltas: tuple[float, ...]
+    n: int
+    design: Design
+    sides: Sides
+    alpha_joint: float
+    method: AdjustmentMethod
+    reps: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise InvalidScenario(f"k must be an integer >= 1, got {self.k!r}")
+        object.__setattr__(self, "null_pattern", tuple(bool(b) for b in self.null_pattern))
+        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        if len(self.null_pattern) != self.k:
+            raise InvalidScenario(
+                f"null_pattern has length {len(self.null_pattern)}, expected k={self.k}"
+            )
+        if len(self.deltas) != self.k:
+            raise InvalidScenario(f"deltas has length {len(self.deltas)}, expected k={self.k}")
+        _check_n(self.n, InvalidScenario)
+        for i, (is_null, delta) in enumerate(zip(self.null_pattern, self.deltas)):
+            if not math.isfinite(delta * math.sqrt(self.n / 2.0)):
+                raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
+            if is_null and delta != 0.0:
+                raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}")
+        if not isinstance(self.design, Design):
+            raise InvalidScenario(f"design must be a Design, got {type(self.design).__name__}")
+        if not isinstance(self.sides, Sides):
+            raise InvalidScenario(f"sides must be a Sides value, got {self.sides!r}")
+        if not 0.0 < self.alpha_joint < 1.0:
+            raise InvalidScenario(f"alpha_joint must lie in (0, 1), got {self.alpha_joint}")
+        if self.method not in FWER_METHODS:
+            raise InvalidScenario(
+                f"scenario method must control the FWER ({', '.join(m.value for m in FWER_METHODS)}), "
+                f"got {getattr(self.method, 'value', self.method)!r}"
+            )
+        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
+            raise InvalidScenario(f"reps must be an integer >= 1, got {self.reps!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+            raise InvalidScenario(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 def validate_family(spec: FamilySpec) -> ValidationReport:

@@ -21,12 +21,14 @@ from .families import (
     AdjustmentMethod,
     AlphaConfig,
     ClassificationInput,
+    Design,
     FamilySpec,
+    Scenario,
+    Sides,
     TestBattery,
     TestingMode,
     validate_family,
 )
-from .simulate import Design, Scenario, Sides
 
 DEFAULT_REPS = 100_000
 
@@ -261,6 +263,8 @@ def _load_json_object(text: str, source: str) -> dict:
         raise FileFormatError(f"{source}:{exc.lineno}: not valid JSON: {exc.msg}") from None
     except RecursionError:
         raise FileFormatError(f"{source}: JSON nests too deeply") from None
+    except ValueError as exc:  # an integer longer than Python converts
+        raise FileFormatError(f"{source}: JSON integer too long: {exc}") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{source}: top level must be a JSON object")
     return doc

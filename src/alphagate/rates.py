@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import ndtr, ndtri
-
 from .errors import DomainError
 
 #: Largest supported family size.
@@ -119,6 +117,8 @@ def power_one_sided_z(alpha: float, delta: float, n: int) -> float:
     if not delta >= 0.0 or not math.isfinite(delta):
         raise DomainError(f"delta must be a finite real >= 0, got {delta}")
     n = _check_n(n)
+    from scipy.special import ndtr, ndtri  # the rest of this module needs no scipy
+
     # z_{1-alpha} is exactly -ndtri(alpha); ndtri(1 - alpha) would lose a
     # tiny alpha to the rounding of 1 - alpha
     return float(ndtr(delta * math.sqrt(n / 2.0) + ndtri(alpha)))

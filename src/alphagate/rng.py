@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import DomainError
+
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -58,7 +60,7 @@ def derive_rep_seed(seed: int, rep: int) -> int:
     ``rep`` of the reference splitmix64 stream seeded with ``seed``).
     """
     if rep < 0:
-        raise ValueError(f"rep must be >= 0, got {rep}")
+        raise DomainError(f"rep must be >= 0, got {rep}")
     return mix64(seed + (rep + 1) * GOLDEN_GAMMA)
 
 

@@ -49,15 +49,15 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.special import erfc, ndtr, ndtri
 
 from .decisions import reject, steps
 from .errors import DomainError, InvalidScenario
-from .families import FWER_METHODS, AdjustmentMethod, TestingMode
-from .rates import _check_n
+# the scenario types live in families, which needs no numpy; they stay
+# importable from here
+from .families import MAX_THREADS, AdjustmentMethod, Design, Scenario, Sides, TestingMode  # noqa: F401
 from .rng import normal_block, rep_seed_block, uniform_from_words, word_block
 
 _SQRT2 = math.sqrt(2.0)
@@ -65,96 +65,6 @@ _SQRT2 = math.sqrt(2.0)
 #: Replications per work unit. Fixed (never derived from the thread count)
 #: so that chunk boundaries, and therefore partial-sum order, are stable.
 CHUNK_REPS = 16_384
-#: Upper bound of ``simulate``'s ``threads``; workers are further capped at
-#: the chunk count and the CPU count.
-MAX_THREADS = 1024
-
-
-class Sides(Enum):
-    ONE_SIDED = "one_sided"
-    TWO_SIDED = "two_sided"
-
-
-@dataclass(frozen=True)
-class Design:
-    """Dependence structure of the k test statistics."""
-
-    kind: str
-    rho: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("independent", "equicorrelated", "shared_control"):
-            raise InvalidScenario(f"unknown design kind {self.kind!r}")
-        if self.kind == "equicorrelated":
-            if self.rho is None:
-                raise InvalidScenario("equicorrelated design requires rho")
-            rho = float(self.rho)
-            if not 0.0 <= rho < 1.0:
-                raise InvalidScenario(f"rho must lie in [0, 1), got {rho}")
-            object.__setattr__(self, "rho", rho)
-        elif self.rho is not None:
-            raise InvalidScenario(f"design {self.kind!r} takes no rho")
-
-    @classmethod
-    def independent(cls) -> "Design":
-        return cls("independent")
-
-    @classmethod
-    def equicorrelated(cls, rho: float) -> "Design":
-        return cls("equicorrelated", rho)
-
-    @classmethod
-    def shared_control(cls) -> "Design":
-        return cls("shared_control")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Full specification of one Monte Carlo run."""
-
-    k: int
-    null_pattern: tuple[bool, ...]
-    deltas: tuple[float, ...]
-    n: int
-    design: Design
-    sides: Sides
-    alpha_joint: float
-    method: AdjustmentMethod
-    reps: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise InvalidScenario(f"k must be an integer >= 1, got {self.k!r}")
-        object.__setattr__(self, "null_pattern", tuple(bool(b) for b in self.null_pattern))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        if len(self.null_pattern) != self.k:
-            raise InvalidScenario(
-                f"null_pattern has length {len(self.null_pattern)}, expected k={self.k}"
-            )
-        if len(self.deltas) != self.k:
-            raise InvalidScenario(f"deltas has length {len(self.deltas)}, expected k={self.k}")
-        _check_n(self.n, InvalidScenario)
-        for i, (is_null, delta) in enumerate(zip(self.null_pattern, self.deltas)):
-            if not math.isfinite(delta * math.sqrt(self.n / 2.0)):
-                raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
-            if is_null and delta != 0.0:
-                raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}")
-        if not isinstance(self.design, Design):
-            raise InvalidScenario(f"design must be a Design, got {type(self.design).__name__}")
-        if not isinstance(self.sides, Sides):
-            raise InvalidScenario(f"sides must be a Sides value, got {self.sides!r}")
-        if not 0.0 < self.alpha_joint < 1.0:
-            raise InvalidScenario(f"alpha_joint must lie in (0, 1), got {self.alpha_joint}")
-        if self.method not in FWER_METHODS:
-            raise InvalidScenario(
-                f"scenario method must control the FWER ({', '.join(m.value for m in FWER_METHODS)}), "
-                f"got {getattr(self.method, 'value', self.method)!r}"
-            )
-        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
-            raise InvalidScenario(f"reps must be an integer >= 1, got {self.reps!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise InvalidScenario(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,16 @@ class TestDecideCommand:
         assert "test\tb\t0.020000\t0.025000\treject" in out
         assert "test\tc\t0.040000\t0.037500\tretain" in out
 
+    @pytest.mark.parametrize("mode", [["--mode", "bh"], ["--mode", "disjunction", "--method", "hochberg"]])
+    def test_largest_p_at_alpha_rejected_by_bh_and_hochberg(self, run, tmp_path, mode):
+        # 3 * q / 3 rounds one double below this q; BH's last step is q itself
+        battery = tmp_path / "b.csv"
+        battery.write_text("id,p\na,0\nb,0\nc,0.365580679783838\n", encoding="utf-8")
+        code, out, _ = run(["decide", "--battery", str(battery), "--alpha", "0.365580679783838",
+                            "--precision", "17", *mode])
+        assert code == 0
+        assert "test\tc\t0.36558067978383801\t0.36558067978383801\treject" in out
+
     def test_method_rejected_outside_disjunction(self, run, tmp_path):
         battery = tmp_path / "b.csv"
         battery.write_text("id,p\na,0.01\n", encoding="utf-8")
@@ -294,6 +304,17 @@ class TestExitCodes:
         assert out == ""
         assert "n must be an integer in [2, 2**53]" in err
         assert "internal error" not in err
+
+    def test_scenario_integer_too_long_names_the_file(self, run, tmp_path):
+        path = write_scenario(tmp_path, k=2, reps=100, n=0)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text.replace('"n": 0', '"n": 1' + "0" * 5000))
+        code, out, err = run(["simulate", "--scenario", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"alphagate: error: {path}: ")
 
     def test_scenario_infinite_shift_is_two(self, run, tmp_path):
         path = write_scenario(tmp_path, k=2, reps=100, n=10, null_pattern=[True, False], deltas=[0, 1e308])

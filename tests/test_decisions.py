@@ -265,8 +265,8 @@ def reference(pvalues, alpha, method):
         level = {M.NONE: alpha, M.BONFERRONI: bonferroni_adjust(alpha, k), M.SIDAK: sidak_adjust(alpha, k)}
         return [p <= level[method] for p in pvalues], [level[method]] * k
     order = sorted(range(k), key=lambda i: pvalues[i])
-    if method is M.BENJAMINI_HOCHBERG:
-        sorted_steps = [(rank + 1) * alpha / k for rank in range(k)]
+    if method is M.BENJAMINI_HOCHBERG:  # the last step is q itself
+        sorted_steps = [(rank + 1) * alpha / k for rank in range(k - 1)] + [alpha]
     else:
         sorted_steps = [alpha / (k - rank) for rank in range(k)]
     n_reject = 0
@@ -326,14 +326,7 @@ class TestKernel:
     def test_rejection_set_chain(self, battery):
         p, alpha = battery
         bonf, holm, hoch, bh = (reject(p, alpha, method)[0] for method in (M.BONFERRONI, M.HOLM, M.HOCHBERG, M.BENJAMINI_HOCHBERG))
-        assert not (bonf & ~holm).any() and not (holm & ~hoch).any()
-        # BH's last step k * alpha / k can round to one double below alpha,
-        # Hochberg's last step; only a largest p-value in that gap can put a
-        # Hochberg rejection outside BH's set
-        last = steps(M.BENJAMINI_HOCHBERG, alpha, p.shape[1])[-1]
-        assert last >= np.nextafter(alpha, 0.0)
-        in_gap = (p.max(axis=1) > last) & (p.max(axis=1) <= alpha)
-        assert not (hoch & ~bh)[~in_gap].any()
+        assert not (bonf & ~holm).any() and not (holm & ~hoch).any() and not (hoch & ~bh).any()
 
     @DETERMINISTIC
     @given(batteries(rows=4))
@@ -389,5 +382,9 @@ class TestKernel:
         assert steps(M.HOLM, 0.05, 3).tolist() == [0.05 / 3, 0.05 / 2, 0.05 / 1]
         assert steps(M.HOCHBERG, 0.05, 3).tolist() == steps(M.HOLM, 0.05, 3).tolist()
         assert steps(M.BENJAMINI_HOCHBERG, 0.05, 4).tolist() == [1 * 0.05 / 4, 2 * 0.05 / 4, 3 * 0.05 / 4, 4 * 0.05 / 4]
+        # 3 * q / 3 rounds one double below this q; BH's last step is q itself
+        q = 0.365580679783838
+        assert 3 * q / 3 < q
+        assert steps(M.BENJAMINI_HOCHBERG, q, 3).tolist() == [1 * q / 3, 2 * q / 3, q]
         with pytest.raises(InvalidMethod):
             steps("holm", 0.05, 3)

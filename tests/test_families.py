@@ -9,12 +9,14 @@ from alphagate.families import (
     AlphaConfig,
     ClassificationInput,
     FamilySpec,
+    Rationale,
+    Recommendation,
     TestBattery,
     TestingMode,
     classify_testing_mode,
     validate_family,
 )
-from alphagate.errors import InvalidBattery
+from alphagate.errors import DomainError, InvalidBattery
 
 
 def _family(constituents, mode=TestingMode.DISJUNCTION, exchangeable=True, independent=True):
@@ -170,6 +172,24 @@ class TestAlphaConfig:
             AlphaConfig(0.0, AdjustmentMethod.NONE, TestingMode.INDIVIDUAL)
         with pytest.raises(ValueError):
             AlphaConfig(1.0, AdjustmentMethod.NONE, TestingMode.INDIVIDUAL)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _family(["a"], mode=TestingMode.INDIVIDUAL),
+        lambda: _family(["a", ""]),
+        lambda: AlphaConfig(1.0, AdjustmentMethod.NONE, TestingMode.INDIVIDUAL),
+        lambda: AlphaConfig(0.05, AdjustmentMethod.NONE, TestingMode.DISJUNCTION),
+        lambda: AlphaConfig(0.05, AdjustmentMethod.HOLM, TestingMode.CONJUNCTION),
+        lambda: _answers(exchangeable=None),
+        lambda: Recommendation(TestingMode.CONJUNCTION, True, (Rationale("c", "t"),)),
+    ],
+    ids=["family-mode", "family-id", "alpha-range", "alpha-no-method", "alpha-method", "answers", "recommendation"],
+)
+def test_constructors_raise_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestTestBattery:

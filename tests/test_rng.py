@@ -1,8 +1,10 @@
 """Counter-based seed derivation against a stateful SplitMix64 reference."""
 
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
+from alphagate.errors import DomainError
 from alphagate.rng import (
     GOLDEN_GAMMA,
     derive_rep_seed,
@@ -51,6 +53,11 @@ def test_matches_stateful_reference_for_any_seed():
 
 def test_deterministic():
     assert derive_rep_seed(123, 456) == derive_rep_seed(123, 456)
+
+
+def test_negative_rep_is_a_domain_error():
+    with pytest.raises(DomainError, match="rep must be >= 0"):
+        derive_rep_seed(1, -1)
 
 
 def test_stream_distinctness_over_a_million_seeds():
