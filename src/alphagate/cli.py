@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .decisions import (
+    Verdict,
     apply_bh,
     decide_conjunction,
     decide_disjunction,
@@ -73,37 +74,38 @@ def _precision(text: str) -> int:
     return digits
 
 
-def _fmt_real(value: float, precision: int) -> str:
-    if value != 0.0 and abs(value) < 1e-4:
-        return f"{value:.{precision}e}"
-    return f"{value:.{precision}f}"
-
-
-def _fmt_cell(value, precision: int) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_real(value, precision)
-    return str(value)
+def _fmt_column(values: tuple, precision: int) -> list[str]:
+    fixed, sci = f".{precision}f", f".{precision}e"
+    out = []
+    for v in values:
+        kind = type(v)
+        if kind is str:  # str and float first: they are nearly every cell
+            out.append(v)
+        elif kind is float or isinstance(v, float):
+            out.append(format(v, sci if v != 0.0 and abs(v) < 1e-4 else fixed))
+        elif isinstance(v, bool):
+            out.append("true" if v else "false")
+        else:
+            out.append(str(v))
+    return out
 
 
 def _render_table(header: list[str], rows: list[list], args) -> str:
-    cells = [[_fmt_cell(v, args.precision) for v in row] for row in rows]
+    raw = list(zip(*rows))
+    columns = [_fmt_column(values, args.precision) for values in raw]
     if args.format == "tsv":
         lines = ["\t".join(header)]
-        lines += ["\t".join(row) for row in cells]
+        lines += ["\t".join(row) for row in zip(*columns)]
         return "\n".join(lines) + "\n"
     # pretty: add a short rounding next to full-precision reals
-    for raw, rendered in zip(rows, cells):
-        for i, value in enumerate(raw):
+    for values, rendered in zip(raw, columns):
+        for i, value in enumerate(values):
             if isinstance(value, float):
                 rendered[i] = f"{rendered[i]} (~{value:.3g})"
-    widths = [max(len(header[i]), max((len(row[i]) for row in cells), default=0)) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
+    widths = [max(len(h), *map(len, column)) for h, column in zip(header, columns)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))
-    lines += ["  ".join(row[i].ljust(widths[i]) for i in range(len(row))).rstrip() for row in cells]
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -178,11 +180,14 @@ def _cmd_decide(args) -> str:
             notes_extra.append("method-defaulted=bonferroni")
         decision = decide_disjunction(battery, args.alpha, AdjustmentMethod(method_name))
 
-    rows: list[list] = []
-    for hid, p in battery.entries:
-        rows.append(
-            ["test", hid, p, decision.thresholds_used[hid], decision.per_hypothesis[hid].value]
+    # the decision's dicts are in battery order
+    text = {verdict: verdict.value for verdict in Verdict}
+    rows: list[list] = [
+        ["test", hid, p, threshold, text[verdict]]
+        for (hid, p), threshold, verdict in zip(
+            battery.entries, decision.thresholds_used.values(), decision.per_hypothesis.values()
         )
+    ]
     rows.append(["joint", "", "", "", decision.joint.value])
     for note in tuple(decision.notes) + tuple(notes_extra):
         rows.append(["note", note, "", "", ""])

@@ -6,7 +6,12 @@ class DomainError(ValueError):
 
 
 class InvalidBattery(ValueError):
-    """A test battery violates its structural invariants."""
+    """A test battery violates its structural invariants. ``index`` is the
+    position of the offending entry, when one entry is at fault."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class InvalidMethod(ValueError):

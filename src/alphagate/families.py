@@ -99,18 +99,22 @@ class TestBattery:
     entries: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
+        # the one place a battery is checked: parse_battery_text relies on it
+        # and names the file line of the entry at fault
         normalized = []
         seen: set[str] = set()
-        for entry in self.entries:
-            hid, p = entry
+        for index, (hid, raw) in enumerate(self.entries):
             if not isinstance(hid, str) or not hid:
-                raise InvalidBattery(f"hypothesis id must be a non-empty string, got {hid!r}")
-            p = float(p)
-            if not 0.0 <= p <= 1.0:
-                raise InvalidBattery(f"p-value for {hid!r} must lie in [0, 1], got {p}")
+                raise InvalidBattery(f"hypothesis id must be a non-empty string, got {hid!r}", index)
             if hid in seen:
-                raise InvalidBattery(f"duplicate hypothesis id {hid!r}")
+                raise InvalidBattery(f"duplicate hypothesis id {hid!r}", index)
             seen.add(hid)
+            try:
+                p = float(raw)
+            except (TypeError, ValueError):
+                raise InvalidBattery(f"p-value for {hid!r} is not a number: {raw!r}", index) from None
+            if not 0.0 <= p <= 1.0:
+                raise InvalidBattery(f"p-value for {hid!r} must lie in [0, 1], got {p}", index)
             normalized.append((hid, p))
         object.__setattr__(self, "entries", tuple(normalized))
 

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FileFormatError
+from .errors import FileFormatError, InvalidBattery
 from .families import (
     AdjustmentMethod,
     AlphaConfig,
@@ -315,6 +315,13 @@ def load_classification_file(path: str | Path) -> ClassificationInput:
     return parse_classification_text(_read_text(path), source=str(path))
 
 
+def _battery(entries: list[tuple[str, str]], lines: list[int], source: str) -> TestBattery:
+    try:
+        return TestBattery(entries=tuple(entries))
+    except InvalidBattery as exc:
+        raise FileFormatError(f"{source}:{lines[exc.index]}: {exc}") from None
+
+
 def parse_battery_text(text: str, source: str = "<battery>") -> TestBattery:
     rows = list(csv.reader(text.splitlines()))
     if not rows:
@@ -322,31 +329,20 @@ def parse_battery_text(text: str, source: str = "<battery>") -> TestBattery:
     header = [cell.strip() for cell in rows[0]]
     if header != ["id", "p"]:
         raise FileFormatError(f"{source}:1: battery header must be exactly 'id,p', got {','.join(header)!r}")
-    entries: list[tuple[str, float]] = []
-    seen: set[str] = set()
+    # TestBattery checks the (id, p) pairs; lines maps each entry to its line
+    entries: list[tuple[str, str]] = []
+    lines: list[int] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line
         if len(row) != 2:
+            _battery(entries, lines, source)  # a bad row above this one is reported first
             raise FileFormatError(f"{source}:{lineno}: expected two cells 'id,p', got {len(row)}")
-        hid = row[0].strip()
-        if not hid:
-            raise FileFormatError(f"{source}:{lineno}: hypothesis id is empty")
-        if hid in seen:
-            raise FileFormatError(f"{source}:{lineno}: duplicate hypothesis id {hid!r}")
-        seen.add(hid)
-        try:
-            p = float(row[1])
-        except ValueError:
-            raise FileFormatError(
-                f"{source}:{lineno}: p-value for {hid!r} is not a number: {row[1]!r}"
-            ) from None
-        if not 0.0 <= p <= 1.0:
-            raise FileFormatError(f"{source}:{lineno}: p-value for {hid!r} must lie in [0, 1], got {p}")
-        entries.append((hid, p))
+        entries.append((row[0].strip(), row[1]))
+        lines.append(lineno)
     if not entries:
         raise FileFormatError(f"{source}: battery file holds no test rows")
-    return TestBattery(entries=tuple(entries))
+    return _battery(entries, lines, source)
 
 
 def load_battery_file(path: str | Path) -> TestBattery:

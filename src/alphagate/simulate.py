@@ -22,7 +22,10 @@ Determinism contract: results are bit-identical for a fixed seed no matter
 how replications are scheduled. Replications are seeded individually by a
 counter-based derivation (:mod:`alphagate.rng`), work is cut into
 fixed-size chunks independent of the thread count, and partial sums are
-combined in chunk order.
+combined in chunk order. Each chunk is judged in row tiles of about
+:data:`TILE_BYTES` per (rows, k + 1) temporary, so a worker's memory does not
+grow with k times the chunk length; rows are judged independently and every
+per-tile total is an integer, so the estimates never depend on the tile size.
 
 Decisions are made in threshold space. Every rule compares p-values with
 thresholds (alpha, the single-step level, Hochberg's alpha/(k-i+1)), and a
@@ -65,6 +68,11 @@ _SQRT2 = math.sqrt(2.0)
 #: Replications per work unit. Fixed (never derived from the thread count)
 #: so that chunk boundaries, and therefore partial-sum order, are stable.
 CHUNK_REPS = 16_384
+
+#: Bytes of one (rows, k + 1) float64 temporary while a chunk is judged; a
+#: tile that fits in a core's cache saves streaming whole-chunk arrays
+#: through memory at every step.
+TILE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,15 @@ class _ChunkTotals:
     disjunction_rejects: int
     conjunction_rejects: int
     per_test: np.ndarray
+
+    def add(self, other: _ChunkTotals) -> None:
+        self.fwer_events += other.fwer_events
+        self.v_sum += other.v_sum
+        self.fdp_sum += other.fdp_sum
+        self.any_reject += other.any_reject
+        self.disjunction_rejects += other.disjunction_rejects
+        self.conjunction_rejects += other.conjunction_rejects
+        self.per_test += other.per_test
 
 
 # -- threshold space (see the module docstring) ----------------------------------
@@ -374,58 +391,60 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     all_nulls, any_nulls = bool(nulls.all()), bool(nulls.any())
     plan = _plan(scenario)
 
+    tile = max(1, TILE_BYTES // (8 * (k + 1)))
+
     def run_chunk(chunk_index: int) -> _ChunkTotals:
         start = chunk_index * CHUNK_REPS
         count = min(CHUNK_REPS, reps - start)
-        rejected, joint = _decide(plan, scenario, rep_seed_block(scenario.seed, start, count))
-        r = rejected.sum(axis=1)
-        if all_nulls:
-            v = r
-        else:
-            v = rejected[:, nulls].sum(axis=1) if any_nulls else np.zeros(count, dtype=np.int64)
+        seeds = rep_seed_block(scenario.seed, start, count)
+        r = np.empty(count, dtype=np.int64)
+        v = r if all_nulls else np.zeros(count, dtype=np.int64)
+        joint = np.empty(count, dtype=bool)
+        per_test = np.zeros(k, dtype=np.int64)
+        for lo in range(0, count, tile):
+            hi = min(lo + tile, count)
+            rejected, joint[lo:hi] = _decide(plan, scenario, seeds[lo:hi])
+            rejected.sum(axis=1, out=r[lo:hi])
+            if any_nulls and not all_nulls:
+                rejected[:, nulls].sum(axis=1, out=v[lo:hi])
+            per_test += rejected.sum(axis=0, dtype=np.int64)
         return _ChunkTotals(
             fwer_events=int((v >= 1).sum()),
             v_sum=int(v.sum()),
+            # one sum over the whole chunk: per-tile float sums would round differently
             fdp_sum=float(np.sum(v / np.maximum(r, 1))),
             any_reject=int((r >= 1).sum()),
             disjunction_rejects=int(joint.sum()),
             conjunction_rejects=int((r == k).sum()),
-            per_test=rejected.sum(axis=0, dtype=np.int64),
+            per_test=per_test,
         )
 
     n_chunks = (reps + CHUNK_REPS - 1) // CHUNK_REPS
     workers = min(threads, n_chunks, os.cpu_count() or 1)
+    # map yields in chunk order, so float accumulation is schedule-independent;
+    # adding each chunk as it arrives keeps alive only the totals of chunks
+    # that finished ahead of the next one in order
+    total = _ChunkTotals(0, 0, 0.0, 0, 0, 0, np.zeros(k, dtype=np.int64))
     if workers == 1:
-        chunk_totals = [run_chunk(i) for i in range(n_chunks)]
+        for chunk in map(run_chunk, range(n_chunks)):
+            total.add(chunk)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_totals = list(pool.map(run_chunk, range(n_chunks)))
-
-    # reduce in chunk order so float accumulation is schedule-independent
-    fwer_events = v_sum = any_reject = disj = conj = 0
-    fdp_sum = 0.0
-    per_test = np.zeros(k, dtype=np.int64)
-    for totals in chunk_totals:
-        fwer_events += totals.fwer_events
-        v_sum += totals.v_sum
-        fdp_sum += totals.fdp_sum
-        any_reject += totals.any_reject
-        disj += totals.disjunction_rejects
-        conj += totals.conjunction_rejects
-        per_test += totals.per_test
+            for chunk in pool.map(run_chunk, range(n_chunks)):
+                total.add(chunk)
 
     return Estimates(
         reps=reps,
-        fwer_hat=fwer_events / reps,
-        fwer_ci=wilson_ci(fwer_events, reps, 0.95),
-        fwer_events=fwer_events,
-        mean_false_positives=v_sum / reps,
-        fdr_hat=fdp_sum / reps,
-        per_test_rejection=tuple(float(c) / reps for c in per_test),
+        fwer_hat=total.fwer_events / reps,
+        fwer_ci=wilson_ci(total.fwer_events, reps, 0.95),
+        fwer_events=total.fwer_events,
+        mean_false_positives=total.v_sum / reps,
+        fdr_hat=total.fdp_sum / reps,
+        per_test_rejection=tuple(float(c) / reps for c in total.per_test),
         joint_reject_rate={
-            TestingMode.INDIVIDUAL: any_reject / reps,
-            TestingMode.DISJUNCTION: disj / reps,
-            TestingMode.CONJUNCTION: conj / reps,
+            TestingMode.INDIVIDUAL: total.any_reject / reps,
+            TestingMode.DISJUNCTION: total.disjunction_rejects / reps,
+            TestingMode.CONJUNCTION: total.conjunction_rejects / reps,
         },
         seed_echo=scenario.seed,
         elapsed=time.perf_counter() - start_time,

@@ -1,6 +1,7 @@
 """Family validation and the when-to-adjust classification cascade."""
 
 import itertools
+import re
 
 import pytest
 
@@ -212,3 +213,19 @@ class TestTestBattery:
     def test_blank_id_rejected(self):
         with pytest.raises(InvalidBattery):
             TestBattery((("", 0.5),))
+
+    @pytest.mark.parametrize("raw", ["oops", "", None, [0.1]])
+    def test_p_not_a_number_names_entry(self, raw):
+        with pytest.raises(InvalidBattery, match=f"p-value for 'x' is not a number: {re.escape(repr(raw))}") as err:
+            TestBattery((("a", "0.5"), ("x", raw)))
+        assert err.value.index == 1
+
+    def test_checks_run_in_entry_order(self):
+        # a duplicate is reported before its own bad p, and a bad p before a
+        # later duplicate
+        with pytest.raises(InvalidBattery, match="duplicate") as err:
+            TestBattery((("a", 0.1), ("b", 0.2), ("a", "oops"), ("b", 5.0)))
+        assert err.value.index == 2
+        with pytest.raises(InvalidBattery, match="must lie in") as err:
+            TestBattery((("a", 0.1), ("b", 5.0), ("a", "oops")))
+        assert err.value.index == 1

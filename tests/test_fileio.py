@@ -237,6 +237,21 @@ class TestBatteryFile:
         with pytest.raises(FileFormatError, match=":3.*duplicate"):
             parse_battery_text("id,p\na,0.1\na,0.2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("id,p\na,0.1\n\nb,oops\na,0.2\n", ":4: p-value for 'b' is not a number: 'oops'"),
+            ("id,p\na,0.1\n ,0.2\n", ":3: hypothesis id must be a non-empty string, got ''"),
+            ("id,p\na,0.1\na,0.2\n\nb,oops\n", ":3: duplicate hypothesis id 'a'"),
+            ("id,p\na,0.1\na,0.2\nb,0.3,4\n", ":3: duplicate hypothesis id 'a'"),
+            ("id,p\na,0.1\nb,0.3,4\na,0.2\n", ":3: expected two cells 'id,p', got 3"),
+        ],
+    )
+    def test_first_bad_row_in_file_order_is_named(self, text, message):
+        with pytest.raises(FileFormatError) as err:
+            parse_battery_text(text, source="b.csv")
+        assert str(err.value) == "b.csv" + message
+
     def test_empty_file(self):
         with pytest.raises(FileFormatError):
             parse_battery_text("")

@@ -9,6 +9,7 @@ with per-replication runs of the decision functions.
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -508,10 +509,23 @@ class TestThresholdRoute:
     @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
     @pytest.mark.parametrize("design", list(DESIGNS), ids=str)
     def test_equals_p_value_route_on_grid(self, design, sides, method, monkeypatch):
-        # 64-replication chunks, so 165 replications end in a partial chunk
+        self.check_grid(design, sides, method, None, monkeypatch)
+
+    @pytest.mark.parametrize("method", FWER_METHODS, ids=lambda m: m.value)
+    @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
+    @pytest.mark.parametrize("design", list(DESIGNS), ids=str)
+    def test_equals_p_value_route_on_grid_in_5_row_tiles(self, design, sides, method, monkeypatch):
+        self.check_grid(design, sides, method, 5, monkeypatch)
+
+    @staticmethod
+    def check_grid(design, sides, method, tile_rows, monkeypatch):
+        # 64-replication chunks, so 165 replications end in a partial chunk;
+        # 5-row tiles end each chunk in a partial tile
         monkeypatch.setattr(SIM, "CHUNK_REPS", 64)
         seed = 0
         for k in (1, 7, 20):
+            if tile_rows is not None:
+                monkeypatch.setattr(SIM, "TILE_BYTES", tile_rows * 8 * (k + 1))
             for nulls, deltas in effect_patterns(k):
                 for alpha in (0.05, 0.3, 0.7):  # one-sided cutoffs are negative above 0.5
                     seed += 1
@@ -535,6 +549,20 @@ class TestThresholdRoute:
         for s, on_words in cases:
             assert SIM._plan(s).words is on_words
             assert simulate(s, threads=2) == p_space_simulate(s)
+
+
+class TestChunkMemory:
+    def test_chunk_peak_does_not_grow_with_k(self):
+        # a whole-chunk (CHUNK_REPS, k + 1) float64 temporary alone is 125 MiB here
+        s = scenario(1000, design=Design.equicorrelated(0.3), sides=Sides.TWO_SIDED,
+                     method=AdjustmentMethod.HOCHBERG, reps=CHUNK_REPS)
+        tracemalloc.start()
+        try:
+            simulate(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def order_keys(x):
