@@ -3,8 +3,9 @@
 Subcommands: ``rates``, ``adjust``, ``table1``, ``decide``, ``classify``,
 ``simulate``, ``power``. Results go to stdout (or ``--out``), diagnostics to
 stderr. Exit codes: 0 success, 1 usage error, 2 input validation failure,
-3 runtime failure. Output is rendered only after a command finishes, so a
-validation failure never leaves partial output on the result stream.
+3 runtime failure. Nothing is written before a command has read and checked
+all of its input, so a validation failure never leaves partial output on the
+result stream. ``decide`` then renders and writes its rows in blocks.
 
 Machine output is TSV with a stable column order per subcommand; ``--format
 pretty`` renders aligned tables that show a 3-significant-digit rounding
@@ -22,11 +23,12 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .decisions import (
-    Verdict,
+    Decision,
     apply_bh,
     decide_conjunction,
     decide_disjunction,
@@ -48,12 +50,18 @@ from .rates import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .simulate import Estimates
 
 MAX_REPS = 100_000_000
 SEED_ENV_VAR = "ALPHAGATE_SEED"
 #: 17 significant digits round-trip any double
 MAX_PRECISION = 17
+#: nonzero reals of smaller magnitude print in scientific notation
+SCI_BELOW = 1e-4
+#: ``decide`` renders and writes its test rows this many at a time
+BLOCK_ROWS = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +90,7 @@ def _fmt_column(values: tuple, precision: int) -> list[str]:
         if kind is str:  # str and float first: they are nearly every cell
             out.append(v)
         elif kind is float or isinstance(v, float):
-            out.append(format(v, sci if v != 0.0 and abs(v) < 1e-4 else fixed))
+            out.append(format(v, sci if v != 0.0 and abs(v) < SCI_BELOW else fixed))
         elif isinstance(v, bool):
             out.append("true" if v else "false")
         else:
@@ -103,10 +111,58 @@ def _render_table(header: list[str], rows: list[list], args) -> str:
             if isinstance(value, float):
                 rendered[i] = f"{rendered[i]} (~{value:.3g})"
     widths = [max(len(h), *map(len, column)) for h, column in zip(header, columns)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    return _pretty_lines([header, ["-" * w for w in widths], *zip(*columns)], widths)
+
+
+def _pretty_lines(rows, widths: list[int]) -> str:
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows)
+
+
+def _real_cells(values: np.ndarray, precision: int) -> list[str]:
+    """The cells :func:`_fmt_column` gives a float64 array, formatted in one
+    ``%`` pass with the few scientific-notation cells redone."""
+    import numpy as np
+
+    floats = values.tolist()
+    cells = (f"%.{precision}f\n" * len(floats) % tuple(floats)).split("\n")
+    cells.pop()  # after the last line end
+    sci = f"%.{precision}e"
+    for i in np.flatnonzero((values != 0.0) & (np.abs(values) < SCI_BELOW)).tolist():
+        cells[i] = sci % floats[i]
+    return cells
+
+
+def _decide_table(decision: Decision, p: np.ndarray, tail: list[list[str]], args) -> Iterator[str]:
+    """``decide``'s table as text blocks: the header, the test rows
+    :data:`BLOCK_ROWS` at a time, then the ``tail`` rows. Ids hold no tab or
+    line break, so they go into rows as they are."""
+    ids, n = decision.ids, len(decision.ids)
+    header = ["row", "id", "p", "threshold", "decision"]
+    spans = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+    verdicts = ("retain", "reject")
+    pretty = args.format == "pretty"
+
+    def columns(lo: int, hi: int) -> list[list[str]]:  # id to decision cells of test rows lo..hi-1
+        reals = [p[lo:hi], decision.thresholds[lo:hi]]
+        cells = [_real_cells(values, args.precision) for values in reals]
+        if pretty:  # add a short rounding next to each full-precision real
+            cells = [list(map("{} (~{:.3g})".format, c, v.tolist())) for c, v in zip(cells, reals)]
+        return [ids[lo:hi], *cells, list(map(verdicts.__getitem__, decision.rejected[lo:hi].tolist()))]
+
+    if pretty:  # a first pass sizes the columns
+        widths = [max(map(len, column)) for column in zip(header, ["test", "", "", "", ""], *tail)]
+        for lo, hi in spans:
+            widths[1:] = map(max, widths[1:], (max(map(len, column)) for column in columns(lo, hi)))
+        yield _pretty_lines([header, ["-" * w for w in widths]], widths)
+        template = "test".ljust(widths[0]) + "".join(f"  %-{w}s" for w in widths[1:4]) + "  %s\n"
+    else:
+        yield "\t".join(header) + "\n"
+        template = "test\t%s\t%s\t%s\t%s\n"
+    for lo, hi in spans:
+        cells: list = [None] * (4 * (hi - lo))
+        cells[0::4], cells[1::4], cells[2::4], cells[3::4] = columns(lo, hi)
+        yield template * (hi - lo) % tuple(cells)
+    yield _pretty_lines(tail, widths) if pretty else "".join("\t".join(row) + "\n" for row in tail)
 
 
 def _render_pairs(pairs: list[tuple[str, object]], args) -> str:
@@ -160,7 +216,7 @@ def _cmd_power(args) -> str:
     return _render_pairs(pairs, args)
 
 
-def _cmd_decide(args) -> str:
+def _cmd_decide(args) -> Iterator[str]:
     if args.method is not None and args.mode != "disjunction":
         raise DomainError(f"--method only applies to --mode disjunction, not {args.mode!r}")
     battery = load_battery_file(args.battery)
@@ -180,18 +236,9 @@ def _cmd_decide(args) -> str:
             notes_extra.append("method-defaulted=bonferroni")
         decision = decide_disjunction(battery, args.alpha, AdjustmentMethod(method_name))
 
-    # the decision's dicts are in battery order
-    text = {verdict: verdict.value for verdict in Verdict}
-    rows: list[list] = [
-        ["test", hid, p, threshold, text[verdict]]
-        for (hid, p), threshold, verdict in zip(
-            battery.entries, decision.thresholds_used.values(), decision.per_hypothesis.values()
-        )
-    ]
-    rows.append(["joint", "", "", "", decision.joint.value])
-    for note in tuple(decision.notes) + tuple(notes_extra):
-        rows.append(["note", note, "", "", ""])
-    return _render_table(["row", "id", "p", "threshold", "decision"], rows, args)
+    tail = [["joint", "", "", "", decision.joint.value]]
+    tail += [["note", note, "", "", ""] for note in (*decision.notes, *notes_extra)]
+    return _decide_table(decision, battery.p, tail, args)
 
 
 def _cmd_classify(args) -> str:
@@ -333,14 +380,18 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"alphagate: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    blocks = [output] if isinstance(output, str) else output  # decide renders as it writes
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(output)
+                handle.writelines(blocks)
         else:
-            sys.stdout.write(output)
+            sys.stdout.writelines(blocks)
     except OSError as exc:
         print(f"alphagate: error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # pragma: no cover - defensive: decide renders while it writes
+        print(f"alphagate: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0
 

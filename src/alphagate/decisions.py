@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from .errors import InvalidBattery, InvalidMethod
@@ -48,20 +50,38 @@ class Verdict(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decision:
     """Outcome of judging one battery under one testing mode.
 
-    ``per_hypothesis`` and ``thresholds_used`` follow battery order; ``joint``
-    is NOT_APPLICABLE exactly when the mode makes no joint claim. ``notes``
-    carries stable advisory codes (documented in the README).
+    ``ids``, ``rejected`` (bool) and ``thresholds`` (float64) are columns in
+    battery order. ``per_hypothesis`` and ``thresholds_used`` give the same
+    by id, as dicts built on first access. ``joint`` is NOT_APPLICABLE
+    exactly when the mode makes no joint claim. ``notes`` carries stable
+    advisory codes (documented in the README).
     """
 
     mode: TestingMode
-    per_hypothesis: dict[str, Verdict]
+    ids: tuple[str, ...]
+    rejected: np.ndarray
+    thresholds: np.ndarray
     joint: Verdict
-    thresholds_used: dict[str, float]
     notes: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return self.mode, self.ids, self.rejected.tolist(), self.thresholds.tolist(), self.joint, self.notes
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, Decision) else NotImplemented
+
+    @cached_property
+    def per_hypothesis(self) -> dict[str, Verdict]:
+        verdicts = (Verdict.RETAIN, Verdict.REJECT)
+        return dict(zip(self.ids, map(verdicts.__getitem__, self.rejected.tolist())))
+
+    @cached_property
+    def thresholds_used(self) -> dict[str, float]:
+        return dict(zip(self.ids, self.thresholds.tolist()))
 
 
 #: Advisory note attached to every disjunction decision: constituent-level
@@ -117,17 +137,16 @@ def reject(p: np.ndarray, alpha: float, method: AdjustmentMethod) -> tuple[np.nd
 
 def _judge(
     battery: TestBattery, alpha: float, name: str, method: AdjustmentMethod
-) -> tuple[dict[str, Verdict], dict[str, float]]:
-    """Verdicts and thresholds, in battery order, of one battery."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rejections and thresholds, in battery order, of one battery."""
     if not isinstance(battery, TestBattery):
         raise InvalidBattery(f"expected a TestBattery, got {type(battery).__name__}")
     if len(battery) == 0:
         raise InvalidBattery("battery holds no tests")
     alpha = _check_unit_open(alpha, name)
-    rejected, thresholds = reject([battery.pvalues], alpha, method)
-    ids, verdicts = battery.ids, (Verdict.RETAIN, Verdict.REJECT)
-    per = {hid: verdicts[r] for hid, r in zip(ids, rejected[0].tolist())}
-    return per, dict(zip(ids, thresholds[0].tolist()))
+    rejected, thresholds = (column[0] for column in reject(battery.p[None, :], alpha, method))
+    rejected.flags.writeable = thresholds.flags.writeable = False
+    return rejected, thresholds
 
 
 def decide_individual(battery: TestBattery, alpha_individual: float) -> Decision:
@@ -137,13 +156,8 @@ def decide_individual(battery: TestBattery, alpha_individual: float) -> Decision
     entries the battery holds: each decision depends only on its own p-value,
     so adding unrelated tests can never flip an existing decision.
     """
-    per, thresholds = _judge(battery, alpha_individual, "alpha_individual", AdjustmentMethod.NONE)
-    return Decision(
-        mode=TestingMode.INDIVIDUAL,
-        per_hypothesis=per,
-        joint=Verdict.NOT_APPLICABLE,
-        thresholds_used=thresholds,
-    )
+    rejected, thresholds = _judge(battery, alpha_individual, "alpha_individual", AdjustmentMethod.NONE)
+    return Decision(TestingMode.INDIVIDUAL, battery.ids, rejected, thresholds, Verdict.NOT_APPLICABLE)
 
 
 def decide_disjunction(
@@ -162,18 +176,11 @@ def decide_disjunction(
             f"disjunction testing needs a FWER-controlling method "
             f"({', '.join(m.value for m in FWER_METHODS)}), got {getattr(method, 'value', method)!r}"
         )
-    per, thresholds = _judge(battery, alpha_joint, "alpha_joint", method)
-    rejected = [hid for hid, v in per.items() if v is Verdict.REJECT]
-    notes = [NOTE_JOINT_INFERENCE_ONLY]
-    if rejected:
-        notes.append(f"triggered-by={','.join(rejected)}")
-    return Decision(
-        mode=TestingMode.DISJUNCTION,
-        per_hypothesis=per,
-        joint=Verdict.REJECT if rejected else Verdict.RETAIN,
-        thresholds_used=thresholds,
-        notes=tuple(notes),
-    )
+    rejected, thresholds = _judge(battery, alpha_joint, "alpha_joint", method)
+    triggered = ",".join(compress(battery.ids, rejected.tolist()))
+    notes = (NOTE_JOINT_INFERENCE_ONLY,) + ((f"triggered-by={triggered}",) if triggered else ())
+    joint = Verdict.REJECT if triggered else Verdict.RETAIN
+    return Decision(TestingMode.DISJUNCTION, battery.ids, rejected, thresholds, joint, notes)
 
 
 def decide_conjunction(battery: TestBattery, alpha_joint: float) -> Decision:
@@ -184,14 +191,9 @@ def decide_conjunction(battery: TestBattery, alpha_joint: float) -> Decision:
     (the per-test level can never sit above the joint level, and raising it
     is not on offer either).
     """
-    per, thresholds = _judge(battery, alpha_joint, "alpha_joint", AdjustmentMethod.NONE)
-    all_rejected = all(v is Verdict.REJECT for v in per.values())
-    return Decision(
-        mode=TestingMode.CONJUNCTION,
-        per_hypothesis=per,
-        joint=Verdict.REJECT if all_rejected else Verdict.RETAIN,
-        thresholds_used=thresholds,
-    )
+    rejected, thresholds = _judge(battery, alpha_joint, "alpha_joint", AdjustmentMethod.NONE)
+    joint = Verdict.REJECT if rejected.all() else Verdict.RETAIN
+    return Decision(TestingMode.CONJUNCTION, battery.ids, rejected, thresholds, joint)
 
 
 def apply_bh(battery: TestBattery, q: float) -> Decision:
@@ -203,11 +205,7 @@ def apply_bh(battery: TestBattery, q: float) -> Decision:
     procedure bounds the expected fraction of false rejections, not the
     probability of any false rejection), so no joint verdict is made.
     """
-    per, thresholds = _judge(battery, q, "q", AdjustmentMethod.BENJAMINI_HOCHBERG)
+    rejected, thresholds = _judge(battery, q, "q", AdjustmentMethod.BENJAMINI_HOCHBERG)
     return Decision(
-        mode=TestingMode.INDIVIDUAL,
-        per_hypothesis=per,
-        joint=Verdict.NOT_APPLICABLE,
-        thresholds_used=thresholds,
-        notes=(NOTE_FDR_NOT_FWER,),
+        TestingMode.INDIVIDUAL, battery.ids, rejected, thresholds, Verdict.NOT_APPLICABLE, (NOTE_FDR_NOT_FWER,)
     )

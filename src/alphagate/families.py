@@ -23,6 +23,8 @@ theoretical judgments they are.
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,42 +94,114 @@ class FamilySpec:
         return len(self.constituents)
 
 
-@dataclass(frozen=True)
+#: A tab or any character ``str.splitlines`` breaks at: none may sit in an id,
+#: so every id is one cell of a TSV row
+_ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
 class TestBattery:
-    """An ordered set of (hypothesis id, p-value) pairs awaiting judgment."""
+    """An ordered set of (hypothesis id, p-value) pairs awaiting judgment.
 
-    entries: tuple[tuple[str, float], ...]
+    A battery is held as two columns: ``ids``, a tuple of non-empty, distinct
+    strings free of tabs and line breaks, and ``p``, a read-only float64
+    array of p-values in [0, 1]. ``TestBattery(entries)`` takes (id, p)
+    pairs and :meth:`from_columns` the two columns; p may be given as numbers
+    or numeric strings. ``entries`` is built from the columns on first use.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("ids", "p", "_entries")
+
+    def __init__(self, entries: Iterable[tuple[str, object]] = ()) -> None:
+        entries = tuple(entries)
+        self._fill(tuple(hid for hid, _ in entries), [raw for _, raw in entries])
+
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], raw_p: Sequence[object]) -> TestBattery:
+        battery = cls.__new__(cls)
+        battery._fill(tuple(ids), raw_p)
+        return battery
+
+    def _fill(self, ids: tuple, raw_p: Sequence[object]) -> None:
         # the one place a battery is checked: parse_battery_text relies on it
         # and names the file line of the entry at fault
-        normalized = []
-        seen: set[str] = set()
-        for index, (hid, raw) in enumerate(self.entries):
-            if not isinstance(hid, str) or not hid:
-                raise InvalidBattery(f"hypothesis id must be a non-empty string, got {hid!r}", index)
-            if hid in seen:
-                raise InvalidBattery(f"duplicate hypothesis id {hid!r}", index)
-            seen.add(hid)
-            try:
-                p = float(raw)
-            except (TypeError, ValueError):
-                raise InvalidBattery(f"p-value for {hid!r} is not a number: {raw!r}", index) from None
-            if not 0.0 <= p <= 1.0:
-                raise InvalidBattery(f"p-value for {hid!r} must lie in [0, 1], got {p}", index)
-            normalized.append((hid, p))
-        object.__setattr__(self, "entries", tuple(normalized))
+        import numpy as np  # a battery is an array, so importing families stays light
+
+        if len(ids) != len(raw_p):
+            raise InvalidBattery(f"{len(ids)} hypothesis ids but {len(raw_p)} p-values")
+        p = _checked_columns(ids, raw_p)
+        if p is None:  # some check failed: find the first entry at fault
+            p = np.array(_checked_entries(ids, raw_p), dtype=np.float64)
+        p.flags.writeable = False
+        for name, value in (("ids", ids), ("p", p), ("_entries", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TestBattery is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return TestBattery.from_columns, (self.ids, self.p)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TestBattery):
+            return NotImplemented
+        return self.ids == other.ids and self.pvalues == other.pvalues
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.pvalues))
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(hid for hid, _ in self.entries)
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(zip(self.ids, self.p.tolist())))
+        return self._entries
 
     @property
     def pvalues(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.entries)
+        return tuple(self.p.tolist())
+
+
+def _checked_columns(ids: tuple, raw_p: Sequence[object]):
+    """The p column as a float64 array if every check passes on the whole
+    columns at once, else None."""
+    import numpy as np
+
+    try:
+        unique = set(ids)
+        breaks = _ID_BREAKS.search("".join(ids))  # TypeError for an id that is no str
+        p = np.fromiter(map(float, raw_p), np.float64, len(raw_p))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if len(unique) != len(ids) or "" in unique or breaks:
+        return None
+    if len(p) and not (0.0 <= p.min() and p.max() <= 1.0):  # also false for nan
+        return None
+    return p
+
+
+def _checked_entries(ids: tuple, raw_p: Sequence[object]) -> list[float]:
+    """The p column, checked entry by entry; raises InvalidBattery naming the
+    first entry at fault."""
+    out = []
+    seen: set[str] = set()
+    for index, (hid, raw) in enumerate(zip(ids, raw_p)):
+        if not isinstance(hid, str) or not hid:
+            raise InvalidBattery(f"hypothesis id must be a non-empty string, got {hid!r}", index)
+        if _ID_BREAKS.search(hid):
+            raise InvalidBattery(f"hypothesis id {hid!r} holds a tab or a line break", index)
+        if hid in seen:
+            raise InvalidBattery(f"duplicate hypothesis id {hid!r}", index)
+        seen.add(hid)
+        try:
+            p = float(raw)
+        except (TypeError, ValueError):
+            raise InvalidBattery(f"p-value for {hid!r} is not a number: {raw!r}", index) from None
+        if not 0.0 <= p <= 1.0:
+            raise InvalidBattery(f"p-value for {hid!r} must lie in [0, 1], got {p}", index)
+        out.append(p)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import json
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from alphagate import cli
 from alphagate.cli import main
+from alphagate.decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual, steps
+from alphagate.families import AdjustmentMethod
+from alphagate.fileio import parse_battery_text
 
 
 @pytest.fixture
@@ -150,6 +157,126 @@ class TestDecideCommand:
         )
         assert code == 2
         assert "--method" in err
+
+
+    def test_tab_in_an_id_is_a_validation_failure(self, run, tmp_path):
+        battery = tmp_path / "b.csv"
+        battery.write_text('id,p\n"a\tb",0.01\n', encoding="utf-8")
+        code, out, err = run(["decide", "--battery", str(battery), "--mode", "individual", "--alpha", "0.05"])
+        assert code == 2
+        assert out == ""
+        assert f"{battery}:2: hypothesis id 'a\\tb' holds a tab or a line break" in err
+
+    def test_failed_validation_leaves_out_file_and_stdout_untouched(self, run, tmp_path):
+        battery = tmp_path / "b.csv"
+        battery.write_text("id,p\n" + "".join(f"t{i},0.5\n" for i in range(100)) + "t7,0.5\n", encoding="utf-8")
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"earlier results\n")
+        code, out, err = run(["decide", "--battery", str(battery), "--mode", "bh", "--alpha", "0.05", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert f"{battery}:102: duplicate hypothesis id 't7'" in err
+        assert target.read_bytes() == b"earlier results\n"
+
+
+def reference_cell(value, precision):
+    """The per-cell rule of the renderer: fixed-point, except nonzero
+    magnitudes below 1e-4 in scientific notation."""
+    return format(value, f".{precision}e" if value != 0.0 and abs(value) < 1e-4 else f".{precision}f")
+
+
+def reference_decide(battery, decision, notes, precision, fmt):
+    """decide's table rendered cell by cell in plain Python."""
+    header = ["row", "id", "p", "threshold", "decision"]
+    rows = [
+        ["test", hid, p, t, decision.per_hypothesis[hid].value]
+        for (hid, p), t in zip(battery.entries, decision.thresholds_used.values())
+    ]
+    rows.append(["joint", "", "", "", decision.joint.value])
+    rows += [["note", note, "", "", ""] for note in (*decision.notes, *notes)]
+    cells = [[reference_cell(v, precision) if isinstance(v, float) else v for v in row] for row in rows]
+    if fmt == "tsv":
+        return "".join("\t".join(row) + "\n" for row in [header, *cells])
+    cells = [
+        [f"{c} (~{v:.3g})" if isinstance(v, float) else c for c, v in zip(crow, row)] for crow, row in zip(cells, rows)
+    ]
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    lines = [header, ["-" * w for w in widths], *cells]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n" for line in lines)
+
+
+#: (decide arguments, decision rule, notes the CLI adds)
+DECIDE_MODES = [
+    (["--mode", "individual"], lambda b, a: decide_individual(b, a), ()),
+    (["--mode", "conjunction"], lambda b, a: decide_conjunction(b, a), ()),
+    (["--mode", "bh"], lambda b, a: apply_bh(b, a), ()),
+    (["--mode", "disjunction"], lambda b, a: decide_disjunction(b, a, AdjustmentMethod.BONFERRONI),
+     ("method-defaulted=bonferroni",)),
+] + [
+    (["--mode", "disjunction", "--method", m.value], lambda b, a, m=m: decide_disjunction(b, a, m), ())
+    for m in (AdjustmentMethod.BONFERRONI, AdjustmentMethod.SIDAK, AdjustmentMethod.HOLM, AdjustmentMethod.HOCHBERG)
+]
+
+#: the reals at the edges of the rule: zero, a subnormal, 1e-4 and the
+#: double below it, one, negative zero
+EDGE_VALUES = [0.0, 5e-310, 1e-4, math.nextafter(1e-4, 0.0), 1.0, -0.0]
+#: every method's thresholds at k = 20,000, at the benchmark's alpha
+K20000_THRESHOLDS = np.unique(np.concatenate([steps(m, 0.05, 20_000) for m in AdjustmentMethod]))
+
+
+class TestDecideRender:
+    @pytest.mark.parametrize("precision", range(cli.MAX_PRECISION + 1))
+    def test_real_cells_follow_the_per_cell_rule(self, precision):
+        values = np.concatenate([EDGE_VALUES, K20000_THRESHOLDS])
+        assert cli._real_cells(values, precision) == [reference_cell(v, precision) for v in values.tolist()]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    @pytest.mark.parametrize("precision", range(cli.MAX_PRECISION + 1))
+    def test_blocks_equal_the_reference(self, run, tmp_path, monkeypatch, precision, fmt):
+        # 7-row blocks: a boundary falls mid-battery, between the edge values
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(precision)
+        p = np.concatenate([EDGE_VALUES[:3], rng.choice(K20000_THRESHOLDS, 20), EDGE_VALUES[3:], rng.random(9)])
+        text = "id,p\n" + "".join(f"t{i:0{i % 4}d},{v!r}\n" for i, v in enumerate(p.tolist()))
+        path = tmp_path / "b.csv"
+        path.write_text(text, encoding="utf-8")
+        battery = parse_battery_text(text)
+        for args, rule, notes in DECIDE_MODES:
+            code, out, _ = run(["decide", "--battery", str(path), "--alpha", "0.05", "--precision", str(precision),
+                                "--format", fmt, *args])
+            assert code == 0
+            assert out == reference_decide(battery, rule(battery, 0.05), notes, precision, fmt), args
+
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    def test_k20000_thresholds_equal_the_reference(self, run, tmp_path, fmt):
+        rng = np.random.default_rng(7)
+        p = rng.permutation(np.concatenate([EDGE_VALUES, rng.choice(K20000_THRESHOLDS, 20_000 - len(EDGE_VALUES))]))
+        text = "id,p\n" + "".join(f"h{i},{v!r}\n" for i, v in enumerate(p.tolist()))
+        path = tmp_path / "b.csv"
+        path.write_text(text, encoding="utf-8")
+        battery = parse_battery_text(text)
+        for args, rule, notes in DECIDE_MODES[1:3] + DECIDE_MODES[4:]:  # one rule per threshold sequence
+            code, out, _ = run(["decide", "--battery", str(path), "--alpha", "0.05", "--precision", "17",
+                                "--format", fmt, *args])
+            assert code == 0
+            assert out == reference_decide(battery, rule(battery, 0.05), notes, 17, fmt), args
+
+
+class TestDecideMemory:
+    def test_bh_out_peak(self, tmp_path):
+        # 1e5 rows: about 26 MiB by column; a renderer holding an object per row peaks near 68 MiB
+        battery = tmp_path / "b.csv"
+        battery.write_text("id,p\n" + "".join(f"h{i},{i * 0.6180339887498949 % 1.0!r}\n" for i in range(100_000)),
+                           encoding="utf-8")
+        argv = ["decide", "--battery", str(battery), "--mode", "bh", "--alpha", "0.05", "--out", str(tmp_path / "o.tsv")]
+        assert main(argv) == 0  # the first call loads numpy
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestClassifyCommand:

@@ -1,6 +1,8 @@
 """Family validation and the when-to-adjust classification cascade."""
 
+import copy
 import itertools
+import pickle
 import re
 
 import pytest
@@ -229,3 +231,40 @@ class TestTestBattery:
         with pytest.raises(InvalidBattery, match="must lie in") as err:
             TestBattery((("a", 0.1), ("b", 5.0), ("a", "oops")))
         assert err.value.index == 1
+
+    def test_columns_and_entries_agree(self):
+        battery = TestBattery.from_columns(["b", "a"], ["0.2", 0.1])
+        assert battery == TestBattery((("b", 0.2), ("a", 0.1)))
+        assert hash(battery) == hash(TestBattery((("b", 0.2), ("a", 0.1))))
+        assert battery.entries == (("b", 0.2), ("a", 0.1))
+        assert battery.p.dtype == "float64" and battery.p.tolist() == [0.2, 0.1]
+        assert len(battery) == 2
+
+    def test_columns_are_read_only(self):
+        battery = TestBattery((("a", 0.1),))
+        with pytest.raises(ValueError):
+            battery.p[0] = 0.5
+        with pytest.raises(AttributeError):
+            battery.ids = ("b",)
+        assert copy.deepcopy(battery) == pickle.loads(pickle.dumps(battery)) == battery
+
+    def test_columns_must_match_in_length(self):
+        with pytest.raises(InvalidBattery, match="2 hypothesis ids but 1 p-values"):
+            TestBattery.from_columns(["a", "b"], [0.1])
+
+    @pytest.mark.parametrize("hid", ["a\tb", "a\nb", "a\rb", "a\x0bb", "a\x85b", "a b", "a\n"])
+    def test_id_with_tab_or_line_break_rejected(self, hid):
+        with pytest.raises(InvalidBattery, match=re.escape(f"hypothesis id {hid!r} holds a tab or a line break")) as err:
+            TestBattery.from_columns(["a0", hid, "a0"], [0.1, 0.2, 0.3])
+        assert err.value.index == 1
+
+    def test_whole_column_checks_name_the_same_entry_as_the_entry_loop(self):
+        # every check failing somewhere: the first entry at fault in order wins
+        ids = ["a", "b", "c", "b", "", "d\te"]
+        raw = ["0.1", "0.2", "oops", "0.3", "0.4", "0.5"]
+        with pytest.raises(InvalidBattery, match="not a number") as err:
+            TestBattery.from_columns(ids, raw)
+        assert err.value.index == 2
+        with pytest.raises(InvalidBattery, match="not a number") as err:
+            TestBattery(tuple(zip(ids, raw)))
+        assert err.value.index == 2

@@ -1,9 +1,14 @@
 """Scenario JSON and battery CSV parsing, including error anchoring."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alphagate import cli, fileio
 from alphagate.errors import FileFormatError
 from alphagate.families import AdjustmentMethod, TestingMode
 from alphagate.fileio import (
@@ -257,3 +262,81 @@ class TestBatteryFile:
             parse_battery_text("")
         with pytest.raises(FileFormatError, match="no test rows"):
             parse_battery_text("id,p\n")
+
+    def test_quoted_cells(self):
+        battery = parse_battery_text('id,p\n"a,1",0.1\n"b""2",0.2\nc," 0.3"\n')
+        assert battery.entries == (("a,1", 0.1), ('b"2', 0.2), ("c", 0.3))
+
+    def test_tab_in_an_id_is_rejected(self):
+        with pytest.raises(FileFormatError) as err:
+            parse_battery_text('id,p\n"a\tb",0.01\n', source="b.csv")
+        assert str(err.value) == "b.csv:2: hypothesis id 'a\\tb' holds a tab or a line break"
+
+    def test_quoted_cell_spanning_lines_keeps_its_line_break(self):
+        with pytest.raises(FileFormatError) as err:
+            parse_battery_text('id,p\nz,0.5\n"a\nb",0.01\n', source="b.csv")
+        assert str(err.value) == "b.csv:3: hypothesis id 'a\\nb' holds a tab or a line break"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_rows_after_a_multiline_cell_are_numbered_by_physical_line(self, end):
+        text = end.join(["id,p", 'a,"0.01', '"', "b,0.1", "b,0.2", ""])
+        with pytest.raises(FileFormatError) as err:
+            parse_battery_text(text, source="b.csv")
+        assert str(err.value) == "b.csv:5: duplicate hypothesis id 'b'"
+        assert parse_battery_text(text.replace("b,0.2", "c,0.2")).entries == (("a", 0.01), ("b", 0.1), ("c", 0.2))
+
+    def test_csv_error_names_the_line(self):
+        text = 'id,p\n"a",0.1\nb,' + "9" * 200_000 + "\n"
+        with pytest.raises(FileFormatError, match=r"^b\.csv:3: not valid CSV: field larger than field limit"):
+            parse_battery_text(text, source="b.csv")
+
+    def test_blank_lines_keep_line_numbers(self):
+        with pytest.raises(FileFormatError) as err:
+            parse_battery_text("id,p\n\na,0.1\n  \r\n\na,0.2\n", source="b.csv")
+        assert str(err.value) == "b.csv:6: duplicate hypothesis id 'a'"
+
+
+#: quote-free cells, chosen to reach every rule: spaces around cells,
+#: numbers Python's float reads and C's strtod does not, out-of-range,
+#: non-finite and empty p, empty, repeated and blank ids
+ID_CELLS = ["a", " a ", "", " ", "a b", "é", "\x00"]
+P_CELLS = ["0", "1", "-0.0", " 0.5 ", "1_0", "1e-5", "nan", "inf", "-1", "2", "", "oops", "0x1p-3", "1e400"]
+HEADERS = ["id,p", " id , p ", "id,p,", "ID,p", "id", ""]
+
+
+@st.composite
+def battery_texts(draw):
+    """A quote-free battery text: a header, rows of two cells, rows of one
+    to four cells and blank lines, each line ended by LF, CRLF or CR (or
+    not at all, last). Headers and rows are mostly well formed, so that
+    most texts reach the checks of later rows."""
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    hid = st.text("abcxyz", min_size=1, max_size=3) | st.sampled_from(ID_CELLS)
+    p = st.floats(0.0, 1.0).map(repr) | st.sampled_from(P_CELLS)
+    good = st.tuples(hid, p).map(",".join)
+    row = good | good | good | good | good | st.sampled_from(["", "  ", "\t"]) | st.lists(hid | p, min_size=1, max_size=4).map(",".join)
+    header = draw(st.just("id,p") | st.just("id,p") | st.sampled_from(HEADERS))
+    lines = [header] + draw(st.lists(row, min_size=1, max_size=10))
+    text = "".join(line + draw(ends) for line in lines)
+    return text[: len(text) - draw(st.integers(0, 2))]
+
+
+def outcome(parse):
+    try:
+        battery = parse()
+    except FileFormatError as exc:
+        return str(exc)
+    return battery.ids, battery.pvalues
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(battery_texts(), st.sampled_from([["individual"], ["bh"], ["conjunction"], ["disjunction", "--method", "hochberg"]]))
+def test_quote_free_text_parses_as_the_csv_module_reads_it(text, mode):
+    assert '"' not in text
+    fast = outcome(lambda: parse_battery_text(text, source="b.csv"))
+    assert fast == outcome(lambda: fileio._battery_from_rows(fileio._csv_rows(text, "b.csv"), "b.csv"))
+    with tempfile.TemporaryDirectory() as tmp:
+        battery = Path(tmp, "b.csv")
+        battery.write_bytes(text.encode("utf-8"))
+        code = cli.main(["decide", "--battery", str(battery), "--alpha", "0.05", "--mode", *mode, "--out", str(Path(tmp, "out.tsv"))])
+    assert code == (2 if isinstance(fast, str) else 0)
