@@ -135,7 +135,9 @@ def _real_cells(values: np.ndarray, precision: int) -> list[str]:
 def _decide_table(decision: Decision, p: np.ndarray, tail: list[list[str]], args) -> Iterator[str]:
     """``decide``'s table as text blocks: the header, the test rows
     :data:`BLOCK_ROWS` at a time, then the ``tail`` rows. Ids hold no tab or
-    line break, so they go into rows as they are."""
+    line break, so they go into rows as they are. The pretty column widths
+    are sized here, before any file is opened; the blocks are formatted as
+    they are taken."""
     ids, n = decision.ids, len(decision.ids)
     header = ["row", "id", "p", "threshold", "decision"]
     spans = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
@@ -153,16 +155,23 @@ def _decide_table(decision: Decision, p: np.ndarray, tail: list[list[str]], args
         widths = [max(map(len, column)) for column in zip(header, ["test", "", "", "", ""], *tail)]
         for lo, hi in spans:
             widths[1:] = map(max, widths[1:], (max(map(len, column)) for column in columns(lo, hi)))
-        yield _pretty_lines([header, ["-" * w for w in widths]], widths)
+        head = _pretty_lines([header, ["-" * w for w in widths]], widths)
         template = "test".ljust(widths[0]) + "".join(f"  %-{w}s" for w in widths[1:4]) + "  %s\n"
+        foot = _pretty_lines(tail, widths)
     else:
-        yield "\t".join(header) + "\n"
+        head = "\t".join(header) + "\n"
         template = "test\t%s\t%s\t%s\t%s\n"
-    for lo, hi in spans:
-        cells: list = [None] * (4 * (hi - lo))
-        cells[0::4], cells[1::4], cells[2::4], cells[3::4] = columns(lo, hi)
-        yield template * (hi - lo) % tuple(cells)
-    yield _pretty_lines(tail, widths) if pretty else "".join("\t".join(row) + "\n" for row in tail)
+        foot = "".join("\t".join(row) + "\n" for row in tail)
+
+    def blocks() -> Iterator[str]:
+        yield head
+        for lo, hi in spans:
+            cells: list = [None] * (4 * (hi - lo))
+            cells[0::4], cells[1::4], cells[2::4], cells[3::4] = columns(lo, hi)
+            yield template * (hi - lo) % tuple(cells)
+        yield foot
+
+    return blocks()
 
 
 def _render_pairs(pairs: list[tuple[str, object]], args) -> str:

@@ -332,6 +332,10 @@ def _check_header(cells: list[str], source: str) -> None:
         raise FileFormatError(f"{source}:1: battery header must be exactly 'id,p', got {','.join(header)!r}")
 
 
+class _NotCsv(FileFormatError):
+    """A record the csv module cannot read."""
+
+
 def _battery_from_rows(rows: Iterator[tuple[int, list[str]]], source: str) -> TestBattery:
     """The battery of ``rows``, each record's first line number and cells,
     header first."""
@@ -342,15 +346,19 @@ def _battery_from_rows(rows: Iterator[tuple[int, list[str]]], source: str) -> Te
     ids: list[str] = []
     raw_p: list[str] = []
     lines: list[int] = []
-    for lineno, row in rows:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != 2:
-            _battery(ids, raw_p, lines, source)  # a bad row above this one is reported first
-            raise FileFormatError(f"{source}:{lineno}: expected two cells 'id,p', got {len(row)}")
-        ids.append(row[0].strip())
-        raw_p.append(row[1])
-        lines.append(lineno)
+    try:
+        for lineno, row in rows:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            if len(row) != 2:
+                _battery(ids, raw_p, lines, source)  # a bad row above this one is reported first
+                raise FileFormatError(f"{source}:{lineno}: expected two cells 'id,p', got {len(row)}")
+            ids.append(row[0].strip())
+            raw_p.append(row[1])
+            lines.append(lineno)
+    except _NotCsv:
+        _battery(ids, raw_p, lines, source)  # so is a bad row above a record csv cannot read
+        raise
     if not ids:
         raise FileFormatError(f"{source}: battery file holds no test rows")
     return _battery(ids, raw_p, lines, source)
@@ -367,24 +375,19 @@ def _csv_rows(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
             yield start, row
             start = reader.line_num + 1
     except csv.Error as exc:
-        raise FileFormatError(f"{source}:{start}: not valid CSV: {exc}") from None
+        raise _NotCsv(f"{source}:{start}: not valid CSV: {exc}") from None
 
 
 def parse_battery_text(text: str, source: str = "<battery>") -> TestBattery:
-    if '"' in text:  # quoted cells: only the csv module reads them right
-        return _battery_from_rows(_csv_rows(text, source), source)
-    # with no quote, a line's cells are its comma-separated parts
     lines = text.splitlines()
-    rows, numbers = lines[1:], range(2, len(lines) + 1)
-    if not all(map(str.strip, rows)):  # set blank lines aside
-        numbers = [n for n, line in zip(numbers, rows) if line.strip()]
-        rows = [lines[n - 1] for n in numbers]
-    if rows and set(map(str.count, rows, repeat(","))) == {1}:  # every row is 'id,p'
+    rows = lines[1:]
+    if '"' not in text and rows and set(map(str.count, rows, repeat(","))) == {1}:
+        # every line after the header is one quote-free 'id,p' row
         _check_header(lines[0].split(","), source)
         cells = ",".join(rows).split(",")  # whole columns at once: no object per row
         del lines, rows  # the lines are dead now; freeing them lowers decide's peak memory by a fifth
-        return _battery(list(map(str.strip, cells[0::2])), cells[1::2], numbers, source)
-    return _battery_from_rows(((n, line.split(",")) for n, line in enumerate(lines, start=1)), source)
+        return _battery(list(map(str.strip, cells[0::2])), cells[1::2], range(2, len(cells) // 2 + 2), source)
+    return _battery_from_rows(_csv_rows(text, source), source)
 
 
 def load_battery_file(path: str | Path) -> TestBattery:

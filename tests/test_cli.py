@@ -178,6 +178,23 @@ class TestDecideCommand:
         assert f"{battery}:102: duplicate hypothesis id 't7'" in err
         assert target.read_bytes() == b"earlier results\n"
 
+    def test_pretty_sizing_failure_leaves_out_file_untouched(self, run, tmp_path, monkeypatch):
+        battery = tmp_path / "b.csv"
+        battery.write_text("id,p\na,0.01\nb,0.5\n", encoding="utf-8")
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"earlier results\n")
+
+        def fail(values, precision):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(cli, "_real_cells", fail)
+        argv = ["decide", "--battery", str(battery), "--mode", "bh", "--alpha", "0.05", "--format", "pretty"]
+        code, out, err = run([*argv, "--out", str(target)])
+        assert code == 3
+        assert out == ""
+        assert "internal error: MemoryError: no room" in err
+        assert target.read_bytes() == b"earlier results\n"
+
 
 def reference_cell(value, precision):
     """The per-cell rule of the renderer: fixed-point, except nonzero

@@ -289,6 +289,11 @@ class TestBatteryFile:
         text = 'id,p\n"a",0.1\nb,' + "9" * 200_000 + "\n"
         with pytest.raises(FileFormatError, match=r"^b\.csv:3: not valid CSV: field larger than field limit"):
             parse_battery_text(text, source="b.csv")
+        with pytest.raises(FileFormatError) as err:  # a bad row above the unreadable record comes first
+            parse_battery_text(text.replace("\nb,", "\na,0.2\nb,"), source="b.csv")
+        assert str(err.value) == "b.csv:3: duplicate hypothesis id 'a'"
+        with pytest.raises(FileFormatError, match=r"^b\.csv:1: not valid CSV: field larger than field limit"):
+            parse_battery_text("i" * 200_000 + ",p\n", source="b.csv")
 
     def test_blank_lines_keep_line_numbers(self):
         with pytest.raises(FileFormatError) as err:
