@@ -46,15 +46,12 @@ from .families import (
     validate_family,
 )
 from .rates import (
-    CostModel,
     ErrorRateReport,
-    PowerSpec,
     bonferroni_adjust,
     conjunction_power,
     conjunction_type2,
     error_rate_report,
     fwer_independent,
-    optimal_alpha,
     per_family_rate,
     power_one_sided_z,
     sidak_adjust,
@@ -66,7 +63,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "derive_rep_seed": "rng",
     "Estimates": "simulate",
-    "normal_cdf": "simulate",
     "p_from_z": "simulate",
     "sample_statistics": "simulate",
     "simulate": "simulate",
@@ -100,7 +96,6 @@ __all__ = [
     "AdjustmentMethod",
     "AlphaConfig",
     "ClassificationInput",
-    "CostModel",
     "Decision",
     "Design",
     "DomainError",
@@ -111,7 +106,6 @@ __all__ = [
     "InvalidBattery",
     "InvalidMethod",
     "InvalidScenario",
-    "PowerSpec",
     "Rationale",
     "Recommendation",
     "Scenario",
@@ -132,8 +126,6 @@ __all__ = [
     "derive_rep_seed",
     "error_rate_report",
     "fwer_independent",
-    "normal_cdf",
-    "optimal_alpha",
     "p_from_z",
     "per_family_rate",
     "power_one_sided_z",

@@ -38,7 +38,6 @@ from .errors import DomainError, FileFormatError
 from .families import MAX_THREADS, AdjustmentMethod, TestingMode, classify_testing_mode
 from .fileio import load_battery_file, load_classification_file, load_scenario_file
 from .rates import (
-    _check_k,
     bonferroni_adjust,
     conjunction_power,
     conjunction_type2,
@@ -48,6 +47,7 @@ from .rates import (
     power_one_sided_z,
     sidak_adjust,
 )
+from .validators import K_MAX, integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,12 +74,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _precision(text: str) -> int:
     try:
-        digits = int(text)
+        return integer(int(text), "--precision", 0, MAX_PRECISION)
     except ValueError:
-        digits = None
-    if digits is None or not 0 <= digits <= MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_PRECISION}], got {text!r}")
-    return digits
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_PRECISION}], got {text!r}") from None
 
 
 def _fmt_column(values: tuple, precision: int) -> list[str]:
@@ -134,10 +131,11 @@ def _real_cells(values: np.ndarray, precision: int) -> list[str]:
 
 def _decide_table(decision: Decision, p: np.ndarray, tail: list[list[str]], args) -> Iterator[str]:
     """``decide``'s table as text blocks: the header, the test rows
-    :data:`BLOCK_ROWS` at a time, then the ``tail`` rows. Ids hold no tab or
-    line break, so they go into rows as they are. The pretty column widths
-    are sized here, before any file is opened; the blocks are formatted as
-    they are taken."""
+    :data:`BLOCK_ROWS` at a time, then the ``tail`` rows: the joint row, then
+    the notes. Ids hold no tab or line break, so they go into rows as they
+    are. The pretty column widths are sized here, before any file is opened,
+    by every row but the notes, which print unpadded; the blocks are
+    formatted as they are taken."""
     ids, n = decision.ids, len(decision.ids)
     header = ["row", "id", "p", "threshold", "decision"]
     spans = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
@@ -152,7 +150,7 @@ def _decide_table(decision: Decision, p: np.ndarray, tail: list[list[str]], args
         return [ids[lo:hi], *cells, list(map(verdicts.__getitem__, decision.rejected[lo:hi].tolist()))]
 
     if pretty:  # a first pass sizes the columns
-        widths = [max(map(len, column)) for column in zip(header, ["test", "", "", "", ""], *tail)]
+        widths = [max(map(len, column)) for column in zip(header, ["test", "", "", "", ""], tail[0])]
         for lo, hi in spans:
             widths[1:] = map(max, widths[1:], (max(map(len, column)) for column in columns(lo, hi)))
         head = _pretty_lines([header, ["-" * w for w in widths]], widths)
@@ -214,7 +212,7 @@ def _cmd_power(args) -> str:
     if args.conjunction and args.k is None:
         raise DomainError("--conjunction requires --k")
     if args.k is not None:
-        _check_k(args.k)
+        integer(args.k, "k", 1, K_MAX)
         if 0.0 < power < 1.0:
             joint = conjunction_power(power, args.k)
             type2 = conjunction_type2(1.0 - power, args.k)
@@ -282,8 +280,7 @@ def _cmd_simulate(args) -> str:
         raise FileFormatError(f"{args.scenario}: document has no simulation section")
     scenario = doc.scenario
     reps = args.reps if args.reps is not None else scenario.reps
-    if not 1 <= reps <= MAX_REPS:
-        raise DomainError(f"reps must lie in [1, {MAX_REPS}], got {reps}")
+    integer(reps, "reps", 1, MAX_REPS)
     scenario = dataclasses.replace(scenario, reps=reps, seed=_resolve_seed(args, scenario.seed))
     threads = args.threads if args.threads is not None else min(os.cpu_count() or 1, MAX_THREADS)
     est = simulate(scenario, threads=threads)

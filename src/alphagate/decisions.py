@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING
 
 from .errors import InvalidBattery, InvalidMethod
 from .families import FWER_METHODS, AdjustmentMethod, TestBattery, TestingMode
-from .rates import _check_unit_open, bonferroni_adjust, sidak_adjust
+from .rates import bonferroni_adjust, sidak_adjust
+from .validators import real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,7 +144,7 @@ def _judge(
         raise InvalidBattery(f"expected a TestBattery, got {type(battery).__name__}")
     if len(battery) == 0:
         raise InvalidBattery("battery holds no tests")
-    alpha = _check_unit_open(alpha, name)
+    alpha = real(alpha, name, 0, 1)
     rejected, thresholds = (column[0] for column in reject(battery.p[None, :], alpha, method))
     rejected.flags.writeable = thresholds.flags.writeable = False
     return rejected, thresholds

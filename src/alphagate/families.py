@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InvalidBattery, InvalidScenario
-from .rates import _check_n
+from .validators import K_MAX, N_MAX, integer, real
 
 
 class TestingMode(Enum):
@@ -196,7 +196,7 @@ def _checked_entries(ids: tuple, raw_p: Sequence[object]) -> list[float]:
         seen.add(hid)
         try:
             p = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidBattery(f"p-value for {hid!r} is not a number: {raw!r}", index) from None
         if not 0.0 <= p <= 1.0:
             raise InvalidBattery(f"p-value for {hid!r} must lie in [0, 1], got {p}", index)
@@ -217,8 +217,7 @@ class AlphaConfig:
     mode: TestingMode
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_joint < 1.0:
-            raise DomainError(f"alpha_joint must lie in (0, 1), got {self.alpha_joint}")
+        object.__setattr__(self, "alpha_joint", real(self.alpha_joint, "alpha_joint", 0, 1))
         if self.mode is TestingMode.DISJUNCTION:
             if self.method is AdjustmentMethod.NONE:
                 raise DomainError("disjunction testing requires an adjustment method")
@@ -315,10 +314,7 @@ class Design:
         if self.kind == "equicorrelated":
             if self.rho is None:
                 raise InvalidScenario("equicorrelated design requires rho")
-            rho = float(self.rho)
-            if not 0.0 <= rho < 1.0:
-                raise InvalidScenario(f"rho must lie in [0, 1), got {rho}")
-            object.__setattr__(self, "rho", rho)
+            object.__setattr__(self, "rho", real(self.rho, "rho", 0, 1, "[)", error=InvalidScenario))
         elif self.rho is not None:
             raise InvalidScenario(f"design {self.kind!r} takes no rho")
 
@@ -351,17 +347,17 @@ class Scenario:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise InvalidScenario(f"k must be an integer >= 1, got {self.k!r}")
+        integer(self.k, "k", 1, K_MAX, error=InvalidScenario)
         object.__setattr__(self, "null_pattern", tuple(bool(b) for b in self.null_pattern))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        checked = (real(d, f"deltas[{i}]", -math.inf, math.inf, error=InvalidScenario) for i, d in enumerate(self.deltas))
+        object.__setattr__(self, "deltas", tuple(checked))
         if len(self.null_pattern) != self.k:
             raise InvalidScenario(
                 f"null_pattern has length {len(self.null_pattern)}, expected k={self.k}"
             )
         if len(self.deltas) != self.k:
             raise InvalidScenario(f"deltas has length {len(self.deltas)}, expected k={self.k}")
-        _check_n(self.n, InvalidScenario)
+        integer(self.n, "n", 2, N_MAX, error=InvalidScenario)
         for i, (is_null, delta) in enumerate(zip(self.null_pattern, self.deltas)):
             if not math.isfinite(delta * math.sqrt(self.n / 2.0)):
                 raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
@@ -371,17 +367,14 @@ class Scenario:
             raise InvalidScenario(f"design must be a Design, got {type(self.design).__name__}")
         if not isinstance(self.sides, Sides):
             raise InvalidScenario(f"sides must be a Sides value, got {self.sides!r}")
-        if not 0.0 < self.alpha_joint < 1.0:
-            raise InvalidScenario(f"alpha_joint must lie in (0, 1), got {self.alpha_joint}")
+        object.__setattr__(self, "alpha_joint", real(self.alpha_joint, "alpha_joint", 0, 1, error=InvalidScenario))
         if self.method not in FWER_METHODS:
             raise InvalidScenario(
                 f"scenario method must control the FWER ({', '.join(m.value for m in FWER_METHODS)}), "
                 f"got {getattr(self.method, 'value', self.method)!r}"
             )
-        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
-            raise InvalidScenario(f"reps must be an integer >= 1, got {self.reps!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise InvalidScenario(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        integer(self.reps, "reps", 1, error=InvalidScenario)
+        integer(self.seed, "seed", 0, 2**64 - 1, error=InvalidScenario)
 
 
 def validate_family(spec: FamilySpec) -> ValidationReport:

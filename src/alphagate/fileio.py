@@ -107,11 +107,12 @@ def _as_int(obj: dict, key: str, section: str, loc: _Locator) -> int:
     return value
 
 
-def _as_real(obj: dict, key: str, section: str, loc: _Locator) -> float:
+def _as_real(obj: dict, key: str, section: str, loc: _Locator) -> int | float:
+    """A JSON number as it is: the type it feeds checks its range."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise loc.fail(f"{section}.{key} must be a number, got {value!r}", key)
-    return float(value)
+    return value
 
 
 def _parse_enum(enum_cls, value, key: str, section: str, loc: _Locator):
@@ -129,8 +130,6 @@ def _parse_family(obj, loc: _Locator) -> FamilySpec:
     constituents = obj["constituents"]
     if not isinstance(constituents, list) or not all(isinstance(c, str) for c in constituents):
         raise loc.fail("family.constituents must be a list of strings", "constituents")
-    if not isinstance(obj["joint_id"], str):
-        raise loc.fail(f"family.joint_id must be a string, got {obj['joint_id']!r}", "joint_id")
     mode = _parse_enum(TestingMode, obj["mode"], "mode", "family", loc)
     exchangeable = _as_bool(obj, "exchangeable", "family", loc)
     independent = _as_bool(obj, "independent", "family", loc)
@@ -173,23 +172,17 @@ def _parse_alpha(obj, family: FamilySpec, loc: _Locator) -> AlphaConfig:
 
 
 def _parse_design(value, loc: _Locator) -> Design:
-    if isinstance(value, str):
-        if value == "equicorrelated":
-            raise loc.fail("equicorrelated design must be an object carrying rho", "design")
-        try:
-            return Design(value)
-        except ValueError as exc:
-            raise loc.fail(f"simulation.design: {exc}", "design") from None
     if isinstance(value, dict):
         _require_keys(value, _DESIGN_KEYS, {"kind"}, "design", loc)
-        kind = value["kind"]
-        if not isinstance(kind, str):
-            raise loc.fail(f"design.kind must be a string, got {kind!r}", "kind")
-        try:
-            return Design(kind, value.get("rho"))
-        except ValueError as exc:
-            raise loc.fail(f"simulation.design: {exc}", "design") from None
-    raise loc.fail("simulation.design must be a string or an object with a 'kind' key", "design")
+        kind, rho = value["kind"], _as_real(value, "rho", "design", loc) if "rho" in value else None
+    elif isinstance(value, str):
+        kind, rho = value, None
+    else:
+        raise loc.fail("simulation.design must be a string or an object with a 'kind' key", "design")
+    try:
+        return Design(kind, rho)
+    except ValueError as exc:
+        raise loc.fail(f"simulation.design: {exc}", "design") from None
 
 
 def _resolve_method(alpha: AlphaConfig, family: FamilySpec, loc: _Locator) -> AdjustmentMethod:
@@ -237,7 +230,7 @@ def _parse_simulation(obj, family: FamilySpec, alpha: AlphaConfig, loc: _Locator
         return Scenario(
             k=k,
             null_pattern=tuple(null_pattern),
-            deltas=tuple(float(d) for d in deltas),
+            deltas=tuple(deltas),
             n=n,
             design=design,
             sides=sides,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError
+from .validators import integer
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -59,8 +59,7 @@ def derive_rep_seed(seed: int, rep: int) -> int:
     (the finalizer advances by one gamma before mixing, so this is output
     ``rep`` of the reference splitmix64 stream seeded with ``seed``).
     """
-    if rep < 0:
-        raise DomainError(f"rep must be >= 0, got {rep}")
+    integer(rep, "rep", 0)
     return mix64(seed + (rep + 1) * GOLDEN_GAMMA)
 
 

@@ -62,6 +62,7 @@ from .errors import DomainError, InvalidScenario
 # importable from here
 from .families import MAX_THREADS, AdjustmentMethod, Design, Scenario, Sides, TestingMode  # noqa: F401
 from .rng import normal_block, rep_seed_block, uniform_from_words, word_block
+from .validators import N_MAX, integer, real
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -91,16 +92,6 @@ class Estimates:
     elapsed: float = field(compare=False)
 
 
-def normal_cdf(x):
-    """Standard normal CDF, evaluated through the complementary error function.
-
-    Accepts a scalar or an ndarray; absolute error is a few ulps (well inside
-    1e-12) across the whole real line, including far tails.
-    """
-    result = 0.5 * erfc(-np.asarray(x, dtype=np.float64) / _SQRT2)
-    return float(result) if np.isscalar(x) or np.ndim(x) == 0 else result
-
-
 def p_from_z(z, sides: Sides):
     """p-value of a z statistic; one-sided tests reject for large positive z."""
     if not isinstance(sides, Sides):
@@ -115,12 +106,9 @@ def p_from_z(z, sides: Sides):
 
 def wilson_ci(successes: int, trials: int, level: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
-    if not isinstance(successes, int) or isinstance(successes, bool) or not 0 <= successes <= trials:
-        raise DomainError(f"successes must be an integer in [0, trials], got {successes!r}")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    trials = integer(trials, "trials", 1, N_MAX)  # so that trials converts to a double
+    successes = integer(successes, "successes", 0, trials)
+    level = real(level, "level", 0, 1)
     z = float(ndtri((1.0 + level) / 2.0))
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -382,8 +370,7 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     """
     if not isinstance(scenario, Scenario):
         raise InvalidScenario(f"expected a Scenario, got {type(scenario).__name__}")
-    if not isinstance(threads, int) or isinstance(threads, bool) or not 1 <= threads <= MAX_THREADS:
-        raise DomainError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads!r}")
+    integer(threads, "threads", 1, MAX_THREADS)
 
     start_time = time.perf_counter()
     k, reps = scenario.k, scenario.reps

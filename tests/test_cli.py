@@ -217,7 +217,7 @@ def reference_decide(battery, decision, notes, precision, fmt):
     cells = [
         [f"{c} (~{v:.3g})" if isinstance(v, float) else c for c, v in zip(crow, row)] for crow, row in zip(cells, rows)
     ]
-    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    widths = [max(map(len, column)) for column in zip(header, *(c for c, row in zip(cells, rows) if row[0] != "note"))]
     lines = [header, ["-" * w for w in widths], *cells]
     return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n" for line in lines)
 
@@ -277,6 +277,22 @@ class TestDecideRender:
                                 "--format", fmt, *args])
             assert code == 0
             assert out == reference_decide(battery, rule(battery, 0.05), notes, 17, fmt), args
+
+
+    def test_pretty_row_length_does_not_grow_with_rejections(self, run, tmp_path):
+        # the same cell widths, with 1 or 199 rejections: only the triggered-by note grows
+        lengths = []
+        for rejected in (1, 199):
+            p = ["0.0001"] * rejected + ["0.1"] * (200 - rejected)
+            path = tmp_path / f"b{rejected}.csv"
+            path.write_text("id,p\n" + "".join(f"h{i:03d},{v}\n" for i, v in enumerate(p)), encoding="utf-8")
+            code, out, _ = run(["decide", "--battery", str(path), "--mode", "disjunction", "--method", "holm",
+                                "--alpha", "0.05", "--format", "pretty"])
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[-1] == "note   triggered-by=" + ",".join(f"h{i:03d}" for i in range(rejected))
+            lengths.append({len(line) for line in lines if line.startswith("test")})
+        assert lengths[0] == lengths[1] and len(lengths[0]) == 1
 
 
 class TestDecideMemory:
@@ -434,7 +450,7 @@ class TestExitCodes:
                 )
                 assert code == 2
                 assert out == ""
-                assert "k must lie in [1, " in err
+                assert f"k must be an integer in [1, 10000000], got {k}" in err
 
     def test_power_huge_n_is_two(self, run):
         code, out, err = run(["power", "--alpha", "0.05", "--delta", "0.5", "--n", "1" + "0" * 400])

@@ -308,11 +308,11 @@ def batteries(draw, rows=1):
     return np.choose(rng.integers(0, len(cells), size=shape), cells), alpha
 
 
-DETERMINISTIC = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+EXAMPLES = settings(max_examples=300)
 
 
 class TestKernel:
-    @DETERMINISTIC
+    @EXAMPLES
     @given(batteries(rows=3))
     def test_reject_equals_reference(self, battery):
         p, alpha = battery
@@ -321,14 +321,14 @@ class TestKernel:
             for row, got, used in zip(p.tolist(), rejected.tolist(), thresholds.tolist()):
                 assert (got, used) == reference(row, alpha, method)
 
-    @DETERMINISTIC
+    @EXAMPLES
     @given(batteries())
     def test_rejection_set_chain(self, battery):
         p, alpha = battery
         bonf, holm, hoch, bh = (reject(p, alpha, method)[0] for method in (M.BONFERRONI, M.HOLM, M.HOCHBERG, M.BENJAMINI_HOCHBERG))
         assert not (bonf & ~holm).any() and not (holm & ~hoch).any() and not (hoch & ~bh).any()
 
-    @DETERMINISTIC
+    @EXAMPLES
     @given(batteries(rows=4))
     def test_each_row_of_a_batch_equals_a_one_row_call(self, battery):
         p, alpha = battery
@@ -339,7 +339,7 @@ class TestKernel:
                 assert np.array_equal(rejected[i], one_rejected[0])
                 assert np.array_equal(thresholds[i], one_thresholds[0])
 
-    @DETERMINISTIC
+    @EXAMPLES
     @given(batteries(rows=2))
     def test_individual_decisions_ignore_appended_tests(self, battery):
         p, alpha = battery
@@ -349,7 +349,7 @@ class TestKernel:
             assert extended.per_hypothesis[hid] is verdict
             assert extended.thresholds_used[hid] == base.thresholds_used[hid]
 
-    @DETERMINISTIC
+    @EXAMPLES
     @given(batteries())
     def test_decide_rules_equal_reference(self, battery):
         """Every mode/method of ``decide``: verdicts, thresholds, joint and notes."""

@@ -216,7 +216,7 @@ class TestTestBattery:
         with pytest.raises(InvalidBattery):
             TestBattery((("", 0.5),))
 
-    @pytest.mark.parametrize("raw", ["oops", "", None, [0.1]])
+    @pytest.mark.parametrize("raw", ["oops", "", None, [0.1], 10**400])
     def test_p_not_a_number_names_entry(self, raw):
         with pytest.raises(InvalidBattery, match=f"p-value for 'x' is not a number: {re.escape(repr(raw))}") as err:
             TestBattery((("a", "0.5"), ("x", raw)))

@@ -140,6 +140,14 @@ class TestScenarioDocument:
         with pytest.raises(FileFormatError, match="rho"):
             parse_scenario_text(render(document))
 
+    @pytest.mark.parametrize("rho", [[0.5], "0.5"])
+    def test_rho_must_be_a_number(self, rho):
+        text = render(doc(simulation={"n": 8, "design": {"kind": "equicorrelated", "rho": rho}}))
+        line = next(i for i, row in enumerate(text.splitlines(), start=1) if '"rho"' in row)
+        with pytest.raises(FileFormatError) as err:
+            parse_scenario_text(text, source="scn.json")
+        assert str(err.value) == f"scn.json:{line}: design.rho must be a number, got {rho!r}"
+
     def test_delta_null_contradiction_caught(self):
         document = doc(
             simulation={"n": 8, "null_pattern": [True, True], "deltas": [0.0, 0.4]}
@@ -334,7 +342,7 @@ def outcome(parse):
     return battery.ids, battery.pvalues
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(battery_texts(), st.sampled_from([["individual"], ["bh"], ["conjunction"], ["disjunction", "--method", "hochberg"]]))
 def test_quote_free_text_parses_as_the_csv_module_reads_it(text, mode):
     assert '"' not in text

@@ -80,7 +80,7 @@ def test_star_import_binds_all_names():
         "missing = [name for name in alphagate.__all__ if name not in globals()]\n"
         "assert not missing, missing\nprint(len(alphagate.__all__))"
     )
-    assert count == "45"
+    assert count == "41"
 
 
 def test_package_import_loads_neither():

@@ -4,19 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
 
 from alphagate.errors import DomainError
 from alphagate.rates import (
-    CostModel,
     ErrorRateReport,
-    PowerSpec,
     bonferroni_adjust,
     conjunction_power,
     conjunction_type2,
     error_rate_report,
     fwer_independent,
-    optimal_alpha,
     per_family_rate,
     power_one_sided_z,
     sidak_adjust,
@@ -218,64 +214,6 @@ class TestPowerOneSidedZ:
                 assert power_one_sided_z(alpha, delta, n) == pytest.approx(expected, rel=1e-12)
 
 
-def _grid_oracle(cost: CostModel, points: int = 1_000_000) -> float:
-    """Independent route: dense-grid minimization of the same objective."""
-    lower, upper = cost.alpha_bounds
-    grid = np.linspace(lower, upper, points)
-    power = ndtr(cost.delta * math.sqrt(cost.n / 2.0) - ndtri(1.0 - grid))
-    objective = cost.omega * grid + (1.0 - cost.omega) * (1.0 - power)
-    return float(grid[int(np.argmin(objective))])
-
-
-class TestOptimalAlpha:
-    def test_pure_type1_cost_pins_lower_bound(self):
-        cost = CostModel(omega=1.0, delta=0.5, n=64, alpha_bounds=(1e-6, 0.2))
-        alpha_star, objective = optimal_alpha(cost)
-        assert alpha_star == 1e-6
-        assert objective == pytest.approx(1e-6)
-
-    def test_pure_type2_cost_pins_upper_bound(self):
-        cost = CostModel(omega=0.0, delta=0.5, n=64, alpha_bounds=(1e-6, 0.2))
-        alpha_star, _ = optimal_alpha(cost)
-        assert alpha_star == 0.2
-
-    def test_matches_grid_oracle_on_reference_model(self):
-        cost = CostModel(omega=0.5, delta=0.5, n=64, alpha_bounds=(1e-6, 0.2))
-        alpha_star, _ = optimal_alpha(cost)
-        assert alpha_star == pytest.approx(_grid_oracle(cost), abs=1e-5)
-
-    def test_matches_grid_oracle_on_random_models(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            cost = CostModel(
-                omega=float(rng.uniform(0.05, 0.95)),
-                delta=float(rng.uniform(0.1, 1.2)),
-                n=int(rng.integers(8, 200)),
-                alpha_bounds=(float(rng.uniform(1e-6, 1e-3)), float(rng.uniform(0.1, 0.4))),
-            )
-            alpha_star, objective = optimal_alpha(cost)
-            oracle = _grid_oracle(cost, points=200_000)
-            # compare locations through the objective as well: flat minima can
-            # put the two routes at slightly different alphas of equal cost
-            grid_best = cost.omega * oracle + (1.0 - cost.omega) * (
-                1.0 - power_one_sided_z(oracle, cost.delta, cost.n)
-            )
-            assert objective <= grid_best + 1e-9
-            assert alpha_star == pytest.approx(oracle, abs=1e-5)
-
-    def test_cost_model_domain(self):
-        with pytest.raises(DomainError):
-            CostModel(omega=1.2, delta=0.5, n=64, alpha_bounds=(1e-6, 0.2))
-        with pytest.raises(DomainError):
-            CostModel(omega=0.5, delta=0.5, n=1, alpha_bounds=(1e-6, 0.2))
-        with pytest.raises(DomainError):
-            CostModel(omega=0.5, delta=0.5, n=10**400, alpha_bounds=(1e-6, 0.2))
-        with pytest.raises(DomainError):
-            CostModel(omega=0.5, delta=0.5, n=64, alpha_bounds=(0.0, 0.2))
-        with pytest.raises(DomainError):
-            CostModel(omega=0.5, delta=0.5, n=64, alpha_bounds=(0.3, 0.2))
-
-
 class TestErrorRateReport:
     def test_joint_column(self):
         report = error_rate_report(20, 1, 0.05)
@@ -300,13 +238,3 @@ class TestErrorRateReport:
     def test_report_invariants_enforced(self):
         with pytest.raises(DomainError):
             ErrorRateReport(t=6, h=2, k=2, alpha_per_test=0.05, per_family_rate=0.1, fwer=0.0975)
-
-
-class TestPowerSpec:
-    def test_factory_satisfies_invariant(self):
-        spec = PowerSpec.for_constituents(0.20, 2)
-        assert spec.beta_joint == pytest.approx(0.36, rel=1e-12)
-
-    def test_inconsistent_joint_rate_rejected(self):
-        with pytest.raises(DomainError):
-            PowerSpec(beta_constituent=0.20, beta_joint=0.30, k=2)

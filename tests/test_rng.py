@@ -56,7 +56,7 @@ def test_deterministic():
 
 
 def test_negative_rep_is_a_domain_error():
-    with pytest.raises(DomainError, match="rep must be >= 0"):
+    with pytest.raises(DomainError, match=r"^rep must be an integer >= 0, got -1$"):
         derive_rep_seed(1, -1)
 
 

@@ -28,7 +28,6 @@ from alphagate.simulate import (
     Scenario,
     Sides,
     _z_block,
-    normal_cdf,
     p_from_z,
     sample_statistics,
     simulate,
@@ -78,30 +77,6 @@ def three_sigma(p, reps):
     return 3 * math.sqrt(p * (1 - p) / reps)
 
 
-class TestNormalCdf:
-    def test_symmetry_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_quantile_oracle(self):
-        assert normal_cdf(Z_95) == pytest.approx(0.95, abs=1e-12)
-
-    def test_far_tail_against_mpmath(self):
-        mpmath.mp.dps = 30
-        expected = float(mpmath.ncdf(-8))
-        assert normal_cdf(-8.0) == pytest.approx(expected, rel=1e-13)
-
-    def test_absolute_error_bound_on_grid(self):
-        mpmath.mp.dps = 30
-        for x in np.linspace(-10, 10, 81):
-            assert abs(normal_cdf(float(x)) - float(mpmath.ncdf(float(x)))) <= 1e-12
-
-    def test_vectorized(self):
-        x = np.array([-1.0, 0.0, 1.0])
-        out = normal_cdf(x)
-        assert out.shape == (3,)
-        assert out[1] == 0.5
-
-
 class TestPFromZ:
     def test_examples(self):
         assert p_from_z(0.0, Sides.ONE_SIDED) == 0.5
@@ -121,6 +96,22 @@ class TestPFromZ:
     def test_sides_type_checked(self):
         with pytest.raises(DomainError):
             p_from_z(1.0, "one_sided")
+
+    # p_from_z(-x, ONE_SIDED) is the standard normal CDF at x
+    def test_far_tail_against_mpmath(self):
+        mpmath.mp.dps = 30
+        expected = float(mpmath.ncdf(-8))
+        assert p_from_z(8.0, Sides.ONE_SIDED) == pytest.approx(expected, rel=1e-13)
+
+    def test_absolute_error_bound_on_grid(self):
+        mpmath.mp.dps = 30
+        for x in np.linspace(-10, 10, 81):
+            assert abs(p_from_z(-float(x), Sides.ONE_SIDED) - float(mpmath.ncdf(float(x)))) <= 1e-12
+
+    def test_vectorized(self):
+        out = p_from_z(-np.array([-1.0, 0.0, 1.0]), Sides.ONE_SIDED)
+        assert out.shape == (3,)
+        assert out[1] == 0.5
 
 
 class TestWilsonCi:
