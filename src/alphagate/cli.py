@@ -47,7 +47,7 @@ from .rates import (
     power_one_sided_z,
     sidak_adjust,
 )
-from .validators import K_MAX, integer
+from .validators import integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -212,14 +212,10 @@ def _cmd_power(args) -> str:
     if args.conjunction and args.k is None:
         raise DomainError("--conjunction requires --k")
     if args.k is not None:
-        integer(args.k, "k", 1, K_MAX)
-        if 0.0 < power < 1.0:
-            joint = conjunction_power(power, args.k)
-            type2 = conjunction_type2(1.0 - power, args.k)
-        else:  # per-test power saturated at double precision
-            joint = power**args.k
-            type2 = 1.0 - joint
-        pairs += [("conjunction_power", joint), ("conjunction_type2", type2)]
+        pairs += [
+            ("conjunction_power", conjunction_power(power, args.k)),
+            ("conjunction_type2", conjunction_type2(1.0 - power, args.k)),
+        ]
     return _render_pairs(pairs, args)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import DomainError, InvalidBattery, InvalidScenario
@@ -242,15 +242,9 @@ class ClassificationInput:
     family_theoretically_relevant: bool
 
     def __post_init__(self) -> None:
-        for name in (
-            "statistical_claim",
-            "joint_inference",
-            "all_constituents_required",
-            "exchangeable",
-            "family_theoretically_relevant",
-        ):
-            if not isinstance(getattr(self, name), bool):
-                raise DomainError(f"{name} must be an explicit boolean")
+        for answer in fields(self):
+            if not isinstance(getattr(self, answer.name), bool):
+                raise DomainError(f"{answer.name} must be an explicit boolean")
 
 
 @dataclass(frozen=True)
@@ -331,6 +325,19 @@ class Design:
         return cls("shared_control")
 
 
+def _column(value, name: str, k: int) -> tuple:
+    """``value`` as a tuple of k entries; a string is no sequence of them."""
+    try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
+        column = tuple(value)
+    except TypeError:
+        raise InvalidScenario(f"{name} must be a sequence of length k={k}, got {type(value).__name__}") from None
+    if len(column) != k:
+        raise InvalidScenario(f"{name} has length {len(column)}, expected k={k}")
+    return column
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full specification of one Monte Carlo run."""
@@ -348,21 +355,20 @@ class Scenario:
 
     def __post_init__(self) -> None:
         integer(self.k, "k", 1, K_MAX, error=InvalidScenario)
-        object.__setattr__(self, "null_pattern", tuple(bool(b) for b in self.null_pattern))
-        checked = (real(d, f"deltas[{i}]", -math.inf, math.inf, error=InvalidScenario) for i, d in enumerate(self.deltas))
-        object.__setattr__(self, "deltas", tuple(checked))
-        if len(self.null_pattern) != self.k:
-            raise InvalidScenario(
-                f"null_pattern has length {len(self.null_pattern)}, expected k={self.k}"
-            )
-        if len(self.deltas) != self.k:
-            raise InvalidScenario(f"deltas has length {len(self.deltas)}, expected k={self.k}")
+        nulls = tuple(map(bool, _column(self.null_pattern, "null_pattern", self.k)))
+        deltas = list(_column(self.deltas, "deltas", self.k))
         integer(self.n, "n", 2, N_MAX, error=InvalidScenario)
-        for i, (is_null, delta) in enumerate(zip(self.null_pattern, self.deltas)):
-            if not math.isfinite(delta * math.sqrt(self.n / 2.0)):
+        scale = math.sqrt(self.n / 2.0)
+        # one pass over the columns; a finite float delta needs no conversion
+        for i, (is_null, delta) in enumerate(zip(nulls, deltas)):
+            if type(delta) is not float or not math.isfinite(delta):
+                delta = deltas[i] = real(delta, f"deltas[{i}]", -math.inf, math.inf, error=InvalidScenario)
+            if not math.isfinite(delta * scale):
                 raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
             if is_null and delta != 0.0:
                 raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}")
+        object.__setattr__(self, "null_pattern", nulls)
+        object.__setattr__(self, "deltas", tuple(deltas))
         if not isinstance(self.design, Design):
             raise InvalidScenario(f"design must be a Design, got {type(self.design).__name__}")
         if not isinstance(self.sides, Sides):

@@ -29,13 +29,17 @@ from .errors import DomainError
 from .validators import K_MAX, N_MAX, integer, real
 
 
+def _any_of(x: float, k: int) -> float:
+    """``1 - (1 - x)**k``: the chance that at least one of k independent
+    events of probability x occurs."""
+    if k == 1 or x == 1.0:  # log1p(-1) is a domain error
+        return x
+    return -math.expm1(k * math.log1p(-x))
+
+
 def fwer_independent(alpha: float, k: int) -> float:
     """Familywise error rate for k independent tests at per-test level alpha."""
-    alpha = real(alpha, "alpha", 0, 1)
-    k = integer(k, "k", 1, K_MAX)
-    if k == 1:
-        return alpha
-    return -math.expm1(k * math.log1p(-alpha))
+    return _any_of(real(alpha, "alpha", 0, 1), integer(k, "k", 1, K_MAX))
 
 
 def per_family_rate(alpha: float, k: int) -> float:
@@ -63,16 +67,12 @@ def bonferroni_adjust(alpha_joint: float, k: int) -> float:
 
 def conjunction_type2(beta_constituent: float, k: int) -> float:
     """Joint Type II rate when all k tests must succeed and each misses at rate beta."""
-    beta_constituent = real(beta_constituent, "beta_constituent", 0, 1)
-    k = integer(k, "k", 1, K_MAX)
-    if k == 1:
-        return beta_constituent
-    return -math.expm1(k * math.log1p(-beta_constituent))
+    return _any_of(real(beta_constituent, "beta_constituent", 0, 1, "[]"), integer(k, "k", 1, K_MAX))
 
 
 def conjunction_power(power_constituent: float, k: int) -> float:
     """Joint power of a conjunction test: per-test power raised to the k-th."""
-    power_constituent = real(power_constituent, "power_constituent", 0, 1)
+    power_constituent = real(power_constituent, "power_constituent", 0, 1, "[]")
     k = integer(k, "k", 1, K_MAX)
     return power_constituent**k
 

@@ -51,7 +51,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import erfc, ndtr, ndtri
@@ -124,10 +124,10 @@ def _shift(scenario: Scenario) -> np.ndarray:
     return np.asarray(scenario.deltas, dtype=np.float64) * math.sqrt(scenario.n / 2.0)
 
 
-def _z_block(scenario: Scenario, rep_seeds: np.ndarray) -> np.ndarray:
-    """Z statistics for one batch of replications, shape (len(rep_seeds), k)."""
+def _z_block(scenario: Scenario, rep_seeds: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Z statistics for one batch of replications, shape (len(rep_seeds), k),
+    given the scenario's :func:`_shift`."""
     k = scenario.k
-    shift = _shift(scenario)
     kind = scenario.design.kind
     # in-place steps keep one (rows, k) temporary alive; each step is the
     # same IEEE operation on the same operands as the plain expression
@@ -155,8 +155,7 @@ def sample_statistics(scenario: Scenario, rep_seed: int) -> tuple[float, ...]:
     """The k test statistics of a single replication, given its derived seed."""
     if not isinstance(scenario, Scenario):
         raise InvalidScenario(f"expected a Scenario, got {type(scenario).__name__}")
-    row = _z_block(scenario, np.asarray([rep_seed], dtype=np.uint64))[0]
-    return tuple(float(z) for z in row)
+    return tuple(_z_block(scenario, np.asarray([rep_seed], dtype=np.uint64), _shift(scenario))[0].tolist())
 
 
 @dataclass
@@ -170,13 +169,8 @@ class _ChunkTotals:
     per_test: np.ndarray
 
     def add(self, other: _ChunkTotals) -> None:
-        self.fwer_events += other.fwer_events
-        self.v_sum += other.v_sum
-        self.fdp_sum += other.fdp_sum
-        self.any_reject += other.any_reject
-        self.disjunction_rejects += other.disjunction_rejects
-        self.conjunction_rejects += other.conjunction_rejects
-        self.per_test += other.per_test
+        for total in fields(self):
+            setattr(self, total.name, getattr(self, total.name) + getattr(other, total.name))
 
 
 # -- threshold space (see the module docstring) ----------------------------------
@@ -327,7 +321,7 @@ def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray) -> tuple[np.ndar
         def z_of(rows, cols):
             return _word_z(plan.shift[cols], x[rows, cols])
     else:
-        x = _z_block(scenario, seeds)
+        x = _z_block(scenario, seeds, plan.shift)
         if scenario.sides is Sides.TWO_SIDED:
             np.abs(x, out=x)
 

@@ -3,9 +3,9 @@
 Every check of a numeric argument in the package goes through
 :func:`integer` or :func:`real`, so a bad one always raises the caller's
 ``error``, a ``ValueError`` subclass, with one message format per kind of
-check. A bool is not an integer here, and a value that ``float()`` cannot
-take (``None``, a list, ``10**400``) fails the real check like any value out
-of range.
+check. A bool is neither an integer nor a real here, and a value that
+``float()`` cannot take (``None``, a list, ``10**400``) fails the real check
+like any value out of range.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ def real(
 ) -> float:
     """``float(value)`` if it lies between lo and hi; ``ends`` gives the
     brackets, "(" or "[" then ")" or "]", so an open end excludes its bound;
-    nan lies in no interval."""
+    nan lies in no interval, and a bool is not a real."""
     try:
+        if isinstance(value, bool):  # fails like a value float() cannot take
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         shown = repr(value)

@@ -86,6 +86,20 @@ class TestScalarCommands:
         assert "conjunction_power\t0.64" in out
         assert "conjunction_type2\t0.3" in out
 
+    def test_power_saturated(self, run):
+        code, out, _ = run(["power", "--alpha", "0.05", "--delta", "50", "--n", "64", "--k", "3", "--precision", "17"])
+        assert code == 0
+        assert out == (
+            "metric\tvalue\npower_per_test\t1.00000000000000000\n"
+            "conjunction_power\t1.00000000000000000\nconjunction_type2\t0.00000000000000000\n"
+        )
+
+    def test_power_conjunction_requires_k(self, run):
+        code, out, err = run(["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64", "--conjunction"])
+        assert code == 2
+        assert out == ""
+        assert "--conjunction requires --k" in err
+
     def test_pretty_format(self, run):
         code, out, _ = run(["rates", "--alpha", "0.05", "--k", "20", "--format", "pretty"])
         assert code == 0

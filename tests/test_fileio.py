@@ -1,5 +1,7 @@
 """Scenario JSON and battery CSV parsing, including error anchoring."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -353,3 +355,90 @@ def test_quote_free_text_parses_as_the_csv_module_reads_it(text, mode):
         battery.write_bytes(text.encode("utf-8"))
         code = cli.main(["decide", "--battery", str(battery), "--alpha", "0.05", "--mode", *mode, "--out", str(Path(tmp, "out.tsv"))])
     assert code == (2 if isinstance(fast, str) else 0)
+
+
+def run_cli(argv, name, text):
+    """Exit code and stdout of the CLI on ``argv``, whose ``{path}`` is a file
+    holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, name)
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([arg.format(path=path) for arg in argv])
+    return code, out.getvalue()
+
+
+#: quoted cells: commas, doubled quotes, line breaks and spaces inside
+#: quotes, an unterminated quote and quotes in the middle of a cell
+QUOTED_CELLS = ['"a"', '"a,b"', '"a""b"', '""', '"0.5"', '" 0.5 "', '"0.5\n"', '"a\r\nb"', '"unterminated', 'a"b',
+                '"a"b', '"', '"\t"', '"1e-3"', '"id"', '"p"']
+
+
+@st.composite
+def quoted_battery_texts(draw):
+    """A battery text with quoted cells, blank lines, odd cells and rows of
+    one to four cells, each line ended by LF, CRLF or CR."""
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    quoted = st.text('abcxyz ,"', min_size=1, max_size=4).map(lambda t: '"' + t.replace('"', '""') + '"')
+    plain = st.text("abcxyz", min_size=1, max_size=4)
+    hid = plain | plain | quoted | quoted | st.sampled_from(ID_CELLS + QUOTED_CELLS)
+    number = st.floats(0.0, 1.0).map(repr)
+    p = number | number | number.map('"{}"'.format) | st.sampled_from(P_CELLS + QUOTED_CELLS)
+    good = st.tuples(hid, p).map(",".join)
+    odd = st.sampled_from(["", "  ", '""', '"",""']) | st.lists(hid | p, min_size=1, max_size=4).map(",".join)
+    good_header = st.sampled_from(["id,p", '"id","p"', 'id,"p"', '"id",p'])
+    lines = draw(st.lists(good, min_size=1, max_size=8))
+    for row in draw(st.lists(odd, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), row)
+    lines.insert(0, draw(good_header | good_header | st.sampled_from(['"id,p"', ' "id" ,p', *HEADERS])))
+    text = "".join(line + draw(ends) for line in lines)
+    return text[: len(text) - draw(st.integers(0, 2))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(quoted_battery_texts(), st.sampled_from([["bh"], ["disjunction", "--method", "hochberg"]]),
+       st.sampled_from(["tsv", "pretty"]))
+def test_quoted_battery_exits_0_or_2(text, mode, fmt):
+    argv = ["decide", "--battery", "{path}", "--alpha", "0.05", "--mode", *mode, "--format", fmt]
+    code, out = run_cli(argv, "b.csv", text)
+    assert code in (0, 2)
+    assert (out == "") == (code == 2)
+    parsed = outcome(lambda: parse_battery_text(text.replace("\r\n", "\n").replace("\r", "\n")))
+    assert code == (2 if isinstance(parsed, str) else 0)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def answer_objects(draw):
+    """The five answers, up to two of them dropped or replaced by any JSON
+    value, or a stray key added."""
+    answers = {key: draw(st.booleans()) for key in sorted(fileio._CLASSIFICATION_KEYS)}
+    for key in draw(st.lists(st.sampled_from([*answers, "extra"]), max_size=2)):
+        if draw(st.booleans()):
+            answers.pop(key, None)
+        else:
+            answers[key] = draw(json_values)
+    return answers
+
+
+#: a bare answers object, a scenario document holding one, any JSON value,
+#: or any text
+classification_texts = (
+    (answer_objects() | answer_objects().map(lambda answers: doc(classification=answers)) | json_values).map(json.dumps)
+    | st.text(max_size=8)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(classification_texts)
+def test_classification_file_exits_0_or_2(text):
+    code, out = run_cli(["classify", "--input", "{path}"], "answers.json", text)
+    assert code in (0, 2)
+    assert (out == "") == (code == 2)

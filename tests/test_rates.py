@@ -147,10 +147,17 @@ class TestConjunctionArithmetic:
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            conjunction_type2(0.0, 2)
-        with pytest.raises(DomainError):
-            conjunction_power(1.0, 2)
+        # both take the closed interval [0, 1]: a per-test power of exactly
+        # 1.0, which power_one_sided_z can return, is a valid input
+        assert power_one_sided_z(0.05, 50, 64) == 1.0
+        for k in (1, 2, 10**7):
+            assert conjunction_type2(0.0, k) == 0.0 and conjunction_type2(1.0, k) == 1.0
+            assert conjunction_power(0.0, k) == 0.0 and conjunction_power(1.0, k) == 1.0
+        for bad in (-0.1, 1.1, math.nan):
+            with pytest.raises(DomainError):
+                conjunction_type2(bad, 2)
+            with pytest.raises(DomainError):
+                conjunction_power(bad, 2)
 
 
 class TestPowerOneSidedZ:

@@ -27,6 +27,7 @@ from alphagate.simulate import (
     Estimates,
     Scenario,
     Sides,
+    _shift,
     _z_block,
     p_from_z,
     sample_statistics,
@@ -155,31 +156,31 @@ class TestSampleStatistics:
     def test_common_factor_limit(self):
         s = scenario(2, design=Design.equicorrelated(0.999))
         seeds = rep_seed_block(s.seed, 0, 10_000)
-        corr = self._pairwise_corr(_z_block(s, seeds))
+        corr = self._pairwise_corr(_z_block(s, seeds, _shift(s)))
         assert corr[0, 1] > 0.99
 
     def test_zero_correlation_when_independent_factors(self):
         s = scenario(2, design=Design.equicorrelated(0.0))
         seeds = rep_seed_block(s.seed, 0, 100_000)
-        corr = self._pairwise_corr(_z_block(s, seeds))
+        corr = self._pairwise_corr(_z_block(s, seeds, _shift(s)))
         assert abs(corr[0, 1]) < 0.02
 
     def test_shared_control_correlation_is_half(self):
         s = scenario(2, design=Design.shared_control())
         seeds = rep_seed_block(s.seed, 0, 100_000)
-        corr = self._pairwise_corr(_z_block(s, seeds))
+        corr = self._pairwise_corr(_z_block(s, seeds, _shift(s)))
         assert corr[0, 1] == pytest.approx(0.5, abs=0.02)
 
     def test_independent_design_unit_moments(self):
         s = scenario(3)
-        z = _z_block(s, rep_seed_block(s.seed, 0, 100_000))
+        z = _z_block(s, rep_seed_block(s.seed, 0, 100_000), _shift(s))
         assert np.allclose(z.mean(axis=0), 0.0, atol=0.02)
         assert np.allclose(z.std(axis=0), 1.0, atol=0.02)
 
     def test_effect_shifts_mean(self):
         delta = delta_for_power(0.8, 32)
         s = scenario(2, nulls=[True, False], deltas=[0.0, delta])
-        z = _z_block(s, rep_seed_block(s.seed, 0, 50_000))
+        z = _z_block(s, rep_seed_block(s.seed, 0, 50_000), _shift(s))
         assert z[:, 0].mean() == pytest.approx(0.0, abs=0.03)
         assert z[:, 1].mean() == pytest.approx(delta * math.sqrt(16), abs=0.03)
 
@@ -191,7 +192,7 @@ class TestSampleStatistics:
         ):
             for rep in (0, 1, 999):
                 seed = derive_rep_seed(s.seed, rep)
-                row = _z_block(s, np.asarray([seed], dtype=np.uint64))[0]
+                row = _z_block(s, np.asarray([seed], dtype=np.uint64), _shift(s))[0]
                 assert sample_statistics(s, seed) == tuple(row)
 
 
@@ -240,6 +241,44 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario):
             scenario(2, seed=2**64)
 
+    BASE = dict(k=2, null_pattern=(True, False), deltas=(0.0, 0.5), n=8, design=Design.independent(),
+                sides=Sides.ONE_SIDED, alpha_joint=0.05, method=AdjustmentMethod.HOLM, reps=10, seed=1)
+
+    @pytest.mark.parametrize("fault, message", [
+        (dict(k=0), "k must be an integer in [1, 10000000], got 0"),
+        (dict(null_pattern=(True,)), "null_pattern has length 1, expected k=2"),
+        (dict(deltas=(0.0, 0.5, 0.5)), "deltas has length 3, expected k=2"),
+        (dict(deltas=(0.0, "x")), "deltas[1] must be a real in (-inf, inf), got 'x'"),
+        (dict(deltas=(0.0, math.inf)), "deltas[1] must be a real in (-inf, inf), got inf"),
+        (dict(deltas=(0.0, True)), "deltas[1] must be a real in (-inf, inf), got True"),
+        (dict(n=1), "n must be an integer in [2, 2**53], got 1"),
+        (dict(deltas=(0.0, 1e308)), "deltas[1] * sqrt(n/2) must be finite, got 1e+308"),
+        (dict(deltas=(0.25, 0.5)), "deltas[0] must be 0 where the null is true, got 0.25"),
+        (dict(design="independent"), "design must be a Design, got str"),
+        (dict(sides="one_sided"), "sides must be a Sides value, got 'one_sided'"),
+        (dict(alpha_joint=1.0), "alpha_joint must be a real in (0, 1), got 1.0"),
+        (dict(method=AdjustmentMethod.NONE),
+         "scenario method must control the FWER (bonferroni, sidak, holm, hochberg), got 'none'"),
+        (dict(reps=0), "reps must be an integer >= 1, got 0"),
+        (dict(seed=-1), "seed must be an integer in [0, 18446744073709551615], got -1"),
+    ])
+    def test_single_fault_messages(self, fault, message):
+        with pytest.raises(InvalidScenario) as err:
+            Scenario(**{**self.BASE, **fault})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", ["null_pattern", "deltas"])
+    @pytest.mark.parametrize("value", [None, True, 5, "TT", b"00"], ids=repr)
+    def test_sequence_arguments_must_be_sequences(self, name, value):
+        with pytest.raises(InvalidScenario) as err:
+            Scenario(**{**self.BASE, name: value})
+        assert str(err.value) == f"{name} must be a sequence of length k=2, got {type(value).__name__}"
+
+    def test_deltas_are_kept_as_floats(self):
+        s = Scenario(**{**self.BASE, "null_pattern": [1, 0], "deltas": [0, np.float64(0.5)]})
+        assert s.null_pattern == (True, False)
+        assert s.deltas == (0.0, 0.5) and all(type(d) is float for d in s.deltas)
+
 
 class TestSimulateDeterminism:
     def test_identical_runs_identical_estimates(self):
@@ -257,6 +296,19 @@ class TestSimulateDeterminism:
     def test_different_seeds_differ(self):
         s = scenario(5, reps=20_000)
         assert simulate(s) != simulate(dataclasses.replace(s, seed=2))
+
+    @pytest.mark.parametrize("design", [Design.independent(), Design.equicorrelated(0.5)], ids=lambda d: d.kind)
+    def test_shift_is_computed_once_per_run(self, design, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return _shift(s)
+
+        monkeypatch.setattr(SIM, "_shift", counted)
+        s = scenario(300, reps=20_000, design=design, sides=Sides.TWO_SIDED)  # many tiles, two chunks
+        simulate(s, threads=2)
+        assert len(calls) == 1
 
 
 class TestSimulateAgainstDecisionFunctions:
@@ -442,7 +494,7 @@ def p_space_simulate(s):
     per_test = np.zeros(s.k, dtype=np.int64)
     for start in range(0, s.reps, SIM.CHUNK_REPS):
         count = min(SIM.CHUNK_REPS, s.reps - start)
-        p = p_from_z(_z_block(s, rep_seed_block(s.seed, start, count)), s.sides)
+        p = p_from_z(_z_block(s, rep_seed_block(s.seed, start, count), _shift(s)), s.sides)
         rejected = p <= s.alpha_joint
         r = rejected.sum(axis=1)
         v = rejected[:, nulls].sum(axis=1)
@@ -633,7 +685,7 @@ class TestInsideBands:
             z *= rng.choice([-1.0, 1.0], size=z.shape)
         inside = (np.abs(z) >= plan.test.lower) & (np.abs(z) < plan.test.upper)
         assert inside.any()
-        monkeypatch.setattr(SIM, "_z_block", lambda scenario, seeds: z.copy())
+        monkeypatch.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z.copy())
         self.check(s, plan, z)
 
     @pytest.mark.parametrize("method", FWER_METHODS[:3], ids=lambda m: m.value)

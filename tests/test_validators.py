@@ -72,7 +72,7 @@ class TestReal:
                 with pytest.raises(DomainError, match=rf"^rho must be a real in \{ends[0]}0, 1\{ends[1]}, got {x}$"):
                     validators.real(x, "rho", 0, 1, ends)
 
-    @pytest.mark.parametrize("value", [None, "oops", [0.5], 10**400, 1j])
+    @pytest.mark.parametrize("value", [None, "oops", [0.5], 10**400, 1j, True, False])
     def test_failed_conversion_raises_the_error(self, value):
         with pytest.raises(InvalidScenario) as err:
             validators.real(value, "rho", 0, 1, "[)", error=InvalidScenario)
@@ -103,7 +103,7 @@ def _scenario(**fields):
 
 BATTERY = TestBattery((("a", 0.01), ("b", 0.2)))
 
-#: every public check, fed a value in one scalar argument
+#: every public check, fed a value in one argument
 PUBLIC_CHECKS = {
     "fwer_independent.alpha": lambda v: fwer_independent(v, 3),
     "fwer_independent.k": lambda v: fwer_independent(0.05, v),
@@ -126,7 +126,12 @@ PUBLIC_CHECKS = {
     "AlphaConfig.alpha_joint": lambda v: AlphaConfig(v, AdjustmentMethod.NONE, TestingMode.CONJUNCTION),
     "Design.rho": lambda v: Design.equicorrelated(v),
     "Scenario.k": lambda v: _scenario(k=v),
+    "Scenario.null_pattern": lambda v: _scenario(null_pattern=v),
     "Scenario.deltas": lambda v: _scenario(null_pattern=(True, False), deltas=(0.0, v)),
+    "Scenario.deltas.whole": lambda v: _scenario(deltas=v),
+    "Scenario.design": lambda v: _scenario(design=v),
+    "Scenario.sides": lambda v: _scenario(sides=v),
+    "Scenario.method": lambda v: _scenario(method=v),
     "Scenario.n": lambda v: _scenario(n=v),
     "Scenario.alpha_joint": lambda v: _scenario(alpha_joint=v),
     "Scenario.reps": lambda v: _scenario(reps=v),
