@@ -5,7 +5,8 @@ Subcommands: ``rates``, ``adjust``, ``table1``, ``decide``, ``classify``,
 stderr. Exit codes: 0 success, 1 usage error, 2 input validation failure,
 3 runtime failure. Nothing is written before a command has read and checked
 all of its input, so a validation failure never leaves partial output on the
-result stream. ``decide`` then renders and writes its rows in blocks.
+result stream. Every command then renders and writes its table in blocks,
+through one table writer.
 
 Machine output is TSV with a stable column order per subcommand; ``--format
 pretty`` renders aligned tables that show a 3-significant-digit rounding
@@ -23,17 +24,10 @@ import argparse
 import dataclasses
 import os
 import sys
-from collections.abc import Iterator
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Iterable, Iterator
 
 from . import __version__
-from .decisions import (
-    Decision,
-    apply_bh,
-    decide_conjunction,
-    decide_disjunction,
-    decide_individual,
-)
+from .decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual
 from .errors import DomainError, FileFormatError
 from .families import MAX_THREADS, AdjustmentMethod, TestingMode, classify_testing_mode
 from .fileio import load_battery_file, load_classification_file, load_scenario_file
@@ -49,18 +43,13 @@ from .rates import (
 )
 from .validators import integer
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .simulate import Estimates
-
 MAX_REPS = 100_000_000
 SEED_ENV_VAR = "ALPHAGATE_SEED"
 #: 17 significant digits round-trip any double
 MAX_PRECISION = 17
 #: nonzero reals of smaller magnitude print in scientific notation
 SCI_BELOW = 1e-4
-#: ``decide`` renders and writes its test rows this many at a time
+#: ``decide`` and ``simulate`` render and write their per-test rows this many at a time
 BLOCK_ROWS = 1 << 16
 
 
@@ -79,144 +68,132 @@ def _precision(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_PRECISION}], got {text!r}") from None
 
 
-def _fmt_column(values: tuple, precision: int) -> list[str]:
-    fixed, sci = f".{precision}f", f".{precision}e"
-    out = []
-    for v in values:
-        kind = type(v)
-        if kind is str:  # str and float first: they are nearly every cell
-            out.append(v)
-        elif kind is float or isinstance(v, float):
-            out.append(format(v, sci if v != 0.0 and abs(v) < SCI_BELOW else fixed))
-        elif isinstance(v, bool):
-            out.append("true" if v else "false")
-        else:
-            out.append(str(v))
-    return out
-
-
-def _render_table(header: list[str], rows: list[list], args) -> str:
-    raw = list(zip(*rows))
-    columns = [_fmt_column(values, args.precision) for values in raw]
-    if args.format == "tsv":
-        lines = ["\t".join(header)]
-        lines += ["\t".join(row) for row in zip(*columns)]
-        return "\n".join(lines) + "\n"
-    # pretty: add a short rounding next to full-precision reals
-    for values, rendered in zip(raw, columns):
-        for i, value in enumerate(values):
-            if isinstance(value, float):
-                rendered[i] = f"{rendered[i]} (~{value:.3g})"
-    widths = [max(len(h), *map(len, column)) for h, column in zip(header, columns)]
-    return _pretty_lines([header, ["-" * w for w in widths], *zip(*columns)], widths)
-
-
-def _pretty_lines(rows, widths: list[int]) -> str:
-    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows)
-
-
-def _real_cells(values: np.ndarray, precision: int) -> list[str]:
-    """The cells :func:`_fmt_column` gives a float64 array, formatted in one
-    ``%`` pass with the few scientific-notation cells redone."""
-    import numpy as np
-
-    floats = values.tolist()
-    cells = (f"%.{precision}f\n" * len(floats) % tuple(floats)).split("\n")
+def _real_cells(values, precision: int, pretty: bool) -> list[str]:
+    """The cells of a float64 array, or of a list of floats, formatted in one
+    ``%`` pass: fixed-point, except nonzero magnitudes below
+    :data:`SCI_BELOW` in scientific notation, and in pretty output a
+    3-significant-digit rounding after each."""
+    if isinstance(values, list):
+        floats = values
+        tiny = [i for i, x in enumerate(floats) if x and abs(x) < SCI_BELOW]
+    else:  # array methods keep numpy out of this module's imports
+        floats = values.tolist()
+        tiny = ((values != 0.0) & (abs(values) < SCI_BELOW)).nonzero()[0].tolist()
+    fixed, sci, fields = f"%.{precision}f", f"%.{precision}e", floats
+    if pretty:  # each real fills two fields
+        fixed, sci = fixed + " (~%.3g)", sci + " (~%.3g)"
+        fields = [None] * (2 * len(floats))
+        fields[::2] = fields[1::2] = floats
+    cells = ((fixed + "\n") * len(floats) % tuple(fields)).split("\n")
     cells.pop()  # after the last line end
-    sci = f"%.{precision}e"
-    for i in np.flatnonzero((values != 0.0) & (np.abs(values) < SCI_BELOW)).tolist():
-        cells[i] = sci % floats[i]
+    for i in tiny:
+        cells[i] = sci % ((floats[i], floats[i]) if pretty else floats[i])
     return cells
 
 
-def _decide_table(decision: Decision, p: np.ndarray, tail: list[list[str]], args) -> Iterator[str]:
-    """``decide``'s table as text blocks: the header, the test rows
-    :data:`BLOCK_ROWS` at a time, then the ``tail`` rows: the joint row, then
-    the notes. Ids hold no tab or line break, so they go into rows as they
-    are. The pretty column widths are sized here, before any file is opened,
-    by every row but the notes, which print unpadded; the blocks are
-    formatted as they are taken."""
-    ids, n = decision.ids, len(decision.ids)
-    header = ["row", "id", "p", "threshold", "decision"]
-    spans = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-    verdicts = ("retain", "reject")
+def _cells(column, precision: int, pretty: bool) -> list[str]:
+    """The cells of a float64 array or of a list of values: a real by
+    :func:`_real_cells`, a bool as true or false, a str as it is, anything
+    else as ``str()`` gives it."""
+    if not isinstance(column, list):
+        return _real_cells(column, precision, pretty)
+    cells = [v if type(v) is str else ("true" if v else "false") if isinstance(v, bool) else str(v) for v in column]
+    at = [i for i, v in enumerate(column) if isinstance(v, float)]
+    for i, cell in zip(at, _real_cells([column[i] for i in at], precision, pretty)):
+        cells[i] = cell
+    return cells
+
+
+def _rows(*rows: list) -> list[list]:
+    """The block that holds ``rows``."""
+    return [list(column) for column in zip(*rows)]
+
+
+def _table(header: list[str], blocks: Callable[[], Iterable[list]], args, notes: list | None = None) -> Iterator[str]:
+    """A table as text blocks: the header, the rows of each block that
+    ``blocks()`` yields, then the rows of the ``notes`` block.
+
+    A block is a list of columns, one per header cell: a str is one cell
+    repeated down the block, a tuple holds str cells that print as they
+    are, and a float64 array or a list of values goes through
+    :func:`_cells`. No cell holds a tab or a line break. Pretty column
+    widths are sized here, before any file is opened, by a first call of
+    ``blocks()``; the notes do not size them, so a long note runs past its
+    column. The rows are formatted as the blocks are taken."""
     pretty = args.format == "pretty"
 
-    def columns(lo: int, hi: int) -> list[list[str]]:  # id to decision cells of test rows lo..hi-1
-        reals = [p[lo:hi], decision.thresholds[lo:hi]]
-        cells = [_real_cells(values, args.precision) for values in reals]
-        if pretty:  # add a short rounding next to each full-precision real
-            cells = [list(map("{} (~{:.3g})".format, c, v.tolist())) for c, v in zip(cells, reals)]
-        return [ids[lo:hi], *cells, list(map(verdicts.__getitem__, decision.rejected[lo:hi].tolist()))]
+    def cells(block: list) -> tuple[int, list]:
+        rows = len(next(column for column in block if not isinstance(column, str)))
+        return rows, [c if isinstance(c, (str, tuple)) else _cells(c, args.precision, pretty) for c in block]
 
-    if pretty:  # a first pass sizes the columns
-        widths = [max(map(len, column)) for column in zip(header, ["test", "", "", "", ""], tail[0])]
-        for lo, hi in spans:
-            widths[1:] = map(max, widths[1:], (max(map(len, column)) for column in columns(lo, hi)))
-        head = _pretty_lines([header, ["-" * w for w in widths]], widths)
-        template = "test".ljust(widths[0]) + "".join(f"  %-{w}s" for w in widths[1:4]) + "  %s\n"
-        foot = _pretty_lines(tail, widths)
-    else:
-        head = "\t".join(header) + "\n"
-        template = "test\t%s\t%s\t%s\t%s\n"
-        foot = "".join("\t".join(row) + "\n" for row in tail)
+    fields, sep = ["%s"] * len(header), "\t"
+    if pretty:
+        widths = list(map(len, header))
+        for rows, columns in map(cells, blocks()):
+            if rows:
+                widths = [max(w, len(c) if isinstance(c, str) else max(map(len, c))) for w, c in zip(widths, columns)]
+        fields, sep = [f"%-{w}s" for w in widths], "  "
 
-    def blocks() -> Iterator[str]:
+    def text(rows: int, columns: list) -> str:
+        varying = [c for c in columns if not isinstance(c, str)]
+        line = sep.join((f % c).replace("%", "%%") if isinstance(c, str) else f for c, f in zip(columns, fields))
+        values = [None] * (rows * len(varying))
+        for j, column in enumerate(varying):
+            values[j :: len(varying)] = column
+        out = (line + "\n") * rows % tuple(values)
+        return "\n".join(map(str.rstrip, out.split("\n"))) if pretty else out
+
+    head = text(1, header) + (text(1, ["-" * w for w in widths]) if pretty else "")
+
+    def write() -> Iterator[str]:
         yield head
-        for lo, hi in spans:
-            cells: list = [None] * (4 * (hi - lo))
-            cells[0::4], cells[1::4], cells[2::4], cells[3::4] = columns(lo, hi)
-            yield template * (hi - lo) % tuple(cells)
-        yield foot
+        for block in blocks():
+            yield text(*cells(block))
+        if notes is not None:
+            yield text(*cells(notes))
 
-    return blocks()
-
-
-def _render_pairs(pairs: list[tuple[str, object]], args) -> str:
-    return _render_table(["metric", "value"], [[name, value] for name, value in pairs], args)
+    return write()
 
 
-def _cmd_rates(args) -> str:
-    return _render_pairs(
-        [
-            ("fwer", fwer_independent(args.alpha, args.k)),
-            ("per_family_rate", per_family_rate(args.alpha, args.k)),
-        ],
-        args,
+def _cmd_rates(args) -> Iterator[str]:
+    block = _rows(
+        ["fwer", fwer_independent(args.alpha, args.k)],
+        ["per_family_rate", per_family_rate(args.alpha, args.k)],
     )
+    return _table(["metric", "value"], lambda: [block], args)
 
 
-def _cmd_adjust(args) -> str:
+def _cmd_adjust(args) -> Iterator[str]:
     adjust = bonferroni_adjust if args.method == "bonferroni" else sidak_adjust
-    return _render_pairs([("alpha_per_test", adjust(args.alpha, args.k))], args)
+    block = _rows(["alpha_per_test", adjust(args.alpha, args.k)])
+    return _table(["metric", "value"], lambda: [block], args)
 
 
-def _cmd_table1(args) -> str:
+def _cmd_table1(args) -> Iterator[str]:
     report = error_rate_report(args.t, args.h, args.alpha)
-    return _render_pairs(
-        [
-            ("tests", report.t),
-            ("primary_hypotheses", report.h),
-            ("tests_per_hypothesis", report.k),
-            ("alpha_per_test", report.alpha_per_test),
-            ("per_family_rate", report.per_family_rate),
-            ("fwer", report.fwer),
-        ],
-        args,
+    block = _rows(
+        ["tests", report.t],
+        ["primary_hypotheses", report.h],
+        ["tests_per_hypothesis", report.k],
+        ["alpha_per_test", report.alpha_per_test],
+        ["per_family_rate", report.per_family_rate],
+        ["fwer", report.fwer],
     )
+    return _table(["metric", "value"], lambda: [block], args)
 
 
-def _cmd_power(args) -> str:
+def _cmd_power(args) -> Iterator[str]:
     power = power_one_sided_z(args.alpha, args.delta, args.n)
-    pairs: list[tuple[str, object]] = [("power_per_test", power)]
+    rows = [["power_per_test", power]]
     if args.conjunction and args.k is None:
         raise DomainError("--conjunction requires --k")
     if args.k is not None:
-        pairs += [
-            ("conjunction_power", conjunction_power(power, args.k)),
-            ("conjunction_type2", conjunction_type2(1.0 - power, args.k)),
+        rows += [
+            ["conjunction_power", conjunction_power(power, args.k)],
+            ["conjunction_type2", conjunction_type2(1.0 - power, args.k)],
         ]
-    return _render_pairs(pairs, args)
+    block = _rows(*rows)
+    return _table(["metric", "value"], lambda: [block], args)
 
 
 def _cmd_decide(args) -> Iterator[str]:
@@ -239,21 +216,29 @@ def _cmd_decide(args) -> Iterator[str]:
             notes_extra.append("method-defaulted=bonferroni")
         decision = decide_disjunction(battery, args.alpha, AdjustmentMethod(method_name))
 
-    tail = [["joint", "", "", "", decision.joint.value]]
-    tail += [["note", note, "", "", ""] for note in (*decision.notes, *notes_extra)]
-    return _decide_table(decision, battery.p, tail, args)
+    ids, p, thresholds, rejected = decision.ids, battery.p, decision.thresholds, decision.rejected
+    verdicts = ("retain", "reject")
+
+    def blocks() -> Iterator[list]:
+        for lo in range(0, len(ids), BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            judged = tuple(map(verdicts.__getitem__, rejected[lo:hi].tolist()))
+            yield ["test", ids[lo:hi], p[lo:hi], thresholds[lo:hi], judged]
+        yield ["joint", "", "", "", (decision.joint.value,)]
+
+    notes = ["note", (*decision.notes, *notes_extra), "", "", ""]
+    return _table(["row", "id", "p", "threshold", "decision"], blocks, args, notes)
 
 
-def _cmd_classify(args) -> str:
+def _cmd_classify(args) -> Iterator[str]:
     answers = load_classification_file(args.input)
     rec = classify_testing_mode(answers)
-    rows: list[list] = [
+    block = _rows(
         ["mode", rec.mode.value if rec.mode is not None else "not_applicable", ""],
         ["adjust_alpha", rec.adjust_alpha, ""],
-    ]
-    for entry in rec.rationale:
-        rows.append(["rationale", entry.code, entry.text])
-    return _render_table(["field", "value", "detail"], rows, args)
+        *(["rationale", entry.code, entry.text] for entry in rec.rationale),
+    )
+    return _table(["field", "value", "detail"], lambda: [block], args)
 
 
 def _resolve_seed(args, scenario_seed: int) -> int:
@@ -268,15 +253,16 @@ def _resolve_seed(args, scenario_seed: int) -> int:
     return scenario_seed
 
 
-def _cmd_simulate(args) -> str:
-    from .simulate import simulate  # numpy and scipy load only for this subcommand
+def _cmd_simulate(args) -> Iterator[str]:
+    import numpy as np  # numpy and scipy load only for this subcommand
+
+    from .simulate import simulate
 
     doc = load_scenario_file(args.scenario)
     if doc.scenario is None:
         raise FileFormatError(f"{args.scenario}: document has no simulation section")
     scenario = doc.scenario
-    reps = args.reps if args.reps is not None else scenario.reps
-    integer(reps, "reps", 1, MAX_REPS)
+    reps = integer(args.reps if args.reps is not None else scenario.reps, "reps", 1, MAX_REPS)
     scenario = dataclasses.replace(scenario, reps=reps, seed=_resolve_seed(args, scenario.seed))
     threads = args.threads if args.threads is not None else min(os.cpu_count() or 1, MAX_THREADS)
     est = simulate(scenario, threads=threads)
@@ -285,11 +271,7 @@ def _cmd_simulate(args) -> str:
         f"({scenario.design.kind}) in {est.elapsed:.2f}s",
         file=sys.stderr,
     )
-    return _render_estimates(est, args)
-
-
-def _render_estimates(est: Estimates, args) -> str:
-    rows: list[list] = [
+    head = _rows(
         ["reps", est.reps, "", ""],
         ["seed", est.seed_echo, "", ""],
         ["fwer", est.fwer_hat, est.fwer_ci[0], est.fwer_ci[1]],
@@ -298,10 +280,16 @@ def _render_estimates(est: Estimates, args) -> str:
         ["joint_reject_individual", est.joint_reject_rate[TestingMode.INDIVIDUAL], "", ""],
         ["joint_reject_disjunction", est.joint_reject_rate[TestingMode.DISJUNCTION], "", ""],
         ["joint_reject_conjunction", est.joint_reject_rate[TestingMode.CONJUNCTION], "", ""],
-    ]
-    for i, rate in enumerate(est.per_test_rejection, start=1):
-        rows.append([f"per_test_rejection_{i}", rate, "", ""])
-    return _render_table(["metric", "value", "ci95_low", "ci95_high"], rows, args)
+    )
+    rates = np.array(est.per_test_rejection)
+
+    def blocks() -> Iterator[list]:
+        yield head
+        for lo in range(0, len(rates), BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, len(rates))
+            yield [tuple(map("per_test_rejection_{}".format, range(lo + 1, hi + 1))), rates[lo:hi], "", ""]
+
+    return _table(["metric", "value", "ci95_low", "ci95_high"], blocks, args)
 
 
 def _build_parser() -> _Parser:
@@ -372,7 +360,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        output = args.func(args)
+        blocks = args.func(args)
     except ValueError as exc:  # every validation error of the package is one
         print(f"alphagate: error: {exc}", file=sys.stderr)
         return 2
@@ -382,7 +370,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"alphagate: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    blocks = [output] if isinstance(output, str) else output  # decide renders as it writes
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -392,7 +379,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"alphagate: error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive: decide renders while it writes
+    except Exception as exc:  # pragma: no cover - defensive: every command renders while it writes
         print(f"alphagate: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

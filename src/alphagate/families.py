@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import DomainError, InvalidBattery, InvalidScenario
-from .validators import K_MAX, N_MAX, integer, real
+from .validators import K_MAX, N_MAX, integer, is_bool, real
 
 
 class TestingMode(Enum):
@@ -354,20 +354,22 @@ class Scenario:
     seed: int
 
     def __post_init__(self) -> None:
-        integer(self.k, "k", 1, K_MAX, error=InvalidScenario)
-        nulls = tuple(map(bool, _column(self.null_pattern, "null_pattern", self.k)))
+        object.__setattr__(self, "k", integer(self.k, "k", 1, K_MAX, error=InvalidScenario))
+        nulls = _column(self.null_pattern, "null_pattern", self.k)
         deltas = list(_column(self.deltas, "deltas", self.k))
-        integer(self.n, "n", 2, N_MAX, error=InvalidScenario)
+        object.__setattr__(self, "n", integer(self.n, "n", 2, N_MAX, error=InvalidScenario))
         scale = math.sqrt(self.n / 2.0)
         # one pass over the columns; a finite float delta needs no conversion
         for i, (is_null, delta) in enumerate(zip(nulls, deltas)):
+            if type(is_null) is not bool and not is_bool(is_null):
+                raise InvalidScenario(f"null_pattern[{i}] must be a bool, got {is_null!r}")
             if type(delta) is not float or not math.isfinite(delta):
                 delta = deltas[i] = real(delta, f"deltas[{i}]", -math.inf, math.inf, error=InvalidScenario)
             if not math.isfinite(delta * scale):
                 raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
             if is_null and delta != 0.0:
                 raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}")
-        object.__setattr__(self, "null_pattern", nulls)
+        object.__setattr__(self, "null_pattern", tuple(map(bool, nulls)))
         object.__setattr__(self, "deltas", tuple(deltas))
         if not isinstance(self.design, Design):
             raise InvalidScenario(f"design must be a Design, got {type(self.design).__name__}")
@@ -379,8 +381,8 @@ class Scenario:
                 f"scenario method must control the FWER ({', '.join(m.value for m in FWER_METHODS)}), "
                 f"got {getattr(self.method, 'value', self.method)!r}"
             )
-        integer(self.reps, "reps", 1, error=InvalidScenario)
-        integer(self.seed, "seed", 0, 2**64 - 1, error=InvalidScenario)
+        object.__setattr__(self, "reps", integer(self.reps, "reps", 1, error=InvalidScenario))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0, 2**64 - 1, error=InvalidScenario))
 
 
 def validate_family(spec: FamilySpec) -> ValidationReport:

@@ -364,7 +364,7 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     """
     if not isinstance(scenario, Scenario):
         raise InvalidScenario(f"expected a Scenario, got {type(scenario).__name__}")
-    integer(threads, "threads", 1, MAX_THREADS)
+    threads = integer(threads, "threads", 1, MAX_THREADS)
 
     start_time = time.perf_counter()
     k, reps = scenario.k, scenario.reps

@@ -3,12 +3,16 @@
 Every check of a numeric argument in the package goes through
 :func:`integer` or :func:`real`, so a bad one always raises the caller's
 ``error``, a ``ValueError`` subclass, with one message format per kind of
-check. A bool is neither an integer nor a real here, and a value that
-``float()`` cannot take (``None``, a list, ``10**400``) fails the real check
-like any value out of range.
+check. A numpy integer is an integer here, and the check returns it as a
+Python int. A bool, Python or numpy, is neither an integer nor a real, and a
+value that ``float()`` cannot take (``None``, a list, ``10**400``) fails the
+real check like any value out of range.
 """
 
 from __future__ import annotations
+
+import operator
+import sys
 
 from .errors import DomainError
 
@@ -23,12 +27,24 @@ def _show(bound: int) -> str:
     return f"2**{bound.bit_length() - 1}" if bound > 2**32 and bound & (bound - 1) == 0 else str(bound)
 
 
+def is_bool(value) -> bool:
+    """Whether ``value`` is a Python or a numpy bool. numpy is looked up, not
+    imported: no value is a numpy bool before numpy has loaded."""
+    numpy = sys.modules.get("numpy")
+    return isinstance(value, bool) or (numpy is not None and isinstance(value, numpy.bool_))
+
+
 def integer(value, name: str, lo: int, hi: int | None = None, *, error: type[ValueError] = DomainError) -> int:
-    """``value`` if it is an int (not a bool) in [lo, hi], or >= lo when hi is None."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+    """``value`` as an int if it is an integer in [lo, hi], or >= lo when hi is
+    None: an int or a numpy integer, by ``operator.index``, but not a bool."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < lo or (hi is not None and number > hi):
         span = f">= {_show(lo)}" if hi is None else f"in [{_show(lo)}, {_show(hi)}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")
-    return value
+    return number
 
 
 def real(
@@ -38,7 +54,7 @@ def real(
     brackets, "(" or "[" then ")" or "]", so an open end excludes its bound;
     nan lies in no interval, and a bool is not a real."""
     try:
-        if isinstance(value, bool):  # fails like a value float() cannot take
+        if is_bool(value):  # fails like a value float() cannot take
             raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):

@@ -7,11 +7,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from alphagate import cli
+from alphagate import cli, simulate
 from alphagate.cli import main
 from alphagate.decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual, steps
-from alphagate.families import AdjustmentMethod
-from alphagate.fileio import parse_battery_text
+from alphagate.families import AdjustmentMethod, TestingMode, classify_testing_mode
+from alphagate.fileio import load_classification_file, load_scenario_file, parse_battery_text
+from alphagate.rates import (
+    bonferroni_adjust,
+    conjunction_power,
+    conjunction_type2,
+    error_rate_report,
+    fwer_independent,
+    per_family_rate,
+    power_one_sided_z,
+    sidak_adjust,
+)
 
 
 @pytest.fixture
@@ -192,17 +202,21 @@ class TestDecideCommand:
         assert f"{battery}:102: duplicate hypothesis id 't7'" in err
         assert target.read_bytes() == b"earlier results\n"
 
-    def test_pretty_sizing_failure_leaves_out_file_untouched(self, run, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", [
+        ["decide", "--battery", "{battery}", "--mode", "bh", "--alpha", "0.05"],
+        ["rates", "--alpha", "0.05", "--k", "20"],
+    ], ids=lambda command: command[0])
+    def test_pretty_sizing_failure_leaves_out_file_untouched(self, run, tmp_path, monkeypatch, command):
         battery = tmp_path / "b.csv"
         battery.write_text("id,p\na,0.01\nb,0.5\n", encoding="utf-8")
         target = tmp_path / "out.txt"
         target.write_bytes(b"earlier results\n")
 
-        def fail(values, precision):
+        def fail(*_):
             raise MemoryError("no room")
 
         monkeypatch.setattr(cli, "_real_cells", fail)
-        argv = ["decide", "--battery", str(battery), "--mode", "bh", "--alpha", "0.05", "--format", "pretty"]
+        argv = [arg.format(battery=battery) for arg in command] + ["--format", "pretty"]
         code, out, err = run([*argv, "--out", str(target)])
         assert code == 3
         assert out == ""
@@ -216,24 +230,37 @@ def reference_cell(value, precision):
     return format(value, f".{precision}e" if value != 0.0 and abs(value) < 1e-4 else f".{precision}f")
 
 
+def reference_table(header, rows, precision, fmt, notes=()):
+    """A table rendered cell by cell in plain Python: the header, ``rows``,
+    then the ``notes`` rows, which do not size the pretty columns."""
+
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            text = reference_cell(value, precision)
+            return f"{text} (~{value:.3g})" if fmt == "pretty" else text
+        return str(value)
+
+    cells = [[cell(v) for v in row] for row in [*rows, *notes]]
+    if fmt == "tsv":
+        return "".join("\t".join(row) + "\n" for row in [header, *cells])
+    widths = [max(map(len, column)) for column in zip(header, *cells[: len(rows)])]
+    lines = [header, ["-" * w for w in widths], *cells]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n" for line in lines)
+
+
 def reference_decide(battery, decision, notes, precision, fmt):
-    """decide's table rendered cell by cell in plain Python."""
-    header = ["row", "id", "p", "threshold", "decision"]
+    """decide's table by :func:`reference_table`."""
     rows = [
         ["test", hid, p, t, decision.per_hypothesis[hid].value]
         for (hid, p), t in zip(battery.entries, decision.thresholds_used.values())
     ]
     rows.append(["joint", "", "", "", decision.joint.value])
-    rows += [["note", note, "", "", ""] for note in (*decision.notes, *notes)]
-    cells = [[reference_cell(v, precision) if isinstance(v, float) else v for v in row] for row in rows]
-    if fmt == "tsv":
-        return "".join("\t".join(row) + "\n" for row in [header, *cells])
-    cells = [
-        [f"{c} (~{v:.3g})" if isinstance(v, float) else c for c, v in zip(crow, row)] for crow, row in zip(cells, rows)
-    ]
-    widths = [max(map(len, column)) for column in zip(header, *(c for c, row in zip(cells, rows) if row[0] != "note"))]
-    lines = [header, ["-" * w for w in widths], *cells]
-    return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n" for line in lines)
+    notes = [["note", note, "", "", ""] for note in (*decision.notes, *notes)]
+    return reference_table(["row", "id", "p", "threshold", "decision"], rows, precision, fmt, notes)
 
 
 #: (decide arguments, decision rule, notes the CLI adds)
@@ -256,10 +283,14 @@ K20000_THRESHOLDS = np.unique(np.concatenate([steps(m, 0.05, 20_000) for m in Ad
 
 
 class TestDecideRender:
+    @pytest.mark.parametrize("pretty", [False, True])
     @pytest.mark.parametrize("precision", range(cli.MAX_PRECISION + 1))
-    def test_real_cells_follow_the_per_cell_rule(self, precision):
+    def test_real_cells_follow_the_per_cell_rule(self, precision, pretty):
         values = np.concatenate([EDGE_VALUES, K20000_THRESHOLDS])
-        assert cli._real_cells(values, precision) == [reference_cell(v, precision) for v in values.tolist()]
+        cell = "{} (~{:.3g})" if pretty else "{}"
+        expected = [cell.format(reference_cell(v, precision), v) for v in values.tolist()]
+        assert cli._real_cells(values, precision, pretty) == expected
+        assert cli._real_cells(values.tolist(), precision, pretty) == expected
 
     @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
     @pytest.mark.parametrize("precision", range(cli.MAX_PRECISION + 1))
@@ -307,6 +338,74 @@ class TestDecideRender:
             assert lines[-1] == "note   triggered-by=" + ",".join(f"h{i:03d}" for i in range(rejected))
             lengths.append({len(line) for line in lines if line.startswith("test")})
         assert lengths[0] == lengths[1] and len(lengths[0]) == 1
+
+
+def reference_rows(argv):
+    """The rows of a non-decide subcommand's table, from the library."""
+    command, options = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    alpha = float(options.get("--alpha", "nan"))
+    if command == "rates":
+        k = int(options["--k"])
+        return [["fwer", fwer_independent(alpha, k)], ["per_family_rate", per_family_rate(alpha, k)]]
+    if command == "adjust":
+        adjust = bonferroni_adjust if options["--method"] == "bonferroni" else sidak_adjust
+        return [["alpha_per_test", adjust(alpha, int(options["--k"]))]]
+    if command == "table1":
+        r = error_rate_report(int(options["--t"]), int(options["--h"]), alpha)
+        return [["tests", r.t], ["primary_hypotheses", r.h], ["tests_per_hypothesis", r.k],
+                ["alpha_per_test", r.alpha_per_test], ["per_family_rate", r.per_family_rate], ["fwer", r.fwer]]
+    if command == "power":
+        power = power_one_sided_z(alpha, float(options["--delta"]), int(options["--n"]))
+        k = int(options["--k"])
+        return [["power_per_test", power], ["conjunction_power", conjunction_power(power, k)],
+                ["conjunction_type2", conjunction_type2(1.0 - power, k)]]
+    if command == "classify":
+        rec = classify_testing_mode(load_classification_file(options["--input"]))
+        return [["mode", rec.mode.value if rec.mode is not None else "not_applicable", ""],
+                ["adjust_alpha", rec.adjust_alpha, ""], *(["rationale", e.code, e.text] for e in rec.rationale)]
+    est = simulate(load_scenario_file(options["--scenario"]).scenario, threads=1)
+    return [
+        ["reps", est.reps, "", ""],
+        ["seed", est.seed_echo, "", ""],
+        ["fwer", est.fwer_hat, *est.fwer_ci],
+        ["mean_false_positives", est.mean_false_positives, "", ""],
+        ["fdr", est.fdr_hat, "", ""],
+        *([f"joint_reject_{mode.value}", est.joint_reject_rate[mode], "", ""] for mode in TestingMode),
+        *([f"per_test_rejection_{i}", rate, "", ""] for i, rate in enumerate(est.per_test_rejection, start=1)),
+    ]
+
+
+class TestEveryCommandRender:
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    @pytest.mark.parametrize("precision", [0, 6, 17])
+    def test_tables_equal_the_reference(self, run, tmp_path, monkeypatch, precision, fmt):
+        # 7-row blocks: simulate's 20 per-test rows span three
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+        monkeypatch.delenv("ALPHAGATE_SEED", raising=False)
+        answers = tmp_path / "answers.json"
+        answers.write_text(json.dumps({"statistical_claim": True, "joint_inference": True,
+                                       "all_constituents_required": True, "exchangeable": False,
+                                       "family_theoretically_relevant": True}), encoding="utf-8")
+        nulls = [i % 3 != 0 for i in range(20)]
+        scenario = write_scenario(tmp_path, k=20, reps=3_000, null_pattern=nulls,
+                                  deltas=[0.0 if null else 0.6 for null in nulls])
+        commands = [
+            ["rates", "--alpha", "0.05", "--k", "20"],
+            ["rates", "--alpha", "1e-06", "--k", "3"],
+            ["adjust", "--alpha", "0.05", "--k", "2", "--method", "sidak"],
+            ["adjust", "--alpha", "0.05", "--k", "167355", "--method", "bonferroni"],
+            ["table1", "--t", "20", "--h", "4", "--alpha", "0.05"],
+            ["power", "--alpha", "0.05", "--delta", "0.4396", "--n", "64", "--k", "2", "--conjunction"],
+            ["power", "--alpha", "1e-09", "--delta", "0.1", "--n", "2", "--k", "3"],
+            ["classify", "--input", str(answers)],
+            ["simulate", "--scenario", scenario, "--threads", "1"],
+        ]
+        header = {"classify": ["field", "value", "detail"], "simulate": ["metric", "value", "ci95_low", "ci95_high"]}
+        for argv in commands:
+            code, out, _ = run([*argv, "--precision", str(precision), "--format", fmt])
+            assert code == 0
+            expected = reference_table(header.get(argv[0], ["metric", "value"]), reference_rows(argv), precision, fmt)
+            assert out == expected, argv
 
 
 class TestDecideMemory:

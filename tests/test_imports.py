@@ -57,12 +57,14 @@ COMMANDS = [
     (["classify", "--input", "{scenario}"], []),
     (["decide", "--battery", "{battery}", "--mode", "disjunction", "--alpha", "0.05", "--method", "holm"], ["numpy"]),
     (["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64"], ["numpy", "scipy"]),
+    (["simulate", "--scenario", "{scenario}", "--threads", "1"], ["numpy", "scipy"]),
 ]
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "pretty"])
 @pytest.mark.parametrize("argv, heavy", [pytest.param(*case, id=case[0][0]) for case in COMMANDS])
-def test_subcommands_load_only_what_they_call(inputs, argv, heavy):
-    argv = [arg.format(**inputs) for arg in argv] + ["--out", inputs["out"]]
+def test_subcommands_load_only_what_they_call(inputs, argv, heavy, fmt):
+    argv = [arg.format(**inputs) for arg in argv] + ["--format", fmt, "--out", inputs["out"]]
     assert loaded_by(argv) == heavy
 
 

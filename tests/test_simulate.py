@@ -275,9 +275,28 @@ class TestScenarioValidation:
         assert str(err.value) == f"{name} must be a sequence of length k=2, got {type(value).__name__}"
 
     def test_deltas_are_kept_as_floats(self):
-        s = Scenario(**{**self.BASE, "null_pattern": [1, 0], "deltas": [0, np.float64(0.5)]})
-        assert s.null_pattern == (True, False)
+        s = Scenario(**{**self.BASE, "null_pattern": [True, np.False_], "deltas": [0, np.float64(0.5)]})
+        assert s.null_pattern == (True, False) and all(type(b) is bool for b in s.null_pattern)
         assert s.deltas == (0.0, 0.5) and all(type(d) is float for d in s.deltas)
+
+    @pytest.mark.parametrize("entry", ["False", "True", "", 0, 1, 0.5, None, np.int64(1)], ids=repr)
+    def test_null_pattern_entries_must_be_bools(self, entry):
+        with pytest.raises(InvalidScenario) as err:
+            Scenario(**{**self.BASE, "null_pattern": (True, entry)})
+        assert str(err.value) == f"null_pattern[1] must be a bool, got {entry!r}"
+
+    def test_null_pattern_strings_are_not_true_nulls(self):
+        with pytest.raises(InvalidScenario, match=r"^null_pattern\[0\] must be a bool, got 'False'$"):
+            Scenario(**{**self.BASE, "null_pattern": ("False", "False"), "deltas": (0.0, 0.0)})
+
+    def test_null_pattern_may_be_a_numpy_bool_array(self):
+        s = Scenario(**{**self.BASE, "null_pattern": np.array([True, False])})
+        assert s.null_pattern == (True, False) and all(type(b) is bool for b in s.null_pattern)
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        s = Scenario(**{**self.BASE, "k": np.int64(2), "n": np.uint64(8), "reps": np.int32(10), "seed": np.uint64(2**63)})
+        assert (s.k, s.n, s.reps, s.seed) == (2, 8, 10, 2**63)
+        assert all(type(v) is int for v in (s.k, s.n, s.reps, s.seed))
 
 
 class TestSimulateDeterminism:

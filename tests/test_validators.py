@@ -7,6 +7,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +29,10 @@ from alphagate.rates import (
 from alphagate.rng import derive_rep_seed
 from alphagate.simulate import simulate, wilson_ci
 
-#: values no argument takes: None, a str, a bool, a list, nan, +-inf, an int
-#: too large for a double, and a float where an int belongs
-JUNK = [None, "0.5", "", True, False, [0.5], {}, math.nan, math.inf, -math.inf, 10**400, 2.0, 0.5, -1, 0, 1j]
+#: values no argument takes: None, a str, a bool (Python or numpy), a list,
+#: nan, +-inf, an int too large for a double, and a float where an int belongs
+JUNK = [None, "0.5", "", True, False, np.True_, np.False_, [0.5], {}, math.nan, math.inf, -math.inf, 10**400, 2.0,
+        0.5, -1, 0, 1j]
 junk = st.sampled_from(JUNK) | st.text(max_size=4) | st.floats() | st.integers(-(2**70), 2**70)
 
 
@@ -40,7 +42,19 @@ class TestInteger:
         assert validators.integer(3, "n", 2, 3) == 3
         assert validators.integer(10**400, "reps", 1) == 10**400
 
-    @pytest.mark.parametrize("value", [1, 4, True, 2.0, "2", None])
+    @pytest.mark.parametrize("value", [np.int64(2), np.uint64(3), np.int8(2)], ids=repr)
+    def test_accepts_numpy_integers_as_ints(self, value):
+        out = validators.integer(value, "n", 2, 3)
+        assert out == value and type(out) is int
+
+    def test_public_checks_take_numpy_integers(self):
+        assert fwer_independent(0.05, np.int64(3)) == fwer_independent(0.05, 3)
+        assert error_rate_report(np.uint64(4), np.int64(2), 0.05) == error_rate_report(4, 2, 0.05)
+        assert derive_rep_seed(1, np.int64(3)) == derive_rep_seed(1, 3)
+        assert derive_rep_seed(1, np.uint64(2**63)) == derive_rep_seed(1, 2**63)
+        assert simulate(_scenario(), threads=np.int64(2)) == simulate(_scenario(), threads=1)
+
+    @pytest.mark.parametrize("value", [1, 4, True, 2.0, "2", None, np.True_, np.int64(4), np.float64(2.0)], ids=repr)
     def test_message(self, value):
         with pytest.raises(InvalidScenario) as err:
             validators.integer(value, "n", 2, 3, error=InvalidScenario)
@@ -72,7 +86,7 @@ class TestReal:
                 with pytest.raises(DomainError, match=rf"^rho must be a real in \{ends[0]}0, 1\{ends[1]}, got {x}$"):
                     validators.real(x, "rho", 0, 1, ends)
 
-    @pytest.mark.parametrize("value", [None, "oops", [0.5], 10**400, 1j, True, False])
+    @pytest.mark.parametrize("value", [None, "oops", [0.5], 10**400, 1j, True, False, np.True_, np.False_], ids=repr)
     def test_failed_conversion_raises_the_error(self, value):
         with pytest.raises(InvalidScenario) as err:
             validators.real(value, "rho", 0, 1, "[)", error=InvalidScenario)
@@ -181,7 +195,7 @@ def _paths(node, prefix=()):
 
 PATHS = list(_paths(DOCUMENT))
 json_junk = (
-    junk.filter(lambda v: not isinstance(v, complex))
+    junk.filter(lambda v: not isinstance(v, (complex, np.bool_)))  # JSON holds neither
     | st.lists(st.integers(0, 3), max_size=3)
     | st.dictionaries(st.sampled_from(["kind", "rho", "x"]), st.sampled_from(["equicorrelated", 0.5, None]), max_size=2)
 )
