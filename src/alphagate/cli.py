@@ -15,13 +15,12 @@ digits except nonzero magnitudes below 1e-4, which print in scientific
 notation so tiny thresholds stay legible.
 
 numpy and scipy load only where a subcommand calls them: ``decide`` loads
-numpy, ``power`` scipy, ``simulate`` both; the others load neither.
+numpy, ``simulate`` both; the others, ``power`` included, load neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -263,7 +262,7 @@ def _cmd_simulate(args) -> Iterator[str]:
         raise FileFormatError(f"{args.scenario}: document has no simulation section")
     scenario = doc.scenario
     reps = integer(args.reps if args.reps is not None else scenario.reps, "reps", 1, MAX_REPS)
-    scenario = dataclasses.replace(scenario, reps=reps, seed=_resolve_seed(args, scenario.seed))
+    scenario = scenario.with_run(reps, _resolve_seed(args, scenario.seed))
     threads = args.threads if args.threads is not None else min(os.cpu_count() or 1, MAX_THREADS)
     est = simulate(scenario, threads=threads)
     print(

@@ -16,6 +16,7 @@ import csv
 import json
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -59,11 +60,16 @@ class ScenarioDoc:
 
 
 class _Locator:
-    """Best-effort line anchoring: first line mentioning a quoted key."""
+    """Best-effort line anchoring: first line mentioning a quoted key. The
+    text is split into lines only when a message needs one."""
 
     def __init__(self, text: str, source: str):
-        self.lines = text.splitlines()
+        self.text = text
         self.source = source
+
+    @cached_property
+    def lines(self) -> list[str]:
+        return self.text.splitlines()
 
     def line_of(self, key: str, after: int = 0) -> int | None:
         needle = f'"{key}"'
@@ -79,14 +85,13 @@ class _Locator:
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], section: str, loc: _Locator) -> None:
-    section_line = (loc.line_of(section) or 1) - 1 if section else 0
     for key in obj:
         if key not in allowed:
             raise loc.fail(
                 f"unknown key {key!r} in {section or 'document'} "
                 f"(allowed: {', '.join(sorted(allowed))})",
                 key,
-                section_line,
+                (loc.line_of(section) or 1) - 1 if section else 0,
             )
     for key in required:
         if key not in obj:
@@ -128,7 +133,7 @@ def _parse_family(obj, loc: _Locator) -> FamilySpec:
         raise loc.fail("family must be a JSON object", "family")
     _require_keys(obj, _FAMILY_KEYS, _FAMILY_KEYS, "family", loc)
     constituents = obj["constituents"]
-    if not isinstance(constituents, list) or not all(isinstance(c, str) for c in constituents):
+    if not isinstance(constituents, list) or not set(map(type, constituents)) <= {str}:
         raise loc.fail("family.constituents must be a list of strings", "constituents")
     mode = _parse_enum(TestingMode, obj["mode"], "mode", "family", loc)
     exchangeable = _as_bool(obj, "exchangeable", "family", loc)
@@ -209,12 +214,11 @@ def _parse_simulation(obj, family: FamilySpec, alpha: AlphaConfig, loc: _Locator
             f"simulation.k ({k}) must match the family's constituent count ({family.k})", "k"
         )
     null_pattern = obj.get("null_pattern", [True] * k)
-    if not isinstance(null_pattern, list) or not all(isinstance(b, bool) for b in null_pattern):
+    # JSON makes only the exact types bool, int, float, str, list, dict and None
+    if not isinstance(null_pattern, list) or not set(map(type, null_pattern)) <= {bool}:
         raise loc.fail("simulation.null_pattern must be a list of booleans", "null_pattern")
     deltas = obj.get("deltas", [0.0] * k)
-    if not isinstance(deltas, list) or not all(
-        isinstance(d, (int, float)) and not isinstance(d, bool) for d in deltas
-    ):
+    if not isinstance(deltas, list) or not set(map(type, deltas)) <= {int, float}:
         raise loc.fail("simulation.deltas must be a list of numbers", "deltas")
     design = _parse_design(obj["design"], loc) if "design" in obj else Design.independent()
     sides = (

@@ -18,6 +18,10 @@ tests has Type II rate ``beta``, the joint Type II rate is
 Powers of (1 - x) are evaluated as ``expm1(k * log1p(-x))`` so tiny alphas
 (down to genome-scale thresholds such as 5e-8) keep full precision; k is
 capped at K_MAX to keep that evaluation numerically benign.
+
+The power model's normal CDF and quantile come from :mod:`alphagate.normal`,
+which returns scipy's bits without scipy, so nothing here loads scipy or
+numpy.
 """
 
 from __future__ import annotations
@@ -88,11 +92,11 @@ def power_one_sided_z(alpha: float, delta: float, n: int) -> float:
     alpha = real(alpha, "alpha", 0, 1)
     delta = real(delta, "delta", 0, math.inf, "[)")
     n = integer(n, "n", 2, N_MAX)
-    from scipy.special import ndtr, ndtri  # the rest of this module needs no scipy
+    from .normal import ndtr, ndtri  # imported here so that the other commands never load it
 
     # z_{1-alpha} is exactly -ndtri(alpha); ndtri(1 - alpha) would lose a
     # tiny alpha to the rounding of 1 - alpha
-    return float(ndtr(delta * math.sqrt(n / 2.0) + ndtri(alpha)))
+    return ndtr(delta * math.sqrt(n / 2.0) + ndtri(alpha))
 
 
 @dataclass(frozen=True)

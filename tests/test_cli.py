@@ -10,7 +10,7 @@ import pytest
 from alphagate import cli, simulate
 from alphagate.cli import main
 from alphagate.decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual, steps
-from alphagate.families import AdjustmentMethod, TestingMode, classify_testing_mode
+from alphagate.families import AdjustmentMethod, Scenario, TestingMode, classify_testing_mode
 from alphagate.fileio import load_classification_file, load_scenario_file, parse_battery_text
 from alphagate.rates import (
     bonferroni_adjust,
@@ -471,6 +471,17 @@ class TestSimulateCommand:
         code, flag_out, _ = run(["simulate", "--scenario", path, "--threads", "1", "--seed", "3"])
         assert code == 0
         assert "seed\t3" in flag_out
+
+    def test_overrides_build_the_scenario_once(self, run, tmp_path, monkeypatch):
+        # --reps and --seed replace two fields; the k-entry columns are not
+        # checked again
+        path = write_scenario(tmp_path, reps=5_000)
+        built = []
+        check = Scenario.__post_init__
+        monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(check(self)))
+        code, out, _ = run(["simulate", "--scenario", path, "--threads", "1", "--reps", "300", "--seed", "3"])
+        assert code == 0 and "reps\t300\t\t\nseed\t3\t\t\n" in out
+        assert len(built) == 1
 
     def test_environment_seed_must_be_integer(self, run, tmp_path, monkeypatch):
         path = write_scenario(tmp_path, reps=5_000)

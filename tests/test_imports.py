@@ -56,7 +56,7 @@ COMMANDS = [
     (["table1", "--t", "20", "--h", "4", "--alpha", "0.05"], []),
     (["classify", "--input", "{scenario}"], []),
     (["decide", "--battery", "{battery}", "--mode", "disjunction", "--alpha", "0.05", "--method", "holm"], ["numpy"]),
-    (["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64"], ["numpy", "scipy"]),
+    (["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64", "--k", "3", "--conjunction"], []),
     (["simulate", "--scenario", "{scenario}", "--threads", "1"], ["numpy", "scipy"]),
 ]
 
@@ -87,3 +87,11 @@ def test_star_import_binds_all_names():
 
 def test_package_import_loads_neither():
     assert fresh(f"import sys, alphagate\nprint([m for m in {HEAVY!r} if m in sys.modules])") == "[]"
+
+
+def test_power_function_loads_neither():
+    assert fresh(
+        "import sys, alphagate\n"
+        "assert 0 < alphagate.power_one_sided_z(0.05, 0.5, 64) < 1\n"
+        f"print([m for m in {HEAVY!r} if m in sys.modules])"
+    ) == "[]"
