@@ -28,7 +28,6 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import compress
 
 from .errors import DomainError, InvalidBattery, InvalidScenario
 from .validators import K_MAX, N_MAX, integer, is_bool, real
@@ -86,9 +85,8 @@ class FamilySpec:
     def __post_init__(self) -> None:
         _check_id(self.joint_id, "joint_id")
         object.__setattr__(self, "constituents", tuple(self.constituents))
-        if not (set(map(type, self.constituents)) <= {str} and all(self.constituents)):
-            for token in self.constituents:
-                _check_id(token, "constituent id")
+        for token in self.constituents:
+            _check_id(token, "constituent id")
         if self.mode is TestingMode.INDIVIDUAL:
             raise DomainError("a family implies a joint hypothesis; mode cannot be 'individual'")
 
@@ -359,22 +357,21 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", integer(self.k, "k", 1, K_MAX, error=InvalidScenario))
         nulls = _column(self.null_pattern, "null_pattern", self.k)
-        deltas = _column(self.deltas, "deltas", self.k)
+        deltas = list(_column(self.deltas, "deltas", self.k))
         object.__setattr__(self, "n", integer(self.n, "n", 2, N_MAX, error=InvalidScenario))
         scale = math.sqrt(self.n / 2.0)
-        # the common case, Python bools and finite floats, is checked by
-        # whole-column builtins; anything else goes through the per-entry walk,
-        # which converts what it accepts and names the first entry at fault
-        if not (
-            set(map(type, nulls)) == {bool}
-            and set(map(type, deltas)) == {float}
-            # a finite sum of |delta| bounds every |delta|: all finite, and so is each delta * scale
-            and math.isfinite(sum(map(abs, deltas)) * scale)
-            and not any(compress(deltas, nulls))
-        ):
-            nulls, deltas = _scenario_columns(nulls, deltas, scale)
-        object.__setattr__(self, "null_pattern", nulls)
-        object.__setattr__(self, "deltas", deltas)
+        # one pass over the columns; a finite float delta needs no conversion
+        for i, (is_null, delta) in enumerate(zip(nulls, deltas)):
+            if type(is_null) is not bool and not is_bool(is_null):
+                raise InvalidScenario(f"null_pattern[{i}] must be a bool, got {is_null!r}")
+            if type(delta) is not float or not math.isfinite(delta):
+                delta = deltas[i] = real(delta, f"deltas[{i}]", -math.inf, math.inf, error=InvalidScenario)
+            if not math.isfinite(delta * scale):
+                raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
+            if is_null and delta != 0.0:
+                raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}")
+        object.__setattr__(self, "null_pattern", tuple(map(bool, nulls)))
+        object.__setattr__(self, "deltas", tuple(deltas))
         if not isinstance(self.design, Design):
             raise InvalidScenario(f"design must be a Design, got {type(self.design).__name__}")
         if not isinstance(self.sides, Sides):
@@ -400,23 +397,6 @@ class Scenario:
         return run
 
 
-def _scenario_columns(nulls: tuple, deltas: tuple, scale: float) -> tuple[tuple[bool, ...], tuple[float, ...]]:
-    """The per-entry checks of a Scenario's columns, in one pass: each null a
-    Python or numpy bool, each delta a real with a finite ``delta * scale``
-    that is 0 where the null is true. Returns them as bools and floats."""
-    deltas = list(deltas)
-    for i, (is_null, delta) in enumerate(zip(nulls, deltas)):
-        if type(is_null) is not bool and not is_bool(is_null):
-            raise InvalidScenario(f"null_pattern[{i}] must be a bool, got {is_null!r}")
-        if type(delta) is not float or not math.isfinite(delta):
-            delta = deltas[i] = real(delta, f"deltas[{i}]", -math.inf, math.inf, error=InvalidScenario)
-        if not math.isfinite(delta * scale):
-            raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
-        if is_null and delta != 0.0:
-            raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}")
-    return tuple(map(bool, nulls)), tuple(deltas)
-
-
 def validate_family(spec: FamilySpec) -> ValidationReport:
     """Check the declared structure of a family.
 
@@ -430,14 +410,13 @@ def validate_family(spec: FamilySpec) -> ValidationReport:
     warnings: list[ValidationIssue] = []
     if spec.k == 0:
         errors.append(ValidationIssue("EmptyFamily", "family declares no constituent hypotheses"))
-    if len(set(spec.constituents)) < spec.k:
-        seen: set[str] = set()
-        for token in spec.constituents:
-            if token in seen:
-                errors.append(
-                    ValidationIssue("DuplicateConstituent", f"constituent {token!r} appears more than once")
-                )
-            seen.add(token)
+    seen: set[str] = set()
+    for token in spec.constituents:
+        if token in seen:
+            errors.append(
+                ValidationIssue("DuplicateConstituent", f"constituent {token!r} appears more than once")
+            )
+        seen.add(token)
     if spec.mode is TestingMode.DISJUNCTION and not spec.exchangeable:
         warnings.append(
             ValidationIssue(

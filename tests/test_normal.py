@@ -82,23 +82,22 @@ def test_ndtri_matches_scipy(y):
     assert same(normal.ndtri(y), sp.ndtri(y))
 
 
-@settings(max_examples=3_000)
-@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@settings(max_examples=5_000)
+@given(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    # most doubles are huge or tiny; this is where ndtr, erf and erfc are
+    # neither 0 nor 1 (nor 2)
+    st.floats(-40.0, 40.0),
+))
 def test_ndtr_and_erfc_match_scipy(x):
     for name in ("ndtr", "erfc", "erf"):
         assert same(getattr(normal, name)(x), getattr(sp, name)(x)), name
 
 
-@settings(max_examples=2_000)
-@given(st.floats(-40.0, 40.0))
-def test_ndtr_and_erfc_match_scipy_where_they_vary(x):
-    # most doubles are huge or tiny; this is the range where both functions
-    # are neither 0 nor 1 (nor 2)
-    for name in ("ndtr", "erfc", "erf"):
-        assert same(getattr(normal, name)(x), getattr(sp, name)(x)), name
-
-
 def test_a_random_sample_matches_scipy():
+    # a one-ulp change to a leading or trailing coefficient of P0, P1 or Q1
+    # (ndtri) or U (erf) alters few outputs; this sample catches each of
+    # those four, which the tests above miss
     rng = np.random.default_rng(20211)
     assert_all_same("ndtri", (10.0 ** rng.uniform(-323, 0, 20_000)).tolist() + rng.random(20_000).tolist())
     for name in ("ndtr", "erfc"):

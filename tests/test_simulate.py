@@ -14,13 +14,11 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from alphagate.decisions import Verdict, decide_conjunction, decide_disjunction, decide_individual
 from alphagate.errors import DomainError, InvalidScenario
-from alphagate.families import AdjustmentMethod, TestBattery, TestingMode, _scenario_columns
+from alphagate.families import AdjustmentMethod, TestBattery, TestingMode
 from alphagate.rates import bonferroni_adjust, conjunction_power, fwer_independent, sidak_adjust
 from alphagate.rng import derive_rep_seed, rep_seed_block, uniform_from_words
 from alphagate.simulate import (
@@ -313,32 +311,6 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario) as err:
             Scenario(**self.BASE).with_run(reps, seed)
         assert str(err.value) == message
-
-    def test_columns_past_the_float_range_of_their_sum(self):
-        # |delta| sums to inf, so the whole-column check cannot pass them;
-        # the per-entry walk does
-        s = Scenario(**{**self.BASE, "n": 2, "null_pattern": (False, False), "deltas": (1e308, -1e308)})
-        assert s.deltas == (1e308, -1e308)
-
-    @settings(max_examples=500)
-    @given(st.lists(st.tuples(
-        st.sampled_from([True, False, np.True_, np.False_, 0, "True"]),
-        st.sampled_from([0.0, -0.0, 0.5, -2.0, 1e308, 1e-320, math.inf, -math.inf, math.nan, 0, 3, "0.5", np.float64(0.25)]),
-    ), min_size=1, max_size=6), st.sampled_from([2, 8, 2**53]))
-    def test_whole_column_check_agrees_with_the_entry_walk(self, entries, n):
-        nulls, deltas = map(tuple, zip(*entries))
-        try:
-            want = _scenario_columns(nulls, deltas, math.sqrt(n / 2.0))
-        except InvalidScenario as exc:
-            want = str(exc)
-        try:
-            s = Scenario(**{**self.BASE, "k": len(entries), "n": n, "null_pattern": nulls, "deltas": deltas})
-            got = (s.null_pattern, s.deltas)
-        except InvalidScenario as exc:
-            got = str(exc)
-        assert repr(got) == repr(want)
-        if not isinstance(got, str):
-            assert [type(v) for v in got[0] + got[1]] == [bool] * len(nulls) + [float] * len(deltas)
 
     def test_numpy_integers_are_kept_as_ints(self):
         s = Scenario(**{**self.BASE, "k": np.int64(2), "n": np.uint64(8), "reps": np.int32(10), "seed": np.uint64(2**63)})
