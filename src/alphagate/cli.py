@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Iterator
 from . import __version__
 from .decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual
 from .errors import DomainError, FileFormatError
-from .families import MAX_THREADS, AdjustmentMethod, TestingMode, classify_testing_mode
+from .families import FWER_METHODS, MAX_THREADS, AdjustmentMethod, TestingMode, classify_testing_mode
 from .fileio import load_battery_file, load_classification_file, load_scenario_file
 from .rates import (
     bonferroni_adjust,
@@ -263,8 +263,7 @@ def _cmd_simulate(args) -> Iterator[str]:
     scenario = doc.scenario
     reps = integer(args.reps if args.reps is not None else scenario.reps, "reps", 1, MAX_REPS)
     scenario = scenario.with_run(reps, _resolve_seed(args, scenario.seed))
-    threads = args.threads if args.threads is not None else min(os.cpu_count() or 1, MAX_THREADS)
-    est = simulate(scenario, threads=threads)
+    est = simulate(scenario, threads=args.threads)
     print(
         f"simulated {est.reps} replications of k={scenario.k} "
         f"({scenario.design.kind}) in {est.elapsed:.2f}s",
@@ -323,7 +322,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--battery", required=True, metavar="FILE", help="CSV with header 'id,p'")
     p.add_argument("--mode", choices=("individual", "disjunction", "conjunction", "bh"), required=True)
     p.add_argument("--alpha", type=float, required=True, help="alpha level (FDR level q for --mode bh)")
-    p.add_argument("--method", choices=("bonferroni", "sidak", "holm", "hochberg"), default=None,
+    p.add_argument("--method", choices=[method.value for method in FWER_METHODS], default=None,
                    help="disjunction adjustment method (default: bonferroni)")
     p.set_defaults(func=_cmd_decide)
 
@@ -337,7 +336,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=None, help=f"override replication count (max {MAX_REPS})")
     p.add_argument("--seed", type=int, default=None,
                    help=f"override the seed (wins over ${SEED_ENV_VAR} and the file)")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=MAX_THREADS,
                    help=f"worker threads, at most {MAX_THREADS} (default: available parallelism)")
     p.set_defaults(func=_cmd_simulate)
 

@@ -107,10 +107,11 @@ class TestBattery:
     strings free of tabs and line breaks, and ``p``, a read-only float64
     array of p-values in [0, 1]. ``TestBattery(entries)`` takes (id, p)
     pairs and :meth:`from_columns` the two columns; p may be given as numbers
-    or numeric strings. ``entries`` is built from the columns on first use.
+    or numeric strings, and a p-value of -0 is stored as 0. ``entries`` is
+    built from the columns on each access.
     """
 
-    __slots__ = ("ids", "p", "_entries")
+    __slots__ = ("ids", "p")
 
     def __init__(self, entries: Iterable[tuple[str, object]] = ()) -> None:
         entries = tuple(entries)
@@ -132,8 +133,9 @@ class TestBattery:
         p = _checked_columns(ids, raw_p)
         if p is None:  # some check failed: find the first entry at fault
             p = np.array(_checked_entries(ids, raw_p), dtype=np.float64)
+        p += 0.0  # -0.0 lies in [0, 1] but would print as negative
         p.flags.writeable = False
-        for name, value in (("ids", ids), ("p", p), ("_entries", None)):
+        for name, value in (("ids", ids), ("p", p)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -155,9 +157,7 @@ class TestBattery:
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(zip(self.ids, self.p.tolist())))
-        return self._entries
+        return tuple(zip(self.ids, self.p.tolist()))
 
     @property
     def pvalues(self) -> tuple[float, ...]:
@@ -261,13 +261,15 @@ class Recommendation:
     """Recommended testing mode (None = no statistical claim, not applicable)."""
 
     mode: TestingMode | None
-    adjust_alpha: bool
     rationale: tuple[Rationale, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rationale", tuple(self.rationale))
-        if self.adjust_alpha != (self.mode is TestingMode.DISJUNCTION):
-            raise DomainError("adjust_alpha must hold exactly when mode is disjunction")
+
+    @property
+    def adjust_alpha(self) -> bool:
+        """Only disjunction testing lowers the per-test alpha."""
+        return self.mode is TestingMode.DISJUNCTION
 
 
 @dataclass(frozen=True)
@@ -441,7 +443,6 @@ def classify_testing_mode(answers: ClassificationInput) -> Recommendation:
     if not answers.statistical_claim:
         return Recommendation(
             mode=None,
-            adjust_alpha=False,
             rationale=(
                 Rationale(
                     "no-statistical-claim",
@@ -453,7 +454,6 @@ def classify_testing_mode(answers: ClassificationInput) -> Recommendation:
     if not answers.joint_inference:
         return Recommendation(
             mode=TestingMode.INDIVIDUAL,
-            adjust_alpha=False,
             rationale=(
                 Rationale(
                     "individual-decisions",
@@ -465,7 +465,6 @@ def classify_testing_mode(answers: ClassificationInput) -> Recommendation:
     if not answers.family_theoretically_relevant:
         return Recommendation(
             mode=TestingMode.INDIVIDUAL,
-            adjust_alpha=False,
             rationale=(
                 Rationale(
                     "heap-of-hypotheses",
@@ -482,7 +481,6 @@ def classify_testing_mode(answers: ClassificationInput) -> Recommendation:
     if answers.all_constituents_required:
         return Recommendation(
             mode=TestingMode.CONJUNCTION,
-            adjust_alpha=False,
             rationale=(
                 Rationale(
                     "conjunction-all-required",
@@ -508,8 +506,4 @@ def classify_testing_mode(answers: ClassificationInput) -> Recommendation:
                 "constituent rejection licenses the joint inference equally",
             )
         )
-    return Recommendation(
-        mode=TestingMode.DISJUNCTION,
-        adjust_alpha=True,
-        rationale=tuple(rationale),
-    )
+    return Recommendation(mode=TestingMode.DISJUNCTION, rationale=tuple(rationale))

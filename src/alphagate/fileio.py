@@ -329,10 +329,6 @@ def _check_header(cells: list[str], source: str) -> None:
         raise FileFormatError(f"{source}:1: battery header must be exactly 'id,p', got {','.join(header)!r}")
 
 
-class _NotCsv(FileFormatError):
-    """A record the csv module cannot read."""
-
-
 def _battery_from_rows(rows: Iterator[tuple[int, list[str]]], source: str) -> TestBattery:
     """The battery of ``rows``, each record's first line number and cells,
     header first."""
@@ -343,22 +339,25 @@ def _battery_from_rows(rows: Iterator[tuple[int, list[str]]], source: str) -> Te
     ids: list[str] = []
     raw_p: list[str] = []
     lines: list[int] = []
+    error: FileFormatError | None = None
     try:
         for lineno, row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             if len(row) != 2:
-                _battery(ids, raw_p, lines, source)  # a bad row above this one is reported first
-                raise FileFormatError(f"{source}:{lineno}: expected two cells 'id,p', got {len(row)}")
+                error = FileFormatError(f"{source}:{lineno}: expected two cells 'id,p', got {len(row)}")
+                break
             ids.append(row[0].strip())
             raw_p.append(row[1])
             lines.append(lineno)
-    except _NotCsv:
-        _battery(ids, raw_p, lines, source)  # so is a bad row above a record csv cannot read
-        raise
-    if not ids:
+    except FileFormatError as exc:  # a record the csv module cannot read
+        error = exc
+    if error is None and not ids:
         raise FileFormatError(f"{source}: battery file holds no test rows")
-    return _battery(ids, raw_p, lines, source)
+    battery = _battery(ids, raw_p, lines, source)  # a bad row above the error is reported first
+    if error is not None:
+        raise error
+    return battery
 
 
 def _csv_rows(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
@@ -372,7 +371,7 @@ def _csv_rows(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
             yield start, row
             start = reader.line_num + 1
     except csv.Error as exc:
-        raise _NotCsv(f"{source}:{start}: not valid CSV: {exc}") from None
+        raise FileFormatError(f"{source}:{start}: not valid CSV: {exc}") from None
 
 
 def parse_battery_text(text: str, source: str = "<battery>") -> TestBattery:

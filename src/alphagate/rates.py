@@ -101,22 +101,32 @@ def power_one_sided_z(alpha: float, delta: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class ErrorRateReport:
-    """Error-rate bookkeeping for t tests spread over h primary hypotheses."""
+    """Error-rate bookkeeping for t tests spread over h primary hypotheses;
+    ``k`` = t/h, ``per_family_rate`` and ``fwer`` are derived."""
 
     t: int
     h: int
-    k: int
     alpha_per_test: float
-    per_family_rate: float
-    fwer: float
 
     def __post_init__(self) -> None:
-        if self.t != self.k * self.h:
-            raise DomainError(f"t must equal k * h, got t={self.t}, k={self.k}, h={self.h}")
-        if self.per_family_rate != self.k * self.alpha_per_test:
-            raise DomainError("per_family_rate must equal k * alpha_per_test")
-        if not 0.0 <= self.fwer <= 1.0 or self.fwer > self.per_family_rate:
-            raise DomainError("fwer must lie in [0, 1] and never exceed the per-family rate")
+        object.__setattr__(self, "t", integer(self.t, "t", 1))
+        object.__setattr__(self, "h", integer(self.h, "h", 1))
+        if self.t % self.h != 0:
+            raise DomainError(f"h must divide t, got t={self.t}, h={self.h}")
+        object.__setattr__(self, "alpha_per_test", real(self.alpha_per_test, "alpha", 0, 1))
+        integer(self.k, "k", 1, K_MAX)  # so that the rates below never raise
+
+    @property
+    def k(self) -> int:
+        return self.t // self.h
+
+    @property
+    def per_family_rate(self) -> float:
+        return per_family_rate(self.alpha_per_test, self.k)
+
+    @property
+    def fwer(self) -> float:
+        return fwer_independent(self.alpha_per_test, self.k)
 
 
 def error_rate_report(t: int, h: int, alpha: float) -> ErrorRateReport:
@@ -129,16 +139,4 @@ def error_rate_report(t: int, h: int, alpha: float) -> ErrorRateReport:
     collapse to alpha: running many individual tests never inflates the
     error rate of any single one of them.
     """
-    t, h = integer(t, "t", 1), integer(h, "h", 1)
-    if t % h != 0:
-        raise DomainError(f"h must divide t, got t={t}, h={h}")
-    alpha = real(alpha, "alpha", 0, 1)
-    k = t // h
-    return ErrorRateReport(
-        t=t,
-        h=h,
-        k=k,
-        alpha_per_test=alpha,
-        per_family_rate=per_family_rate(alpha, k),
-        fwer=fwer_independent(alpha, k),
-    )
+    return ErrorRateReport(t, h, alpha)

@@ -257,12 +257,12 @@ def _word_z(shift, tops):
 def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Band:
     """Bands on word tops, shape (len(shift), len(lower)), for z >= the z
     band (lower, upper) at each shift; 2**53 stands for never."""
-    slack = _Z_REL_ERR * (1.0 + np.abs(shift))
-    slack = np.where(np.isfinite(slack), slack, 0.0)[:, None]
+    slack = (_Z_REL_ERR * (1.0 + np.abs(shift)))[:, None]
     goal = np.concatenate([lower - slack, upper + slack], axis=1)
     shifts = np.broadcast_to(shift[:, None], goal.shape).ravel()
-    with np.errstate(invalid="ignore"):  # an infinite shift meets an infinite goal
-        guess = np.nan_to_num(ndtr(goal.ravel() - shifts) * _TOPS).astype(np.int64)
+    # the guess only starts the bisection, so it comes from the z band: a
+    # z cutoff is infinite or small, and goal - shift can overflow
+    guess = (ndtr(np.concatenate([lower, upper]) - shift[:, None]).ravel() * _TOPS).astype(np.int64)
     tops = _first_true(
         lambda m, idx: _word_z(shifts[idx], m.astype(np.uint64)) >= goal.flat[idx],
         np.full(goal.size, -1, dtype=np.int64),

@@ -142,6 +142,18 @@ class TestDecideCommand:
         assert "joint\t\t\t\treject" in out
         assert "note\ttriggered-by=a\t\t\t" in out
 
+    @pytest.mark.parametrize("text", ["id,p\na,-0\nb,0.5\n", 'id,p\n"a",-0.0\nb,0.5\n'])
+    def test_negative_zero_p_prints_as_zero(self, run, tmp_path, text):
+        battery = tmp_path / "b.csv"
+        battery.write_text(text, encoding="utf-8")
+        argv = ["decide", "--battery", str(battery), "--mode", "individual", "--alpha", "0.05"]
+        code, out, _ = run(argv)
+        assert code == 0
+        assert "test\ta\t0.000000\t0.050000\treject\n" in out
+        code, out, _ = run([*argv, "--format", "pretty"])
+        assert code == 0
+        assert "0.000000 (~0) " in out and "-0" not in out
+
     def test_bh_mode(self, run, tmp_path):
         battery = tmp_path / "b.csv"
         battery.write_text("id,p\na,0.01\nb,0.02\nc,0.04\nd,0.2\n", encoding="utf-8")
@@ -606,6 +618,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "deltas[1] * sqrt(n/2) must be finite" in err
+
+    @pytest.mark.parametrize("delta", [-1.7976931348623157e308, 1.7976931348623157e308])
+    def test_scenario_largest_finite_shift_runs_quietly(self, run, tmp_path, delta):
+        path = write_scenario(tmp_path, k=2, reps=100, n=2, method="bonferroni",
+                              null_pattern=[True, False], deltas=[0.0, delta])
+        code, out, err = run(["simulate", "--scenario", path])
+        assert code == 0
+        assert out.startswith("metric\tvalue\tci95_low\tci95_high\nreps\t100\t")
+        assert err.startswith("simulated 100 replications of k=2 (independent) in ")
+        assert err.count("\n") == 1
 
     def test_help_exits_zero(self, run):
         code, _, _ = run(["--help"])

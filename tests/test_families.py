@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 import re
 
@@ -144,6 +145,15 @@ class TestClassifyTestingMode:
             rec = classify_testing_mode(answers)
             assert rec.adjust_alpha == (rec.mode is TestingMode.DISJUNCTION)
             assert (rec.mode is None) == (not answers.statistical_claim)
+            # only a relevant joint claim that any one constituent can carry adjusts
+            claim, joint, all_required, _, relevant = bits
+            assert rec.adjust_alpha == (claim and joint and relevant and not all_required)
+
+    def test_adjust_alpha_follows_the_mode(self):
+        for mode in (None, *TestingMode):
+            rec = Recommendation(mode, [Rationale("c", "t")])
+            assert rec.adjust_alpha == (mode is TestingMode.DISJUNCTION)
+            assert rec.rationale == (Rationale("c", "t"),)
 
     def test_pure_function(self):
         answers = _answers()
@@ -186,9 +196,8 @@ class TestAlphaConfig:
         lambda: AlphaConfig(0.05, AdjustmentMethod.NONE, TestingMode.DISJUNCTION),
         lambda: AlphaConfig(0.05, AdjustmentMethod.HOLM, TestingMode.CONJUNCTION),
         lambda: _answers(exchangeable=None),
-        lambda: Recommendation(TestingMode.CONJUNCTION, True, (Rationale("c", "t"),)),
     ],
-    ids=["family-mode", "family-id", "alpha-range", "alpha-no-method", "alpha-method", "answers", "recommendation"],
+    ids=["family-mode", "family-id", "alpha-range", "alpha-no-method", "alpha-method", "answers"],
 )
 def test_constructors_raise_domain_error(build):
     with pytest.raises(DomainError):
@@ -231,6 +240,12 @@ class TestTestBattery:
         with pytest.raises(InvalidBattery, match="must lie in") as err:
             TestBattery((("a", 0.1), ("b", 5.0), ("a", "oops")))
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("raw", [-0.0, "-0", "-0.0"])
+    def test_negative_zero_p_is_stored_as_zero(self, raw):
+        for battery in (TestBattery((("a", raw), ("b", 0.5))), TestBattery.from_columns(["a", "b"], [raw, "0.5"])):
+            assert math.copysign(1.0, battery.p[0]) == 1.0
+            assert battery.entries == (("a", 0.0), ("b", 0.5))
 
     def test_columns_and_entries_agree(self):
         battery = TestBattery.from_columns(["b", "a"], ["0.2", 0.1])

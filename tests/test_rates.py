@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphagate.errors import DomainError
 from alphagate.rates import (
@@ -242,6 +244,48 @@ class TestErrorRateReport:
         with pytest.raises(DomainError):
             error_rate_report(20, 3, 0.05)
 
-    def test_report_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            ErrorRateReport(t=6, h=2, k=2, alpha_per_test=0.05, per_family_rate=0.1, fwer=0.0975)
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 10**4),
+        st.integers(1, 10**4),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_derived_fields_are_the_formulas(self, k, h, alpha):
+        report = error_rate_report(k * h, h, alpha)
+        assert (report.t, report.h, report.alpha_per_test) == (k * h, h, alpha)
+        assert report.k == k
+        assert report.per_family_rate == per_family_rate(alpha, k)
+        assert report.fwer == fwer_independent(alpha, k)
+
+    @settings(max_examples=300)
+    @given(st.integers(-2, 40), st.integers(-2, 40), st.floats(-0.5, 1.5))
+    def test_inputs_are_checked_in_order(self, t, h, alpha):
+        if t < 1:
+            message = f"t must be an integer >= 1, got {t}"
+        elif h < 1:
+            message = f"h must be an integer >= 1, got {h}"
+        elif t % h:
+            message = f"h must divide t, got t={t}, h={h}"
+        elif not 0.0 < alpha < 1.0:
+            message = f"alpha must be a real in (0, 1), got {alpha!r}"
+        else:
+            assert ErrorRateReport(t, h, alpha) == error_rate_report(t, h, alpha)
+            return
+        with pytest.raises(DomainError) as err:
+            ErrorRateReport(t, h, alpha)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "t, h, alpha, message",
+        [
+            (2.0, 1, 0.05, "t must be an integer >= 1, got 2.0"),
+            (6, True, "y", "h must be an integer >= 1, got True"),
+            (6, 2, None, "alpha must be a real in (0, 1), got None"),
+            (10**8, 1, 0.05, "k must be an integer in [1, 10000000], got 100000000"),
+        ],
+    )
+    def test_bad_types_and_k_raise_the_report_messages(self, t, h, alpha, message):
+        for build in (ErrorRateReport, error_rate_report):
+            with pytest.raises(DomainError) as err:
+                build(t, h, alpha)
+            assert str(err.value) == message

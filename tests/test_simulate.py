@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -615,6 +616,17 @@ class TestThresholdRoute:
                         sides=sides, method=method, reps=165, seed=seed,
                     )
                     assert simulate(s) == p_space_simulate(s), (k, deltas, alpha)
+
+    @pytest.mark.parametrize("delta", [-1.7976931348623157e308, 1.7976931348623157e308])
+    def test_equals_p_value_route_at_the_largest_shift(self, delta):
+        # at n = 2 the shift is delta itself: the word bands' search must not
+        # overflow while it starts, so the run gives no numpy warning
+        s = scenario(2, nulls=[True, False], deltas=[0.0, delta], n=2,
+                     method=AdjustmentMethod.BONFERRONI, reps=2000, seed=21)
+        assert SIM._plan(s).words
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simulate(s) == p_space_simulate(s)
 
     def test_equals_p_value_route_at_full_chunks(self):
         reps = CHUNK_REPS + 1001
