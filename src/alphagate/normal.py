@@ -10,8 +10,9 @@ function returns the same bits as its scipy namesake; ``tests/test_normal.py``
 holds them to the installed scipy with ``==``.
 
 They exist so that ``rates.power_one_sided_z``, and with it the ``power``
-command, needs neither numpy nor scipy. The simulator, which loads both
-anyway, keeps calling scipy. Only :mod:`math` is imported.
+command, needs neither numpy nor scipy, and so that every scalar normal
+quantile, ``simulate.wilson_ci``'s too, comes from one place. The
+simulator's array kernels keep calling scipy. Only :mod:`math` is imported.
 """
 
 from __future__ import annotations

@@ -19,6 +19,11 @@ capped at the largest double below 1, so uniforms lie strictly inside
 consumes exactly one counter slot. :func:`uniform_from_words` is the only
 word-to-uniform map: the simulator also applies it to search the words at
 which a decision changes.
+
+The block functions take an ``out`` array for their result and a uint64
+``scratch`` array of the same shape for their intermediate words, each made
+anew when None, so that a caller can draw block after block into the same
+memory.
 """
 
 from __future__ import annotations
@@ -63,44 +68,67 @@ def derive_rep_seed(seed: int, rep: int) -> int:
     return mix64(seed + (rep + 1) * GOLDEN_GAMMA)
 
 
-def _mix64_array(state: np.ndarray) -> np.ndarray:
-    """Mix a uint64 array in place (the caller's array is consumed) and return it."""
-    z = state
-    z ^= z >> _SHIFT30
+def _mix64_array(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mix a uint64 array into ``out`` (a new array when None) and return it;
+    ``state`` serves as the scratch of the shifts and is overwritten."""
+    z = np.right_shift(state, _SHIFT30, out=out)
+    z ^= state
     z *= _U64_MULT1
-    z ^= z >> _SHIFT27
+    np.right_shift(z, _SHIFT27, out=state)
+    z ^= state
     z *= _U64_MULT2
-    z ^= z >> _SHIFT31
+    np.right_shift(z, _SHIFT31, out=state)
+    z ^= state
     return z
 
 
-def rep_seed_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized :func:`derive_rep_seed` for replications start..start+count-1."""
-    reps = np.arange(start, start + count, dtype=np.uint64)
-    return _mix64_array(np.uint64(seed & _MASK64) + (reps + np.uint64(1)) * _U64_GAMMA)
+def rep_seed_block(seed: int, start: int, count: int, out=None, scratch=None) -> np.ndarray:
+    """Vectorized :func:`derive_rep_seed` for replications start..start+count-1.
+
+    ``out`` receives the seeds and ``scratch``, a uint64 array of the same
+    length, is overwritten; each is a new array when None."""
+    state = np.empty(count, dtype=np.uint64) if scratch is None else scratch
+    state.fill(_U64_GAMMA)
+    # the running sums are (rep - start + 1) * gamma, modulo 2**64 like the states
+    np.cumsum(state, out=state)
+    state += np.uint64((seed + start * GOLDEN_GAMMA) & _MASK64)
+    return _mix64_array(state, out)
 
 
-def word_block(seeds: np.ndarray, draws: int) -> np.ndarray:
+def word_block(seeds: np.ndarray, draws: int, out=None, scratch=None) -> np.ndarray:
     """Raw 64-bit words, shape (len(seeds), draws); word j of row i is
-    output j of the splitmix64 stream seeded with seeds[i]."""
+    output j of the splitmix64 stream seeded with seeds[i].
+
+    ``out`` receives the words and ``scratch``, a uint64 array of the same
+    shape, is overwritten; each is a new array when None. Either may be the
+    transpose of a (draws, len(seeds)) array."""
     counters = np.arange(1, draws + 1, dtype=np.uint64) * _U64_GAMMA
-    return _mix64_array(seeds[:, None].astype(np.uint64) + counters[None, :])
+    state = np.add(np.asarray(seeds, dtype=np.uint64)[:, None], counters, out=scratch)
+    return _mix64_array(state, out)
 
 
-def uniform_from_words(words: np.ndarray) -> np.ndarray:
+def uniform_from_words(words: np.ndarray, out=None) -> np.ndarray:
     """The uniform in (0, 1) that each word stands for: its top 53 bits plus
-    one half, times 2**-53, capped at the largest double below 1."""
-    u = (words >> _SHIFT11).astype(np.float64)
-    u += 0.5
+    one half, times 2**-53, capped at the largest double below 1.
+
+    ``out`` (a new array when None) receives the uniforms; ``words`` is
+    overwritten with its top 53 bits."""
+    u = np.add(np.right_shift(words, _SHIFT11, out=words), 0.5, out=out)
     u *= _TWO_NEG53
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def uniform_block(seeds: np.ndarray, draws: int) -> np.ndarray:
-    """Uniforms in (0, 1) of :func:`word_block`'s words."""
-    return uniform_from_words(word_block(seeds, draws))
+def uniform_block(seeds: np.ndarray, draws: int, out=None, scratch=None) -> np.ndarray:
+    """Uniforms in (0, 1) of :func:`word_block`'s words; ``out`` and
+    ``scratch`` as in :func:`word_block`, with ``out`` float64."""
+    if out is None:
+        out = np.empty((len(seeds), draws))
+    # the states are built in the memory of the uniforms, the words in scratch
+    return uniform_from_words(word_block(seeds, draws, scratch, out.view(np.uint64)), out)
 
 
-def normal_block(seeds: np.ndarray, draws: int) -> np.ndarray:
-    """Standard normals via inverse-CDF transform of :func:`uniform_block`."""
-    return ndtri(uniform_block(seeds, draws))
+def normal_block(seeds: np.ndarray, draws: int, out=None, scratch=None) -> np.ndarray:
+    """Standard normals via inverse-CDF transform of :func:`uniform_block`,
+    with its ``out`` and ``scratch``; the transform runs in place."""
+    u = uniform_block(seeds, draws, out, scratch)
+    return ndtri(u, out=u)

@@ -22,10 +22,17 @@ Determinism contract: results are bit-identical for a fixed seed no matter
 how replications are scheduled. Replications are seeded individually by a
 counter-based derivation (:mod:`alphagate.rng`), work is cut into
 fixed-size chunks independent of the thread count, and partial sums are
-combined in chunk order. Each chunk is judged in row tiles of about
-:data:`TILE_BYTES` per (rows, k + 1) temporary, so a worker's memory does not
-grow with k times the chunk length; rows are judged independently and every
-per-tile total is an integer, so the estimates never depend on the tile size.
+combined in chunk order. Each chunk is judged in tiles of about
+:data:`TILE_BYTES` per (rows, k + 1) temporary, so a worker's memory is
+O(tile * (k + 1) + CHUNK_REPS) and does not grow with k times the chunk
+length; replications are judged independently and every per-tile total is
+an integer, so the estimates never depend on the tile size. Each worker
+judges all its chunks in one scratch block, made on its first chunk and
+sized only by the tile, k and the chunk length: the draws, statistics,
+masks and counts of every tile are written in place into views of it.
+Word tiles (below) are test-major, (k, rows), so the per-replication
+counts and maxima and the per-test counts reduce down contiguous rows; z
+tiles are (rows, k), because Hochberg sorts within a replication.
 
 Decisions are made in threshold space. Every rule compares p-values with
 thresholds (alpha, the single-step level, Hochberg's alpha/(k-i+1)), and a
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -56,6 +64,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.special import erfc, ndtr, ndtri
 
+from . import normal
 from .decisions import reject, steps
 from .errors import DomainError, InvalidScenario
 # the scenario types live in families, which needs no numpy; they stay
@@ -109,7 +118,7 @@ def wilson_ci(successes: int, trials: int, level: float) -> tuple[float, float]:
     trials = integer(trials, "trials", 1, N_MAX)  # so that trials converts to a double
     successes = integer(successes, "successes", 0, trials)
     level = real(level, "level", 0, 1)
-    z = float(ndtri((1.0 + level) / 2.0))
+    z = normal.ndtri((1.0 + level) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -124,28 +133,43 @@ def _shift(scenario: Scenario) -> np.ndarray:
     return np.asarray(scenario.deltas, dtype=np.float64) * math.sqrt(scenario.n / 2.0)
 
 
-def _z_block(scenario: Scenario, rep_seeds: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def _draws(scenario: Scenario) -> int:
+    """Normal draws per replication: one per test, plus the shared one of
+    the dependent designs."""
+    return scenario.k if scenario.design.kind == "independent" else scenario.k + 1
+
+
+def _z_block(scenario: Scenario, rep_seeds: np.ndarray, shift: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Z statistics for one batch of replications, shape (len(rep_seeds), k),
-    given the scenario's :func:`_shift`."""
-    k = scenario.k
+    given the scenario's :func:`_shift`.
+
+    ``out`` (float64) and ``scratch`` (uint64), both of shape
+    (len(rep_seeds), :func:`_draws`), take the draws and the words; each is a
+    new array when None, and the statistics are a view of one of them."""
+    k, per_rep = scenario.k, _draws(scenario)
     kind = scenario.design.kind
-    # in-place steps keep one (rows, k) temporary alive; each step is the
-    # same IEEE operation on the same operands as the plain expression
+    if scratch is None:
+        scratch = np.empty((len(rep_seeds), per_rep), dtype=np.uint64)
+    # in-place steps; each is the same IEEE operation on the same operands as
+    # the plain expression
+    draws = normal_block(rep_seeds, per_rep, out, scratch)
     if kind == "independent":
-        z = normal_block(rep_seeds, k)
-        z += shift
-        return z
-    draws = normal_block(rep_seeds, k + 1)
+        draws += shift
+        return draws
+    # the words are spent, so their memory takes the statistics
+    z = scratch.reshape(-1)[: len(rep_seeds) * k].view(np.float64).reshape(-1, k)
+    common = draws[:, :1]
     if kind == "equicorrelated":
         rho = scenario.design.rho
-        z = shift + math.sqrt(rho) * draws[:, :1]
+        common *= math.sqrt(rho)
+        np.add(shift, common, out=z)
         own = draws[:, 1:]
         own *= math.sqrt(1.0 - rho)
         z += own
         return z
     # shared control: Z_i = (mean_i - mean_0) / sqrt(2/n) with all group
     # means at their defining variance 1/n
-    z = draws[:, 1:] - draws[:, :1]
+    np.subtract(draws[:, 1:], common, out=z)
     z /= _SQRT2
     z += shift
     return z
@@ -276,17 +300,24 @@ def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Ban
 @dataclass(frozen=True)
 class _Plan:
     """How one run decides. With ``words`` the statistics are the word tops
-    of the draws; otherwise they are z (|z| when two-sided). ``test`` bands
-    each test's decision at alpha. ``joint`` bands the disjunction: a scalar
-    band meets the row maximum, a band per column meets the row as it is,
-    or, for Hochberg, sorted ascending. Rows that fall inside a joint band
-    are judged on their p-values by :func:`~alphagate.decisions.reject`."""
+    of the draws, in test-major (k, rows) tiles; otherwise they are z (|z|
+    when two-sided), in (rows, k) tiles. ``test`` bands each test's decision
+    at alpha. ``joint`` bands the disjunction: a scalar band meets each
+    replication's maximum, a band per test meets its statistics as they are,
+    or, for Hochberg, sorted ascending. Bands per test are shaped to
+    broadcast over a tile. Replications that fall inside a joint band are
+    judged on their p-values by :func:`~alphagate.decisions.reject`."""
 
     words: bool
     hochberg: bool
     shift: np.ndarray
     test: _Band
     joint: _Band
+
+    @property
+    def tests_axis(self) -> int:
+        """The axis of a tile that runs over the tests."""
+        return 0 if self.words else 1
 
 
 def _plan(scenario: Scenario) -> _Plan:
@@ -303,47 +334,136 @@ def _plan(scenario: Scenario) -> _Plan:
     words = scenario.design.kind == "independent" and scenario.sides is Sides.ONE_SIDED and not hochberg
     if words:
         distinct, column = np.unique(shift, return_inverse=True)
-        if distinct.size == 1:  # every test has the same cutoffs
-            column = 0
+        # every test has the same cutoffs, or a column of them per test
+        column = 0 if distinct.size == 1 else column[:, None]
         tops = _word_bands(distinct, z.lower[:2], z.upper[:2])
         test = _Band(tops.lower[column, 0], tops.upper[column, 0])
         joint = _Band(tops.lower[column, 1], tops.upper[column, 1])
     return _Plan(words, hochberg, shift, test, joint)
 
 
-def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _Tile:
+    """Views of a worker's scratch block for judging one tile of replications.
+
+    ``stats`` holds the statistics: uint64 words (k, rows) on the word route,
+    float64 draws (rows, draws per replication) on the z route. ``bits`` is a
+    uint64 array of the same shape for the words behind them. ``rejected``
+    and ``mask`` are boolean arrays shaped like the statistics; ``top``,
+    ``maybe`` and ``joint`` hold one value per replication."""
+
+    stats: np.ndarray
+    bits: np.ndarray
+    rejected: np.ndarray
+    mask: np.ndarray
+    top: np.ndarray
+    maybe: np.ndarray
+    joint: np.ndarray
+
+
+class _Scratch:
+    """The memory one worker judges its chunks in: a single ``np.empty`` block,
+    carved into a chunk's seeds and totals and a tile's statistics and masks.
+    Its size depends only on the tile, k and the chunk length, so every chunk
+    and tile the worker judges reuses it and allocates nothing of that size.
+
+    A chunk's per-replication counts ``r`` and ``v`` take the smallest
+    unsigned type that holds k, and a tile's per-test ``counts`` the one that
+    holds the tile length: the reductions then add bytes without widening."""
+
+    def __init__(self, plan: _Plan, scenario: Scenario, tile: int, chunk: int):
+        k = scenario.k
+        self._k, self._words, self._draws = k, plan.words, k if plan.words else _draws(scenario)
+        count_type = np.min_scalar_type(k)
+        parts = {
+            "seeds": (chunk, np.uint64),
+            "seed_bits": (chunk, np.uint64),
+            "r": (chunk, count_type),
+            "v": (chunk, count_type),
+            "ratio": (chunk, np.float64),
+            "flags": (chunk, np.bool_),
+            "counts": (k, np.min_scalar_type(tile)),
+            "stats": (tile * self._draws, np.uint64),
+            "bits": (tile * self._draws, np.uint64),
+            "rejected": (tile * k, np.bool_),
+            "mask": (tile * k, np.bool_),
+            "top": (tile, np.uint64),
+            "maybe": (tile, np.bool_),
+            "joint": (tile, np.bool_),
+        }
+        sizes = {name: length * np.dtype(dtype).itemsize for name, (length, dtype) in parts.items()}
+        # each view starts on a 64-byte boundary of the block
+        self.block = np.empty(sum(-(-size // 64) * 64 for size in sizes.values()), dtype=np.uint8)
+        offset = 0
+        for name, (_, dtype) in parts.items():
+            setattr(self, name, self.block[offset : offset + sizes[name]].view(dtype))
+            offset += -(-sizes[name] // 64) * 64
+        self._tiles: dict[int, _Tile] = {}
+
+    def tile(self, rows: int) -> _Tile:
+        """Views for a tile of ``rows`` replications, each contiguous."""
+        views = self._tiles.get(rows)
+        if views is None:
+            k, d = self._k, self._draws
+            shape = (k, rows) if self._words else (rows, k)
+            stats = self.stats[: rows * d]
+            views = self._tiles[rows] = _Tile(
+                stats=stats.reshape(shape) if self._words else stats.view(np.float64).reshape(rows, d),
+                bits=self.bits[: rows * d].reshape(shape if self._words else (rows, d)),
+                rejected=self.rejected[: rows * k].reshape(shape),
+                mask=self.mask[: rows * k].reshape(shape),
+                top=self.top[:rows] if self._words else self.top[:rows].view(np.float64),
+                maybe=self.maybe[:rows],
+                joint=self.joint[:rows],
+            )
+        return views
+
+
+def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, tile: _Tile) -> tuple[np.ndarray, np.ndarray]:
     """Per-test rejections at alpha and the disjunction verdict of each
-    replication, equal to judging p_from_z of each statistic."""
+    replication, equal to judging p_from_z of each statistic. Both are views
+    of ``tile``; the rejections are shaped like the statistics."""
+    k, sides, alpha = scenario.k, scenario.sides, scenario.alpha_joint
     if plan.words:
-        x = word_block(seeds, scenario.k)
+        # word_block fills (rows, k); writing it through the transposes makes
+        # the tile test-major
+        x = word_block(seeds, k, tile.stats.T, tile.bits.T).T
         np.right_shift(x, _WORD_DROP, out=x)
 
-        def z_of(rows, cols):
-            return _word_z(plan.shift[cols], x[rows, cols])
+        def z_of(reps, tests):
+            return _word_z(plan.shift[tests], x[tests, reps])
     else:
-        x = _z_block(scenario, seeds, plan.shift)
-        if scenario.sides is Sides.TWO_SIDED:
+        x = _z_block(scenario, seeds, plan.shift, tile.stats, tile.bits)
+        if sides is Sides.TWO_SIDED:
             np.abs(x, out=x)
 
-        def z_of(rows, cols):
-            return x[rows, cols]
+        def z_of(reps, tests):
+            return x[reps, tests]
 
-    rejected = x >= plan.test.upper
-    if np.count_nonzero(x >= plan.test.lower) != np.count_nonzero(rejected):
-        rows, cols = np.nonzero((x >= plan.test.lower) & ~rejected)
-        rejected[rows, cols] = p_from_z(z_of(rows, cols), scenario.sides) <= scenario.alpha_joint
+    rejected = np.greater_equal(x, plan.test.upper, out=tile.rejected)
+    maybe = np.greater_equal(x, plan.test.lower, out=tile.mask)
+    if np.count_nonzero(maybe) != np.count_nonzero(rejected):
+        inside = np.nonzero(maybe & ~rejected)
+        reps, tests = inside[::-1] if plan.words else inside
+        rejected[inside] = p_from_z(z_of(reps, tests), sides) <= alpha
 
+    across = plan.tests_axis
     if plan.hochberg:
-        x.sort(axis=1)
+        x.sort(axis=across)
     if np.ndim(plan.joint.upper) == 0:
-        top = x.max(axis=1)
-        joint, maybe = top >= plan.joint.upper, top >= plan.joint.lower
+        top = np.max(x, axis=across, out=tile.top)
+        joint = np.greater_equal(top, plan.joint.upper, out=tile.joint)
+        maybe = np.greater_equal(top, plan.joint.lower, out=tile.maybe)
     else:
-        joint, maybe = (x >= plan.joint.upper).any(axis=1), (x >= plan.joint.lower).any(axis=1)
-    rows = np.flatnonzero(maybe & ~joint)
-    if rows.size:
-        p = p_from_z(z_of(rows[:, None], np.arange(scenario.k)), scenario.sides)
-        joint[rows] = reject(p, scenario.alpha_joint, scenario.method)[0].any(axis=1)
+        above = np.greater_equal(x, plan.joint.upper, out=tile.mask)
+        joint = np.logical_or.reduce(above, axis=across, out=tile.joint)
+        above = np.greater_equal(x, plan.joint.lower, out=tile.mask)
+        maybe = np.logical_or.reduce(above, axis=across, out=tile.maybe)
+    # maybe and not joint: inside the band
+    if np.greater(maybe, joint, out=maybe).any():
+        rows = np.flatnonzero(maybe)
+        p = p_from_z(z_of(rows[:, None], np.arange(k)), sides)
+        joint[rows] = reject(p, alpha, scenario.method)[0].any(axis=1)
     return rejected, joint
 
 
@@ -369,34 +489,47 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     start_time = time.perf_counter()
     k, reps = scenario.k, scenario.reps
     nulls = np.asarray(scenario.null_pattern, dtype=bool)
-    all_nulls, any_nulls = bool(nulls.all()), bool(nulls.any())
+    all_nulls = bool(nulls.all())
     plan = _plan(scenario)
+    across = plan.tests_axis
+    null_tests = nulls[:, None] if plan.words else nulls
 
-    tile = max(1, TILE_BYTES // (8 * (k + 1)))
+    chunk_reps = min(CHUNK_REPS, reps)
+    tile = min(max(1, TILE_BYTES // (8 * (k + 1))), chunk_reps)
+    # each worker thread makes its scratch on its first chunk
+    local = threading.local()
 
     def run_chunk(chunk_index: int) -> _ChunkTotals:
+        scratch = getattr(local, "scratch", None)
+        if scratch is None:
+            scratch = local.scratch = _Scratch(plan, scenario, tile, chunk_reps)
         start = chunk_index * CHUNK_REPS
         count = min(CHUNK_REPS, reps - start)
-        seeds = rep_seed_block(scenario.seed, start, count)
-        r = np.empty(count, dtype=np.int64)
-        v = r if all_nulls else np.zeros(count, dtype=np.int64)
-        joint = np.empty(count, dtype=bool)
+        seeds = rep_seed_block(scenario.seed, start, count, scratch.seeds[:count], scratch.seed_bits[:count])
+        r = scratch.r[:count]
+        v = r if all_nulls else scratch.v[:count]
         per_test = np.zeros(k, dtype=np.int64)
+        disjunction_rejects = 0
         for lo in range(0, count, tile):
             hi = min(lo + tile, count)
-            rejected, joint[lo:hi] = _decide(plan, scenario, seeds[lo:hi])
-            rejected.sum(axis=1, out=r[lo:hi])
-            if any_nulls and not all_nulls:
-                rejected[:, nulls].sum(axis=1, out=v[lo:hi])
-            per_test += rejected.sum(axis=0, dtype=np.int64)
+            rejected, joint = _decide(plan, scenario, seeds[lo:hi], scratch.tile(hi - lo))
+            ones = rejected.view(np.uint8)
+            np.add.reduce(ones, axis=across, dtype=r.dtype, out=r[lo:hi])
+            if not all_nulls:
+                np.add.reduce(ones, axis=across, dtype=v.dtype, out=v[lo:hi], where=null_tests)
+            per_test += np.add.reduce(ones, axis=1 - across, dtype=scratch.counts.dtype, out=scratch.counts)
+            disjunction_rejects += int(np.count_nonzero(joint))
+        # V / max(R, 1), as doubles
+        fdp = np.maximum(r, 1, out=scratch.ratio[:count])
+        np.divide(v, fdp, out=fdp)
         return _ChunkTotals(
-            fwer_events=int((v >= 1).sum()),
+            fwer_events=int(np.count_nonzero(v)),
             v_sum=int(v.sum()),
             # one sum over the whole chunk: per-tile float sums would round differently
-            fdp_sum=float(np.sum(v / np.maximum(r, 1))),
-            any_reject=int((r >= 1).sum()),
-            disjunction_rejects=int(joint.sum()),
-            conjunction_rejects=int((r == k).sum()),
+            fdp_sum=float(np.sum(fdp)),
+            any_reject=int(np.count_nonzero(r)),
+            disjunction_rejects=disjunction_rejects,
+            conjunction_rejects=int(np.count_nonzero(np.equal(r, k, out=scratch.flags[:count]))),
             per_test=per_test,
         )
 

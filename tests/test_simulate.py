@@ -9,15 +9,18 @@ with per-replication runs of the decision functions.
 import dataclasses
 import importlib
 import math
+import os
 import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from alphagate.decisions import Verdict, decide_conjunction, decide_disjunction, decide_individual
+from alphagate.decisions import Verdict, decide_conjunction, decide_disjunction, decide_individual, reject
 from alphagate.errors import DomainError, InvalidScenario
 from alphagate.families import AdjustmentMethod, TestBattery, TestingMode
 from alphagate.rates import bonferroni_adjust, conjunction_power, fwer_independent, sidak_adjust
@@ -658,6 +661,80 @@ class TestChunkMemory:
         assert peak < 16 * 2**20
 
 
+@st.composite
+def small_runs(draw):
+    """(scenario, chunk length, tile rows, threads): k up to 64 with a mix of
+    shifts, some shared, on any design, sides and method, and a replication
+    count that ends in a partial chunk whose last tile is partial too."""
+    k = draw(st.integers(1, 64))
+    deltas = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, -0.4, 2.5]), min_size=k, max_size=k))
+    chunk = draw(st.integers(8, 40))
+    tile_rows = draw(st.integers(2, chunk - 1))
+    partial = draw(st.integers(1, tile_rows - 1))
+    last = partial + tile_rows * draw(st.integers(0, (chunk - 1 - partial) // tile_rows))
+    s = scenario(
+        k,
+        alpha=draw(st.sampled_from([0.05, 0.3, 0.7]) | st.floats(1e-4, 0.99)),
+        nulls=[d == 0.0 for d in deltas],
+        deltas=deltas,
+        design=draw(st.sampled_from(list(DESIGNS.values()))),
+        sides=draw(st.sampled_from(list(Sides))),
+        method=draw(st.sampled_from(FWER_METHODS)),
+        reps=draw(st.integers(1, 3)) * chunk + last,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return s, chunk, tile_rows, draw(st.sampled_from([1, 2, 3]))
+
+
+class TestScratchReuse:
+    @settings(max_examples=120)
+    @given(small_runs())
+    def test_small_chunks_and_tiles_equal_the_p_value_route(self, run):
+        # every chunk and tile of a worker reuses one scratch block, so a value
+        # left from an earlier chunk or a longer tile would show here
+        s, chunk, tile_rows, threads = run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "CHUNK_REPS", chunk)
+            mp.setattr(SIM, "TILE_BYTES", tile_rows * 8 * (s.k + 1))
+            mp.setattr(SIM.os, "cpu_count", lambda: 3)
+            got, want = simulate(s, threads=threads), p_space_simulate(s)
+        # repr also tells a numpy scalar from the Python number it equals
+        assert repr(dataclasses.replace(got, elapsed=0.0)) == repr(want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("route", ["words", "z"])
+    def test_tiles_and_chunks_share_one_block_per_worker(self, route, threads, monkeypatch):
+        made, decided = [], []
+
+        class Recorded(SIM._Scratch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def recorded(plan, s, seeds, tile, decide=SIM._decide):
+            decided.append(decide(plan, s, seeds, tile))
+            return decided[-1]
+
+        monkeypatch.setattr(SIM, "_Scratch", Recorded)
+        monkeypatch.setattr(SIM, "_decide", recorded)
+        monkeypatch.setattr(SIM, "CHUNK_REPS", 64)
+        monkeypatch.setattr(SIM, "TILE_BYTES", 40 * 8 * 6)  # 40-row tiles at k = 5
+        mixed = [0.0, 0.0, 0.3, 0.3, -0.2]
+        s = scenario(5, nulls=[d == 0.0 for d in mixed], deltas=mixed, reps=4 * 64,
+                     sides=Sides.ONE_SIDED if route == "words" else Sides.TWO_SIDED)
+        assert SIM._plan(s).words is (route == "words")
+        simulate(s, threads=threads)
+        # a pool thread that finds no chunk left makes none
+        assert 1 <= len(made) <= min(threads, os.cpu_count() or 1)
+        assert len(decided) == 8  # two tiles in each of four chunks
+        for rejected, joint in decided:
+            owner = [scratch for scratch in made if np.shares_memory(rejected, scratch.block)]
+            assert len(owner) == 1 and np.shares_memory(joint, owner[0].block)
+        for scratch in made:
+            for chunk_view in (scratch.seeds, scratch.r, scratch.v, scratch.ratio):
+                assert np.shares_memory(chunk_view, scratch.block)
+
+
 def order_keys(x):
     bits = np.asarray(x, dtype=np.float64).view(np.int64)
     return np.where(bits < 0, -(bits & 0x7FFFFFFFFFFFFFFF), bits)
@@ -702,7 +779,9 @@ class TestCutoffBands:
 
 class TestInsideBands:
     """Statistics planted inside and around every band: the decisions must
-    still equal the p-value route's, so the in-band fallback is exact."""
+    still equal the p-value route's, so the in-band fallback is exact. They
+    are planted where the tile's statistics are made, in the tile's own
+    memory: ``_z_block`` writes its ``out``, ``word_block`` its ``out``."""
 
     @staticmethod
     def near(edges, rng, shape, reach=300):
@@ -711,11 +790,24 @@ class TestInsideBands:
         offsets = rng.integers(-reach, reach, size=shape)
         return edges[pick] + offsets
 
-    def check(self, s, plan, z):
-        rejected, joint = SIM._decide(plan, s, np.zeros(len(z), dtype=np.uint64))
+    @staticmethod
+    def check(s, plan, z, monkeypatch):
+        """Decide one tile of len(z) replications; the joint fallback, which
+        judges a whole replication on its p-values, must run."""
+        fallbacks = []
+
+        def counted(p, alpha, method):
+            fallbacks.append(len(p))
+            return reject(p, alpha, method)
+
+        monkeypatch.setattr(SIM, "reject", counted)
+        tile = SIM._Scratch(plan, s, len(z), 1).tile(len(z))
+        rejected, joint = SIM._decide(plan, s, np.zeros(len(z), dtype=np.uint64), tile)
+        assert np.shares_memory(rejected, tile.rejected) and np.shares_memory(joint, tile.joint)
         p = p_from_z(z, s.sides)
-        assert np.array_equal(rejected, p <= s.alpha_joint)
+        assert np.array_equal(rejected.T if plan.words else rejected, p <= s.alpha_joint)
         assert np.array_equal(joint, p_space_joint(p, s.alpha_joint, s.method))
+        assert fallbacks and sum(fallbacks) < len(z)
 
     @pytest.mark.parametrize("method", FWER_METHODS, ids=lambda m: m.value)
     @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
@@ -735,23 +827,41 @@ class TestInsideBands:
             z *= rng.choice([-1.0, 1.0], size=z.shape)
         inside = (np.abs(z) >= plan.test.lower) & (np.abs(z) < plan.test.upper)
         assert inside.any()
-        monkeypatch.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z.copy())
-        self.check(s, plan, z)
+
+        def plant(scenario, seeds, shift, out, scratch):
+            # the equicorrelated draws have one column more than the statistics
+            np.copyto(out[:, :k], z)
+            return out[:, :k]
+
+        monkeypatch.setattr(SIM, "_z_block", plant)
+        self.check(s, plan, z, monkeypatch)
 
     @pytest.mark.parametrize("method", FWER_METHODS[:3], ids=lambda m: m.value)
-    def test_word_route(self, method, monkeypatch):
-        k, rng = 6, np.random.default_rng(6)
-        deltas = [0.0, 0.0, 0.3, 0.3, -0.5, 2.0]
+    @pytest.mark.parametrize(
+        "deltas", [[0.3] * 6, [0.0, 0.0, 0.3, 0.3, -0.5, 2.0], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]],
+        ids=["equal", "mixed", "distinct"],
+    )
+    def test_word_route(self, deltas, method, monkeypatch):
+        k, rng = len(deltas), np.random.default_rng(6)
         s = scenario(k, nulls=[d == 0.0 for d in deltas], deltas=deltas, method=method, alpha=0.3)
         plan = SIM._plan(s)
         assert plan.words
-        edges = np.stack([plan.test.lower, plan.test.upper, plan.joint.lower, plan.joint.upper])
+        # a scalar band when every shift is equal, else a column of them per test
+        assert np.ndim(plan.joint.upper) == (0 if len(set(deltas)) == 1 else 2)
+        edges = np.stack([np.broadcast_to(b, (k, 1))[:, 0] for b in (
+            plan.test.lower, plan.test.upper, plan.joint.lower, plan.joint.upper)])
         pick = rng.integers(0, 4, size=(3000, k))
         tops = edges[pick, np.arange(k)].astype(np.int64) + rng.integers(-300, 300, size=(3000, k))
         tops = np.clip(tops, 0, 2**53 - 1).astype(np.uint64)
         words = (tops << np.uint64(11)) | rng.integers(0, 2048, size=tops.shape, dtype=np.uint64)
-        inside = (tops >= plan.test.lower) & (tops < plan.test.upper)
+        inside = (tops >= edges[0]) & (tops < edges[1])
         assert inside.any()
-        monkeypatch.setattr(SIM, "word_block", lambda seeds, draws: words.copy())
-        z = plan.shift + ndtri(uniform_from_words(words))
-        self.check(s, plan, z)
+        z = plan.shift + ndtri(uniform_from_words(words.copy()))
+
+        def plant(seeds, draws, out, scratch):
+            # out is the (rows, k) transpose of the test-major tile
+            np.copyto(out, words)
+            return out
+
+        monkeypatch.setattr(SIM, "word_block", plant)
+        self.check(s, plan, z, monkeypatch)
