@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Iterator
 from . import __version__
 from .decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual
 from .errors import DomainError, FileFormatError
-from .families import FWER_METHODS, MAX_THREADS, AdjustmentMethod, TestingMode, classify_testing_mode
+from .families import FWER_METHODS, MAX_REPS, MAX_THREADS, AdjustmentMethod, TestingMode, classify_testing_mode
 from .fileio import load_battery_file, load_classification_file, load_scenario_file
 from .rates import (
     bonferroni_adjust,
@@ -42,7 +42,6 @@ from .rates import (
 )
 from .validators import integer
 
-MAX_REPS = 100_000_000
 SEED_ENV_VAR = "ALPHAGATE_SEED"
 #: 17 significant digits round-trip any double
 MAX_PRECISION = 17
@@ -261,7 +260,7 @@ def _cmd_simulate(args) -> Iterator[str]:
     if doc.scenario is None:
         raise FileFormatError(f"{args.scenario}: document has no simulation section")
     scenario = doc.scenario
-    reps = integer(args.reps if args.reps is not None else scenario.reps, "reps", 1, MAX_REPS)
+    reps = args.reps if args.reps is not None else scenario.reps
     scenario = scenario.with_run(reps, _resolve_seed(args, scenario.seed))
     est = simulate(scenario, threads=args.threads)
     print(

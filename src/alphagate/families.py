@@ -291,6 +291,8 @@ class ValidationReport:
 #: Upper bound of ``simulate``'s ``threads``; workers are further capped at
 #: the chunk count and the CPU count.
 MAX_THREADS = 1024
+#: Upper bound of a scenario's ``reps``.
+MAX_REPS = 100_000_000
 
 
 class Sides(Enum):
@@ -387,7 +389,7 @@ class Scenario:
         self._set_run(self.reps, self.seed)
 
     def _set_run(self, reps, seed) -> None:
-        object.__setattr__(self, "reps", integer(reps, "reps", 1, error=InvalidScenario))
+        object.__setattr__(self, "reps", integer(reps, "reps", 1, MAX_REPS, error=InvalidScenario))
         object.__setattr__(self, "seed", integer(seed, "seed", 0, 2**64 - 1, error=InvalidScenario))
 
     def with_run(self, reps: int, seed: int) -> Scenario:

@@ -64,6 +64,7 @@ def derive_rep_seed(seed: int, rep: int) -> int:
     (the finalizer advances by one gamma before mixing, so this is output
     ``rep`` of the reference splitmix64 stream seeded with ``seed``).
     """
+    seed = integer(seed, "seed", 0, 2**64 - 1)
     rep = integer(rep, "rep", 0)
     return mix64(seed + (rep + 1) * GOLDEN_GAMMA)
 

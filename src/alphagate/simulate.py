@@ -23,16 +23,16 @@ how replications are scheduled. Replications are seeded individually by a
 counter-based derivation (:mod:`alphagate.rng`), work is cut into
 fixed-size chunks independent of the thread count, and partial sums are
 combined in chunk order. Each chunk is judged in tiles of about
-:data:`TILE_BYTES` per (rows, k + 1) temporary, so a worker's memory is
+:data:`TILE_BYTES` per (k + 1, rows) temporary, so a worker's memory is
 O(tile * (k + 1) + CHUNK_REPS) and does not grow with k times the chunk
 length; replications are judged independently and every per-tile total is
 an integer, so the estimates never depend on the tile size. Each worker
 judges all its chunks in one scratch block, made on its first chunk and
 sized only by the tile, k and the chunk length: the draws, statistics,
 masks and counts of every tile are written in place into views of it.
-Word tiles (below) are test-major, (k, rows), so the per-replication
-counts and maxima and the per-test counts reduce down contiguous rows; z
-tiles are (rows, k), because Hochberg sorts within a replication.
+Every tile is test-major, (draws, rows), so the per-replication counts and
+maxima reduce down contiguous rows of replications, the per-test counts
+along each row, and Hochberg sorts each replication down its column.
 
 Decisions are made in threshold space. Every rule compares p-values with
 thresholds (alpha, the single-step level, Hochberg's alpha/(k-i+1)), and a
@@ -79,7 +79,7 @@ _SQRT2 = math.sqrt(2.0)
 #: so that chunk boundaries, and therefore partial-sum order, are stable.
 CHUNK_REPS = 16_384
 
-#: Bytes of one (rows, k + 1) float64 temporary while a chunk is judged; a
+#: Bytes of one (k + 1, rows) float64 temporary while a chunk is judged; a
 #: tile that fits in a core's cache saves streaming whole-chunk arrays
 #: through memory at every step.
 TILE_BYTES = 1 << 19
@@ -145,7 +145,8 @@ def _z_block(scenario: Scenario, rep_seeds: np.ndarray, shift: np.ndarray, out=N
 
     ``out`` (float64) and ``scratch`` (uint64), both of shape
     (len(rep_seeds), :func:`_draws`), take the draws and the words; each is a
-    new array when None, and the statistics are a view of one of them."""
+    new array when None and may be the transpose of a (draws, len(rep_seeds))
+    array, and the statistics are a view of one of them."""
     k, per_rep = scenario.k, _draws(scenario)
     kind = scenario.design.kind
     if scratch is None:
@@ -157,7 +158,7 @@ def _z_block(scenario: Scenario, rep_seeds: np.ndarray, shift: np.ndarray, out=N
         draws += shift
         return draws
     # the words are spent, so their memory takes the statistics
-    z = scratch.reshape(-1)[: len(rep_seeds) * k].view(np.float64).reshape(-1, k)
+    z = scratch[:, :k].view(np.float64)
     common = draws[:, :1]
     if kind == "equicorrelated":
         rho = scenario.design.rho
@@ -179,6 +180,7 @@ def sample_statistics(scenario: Scenario, rep_seed: int) -> tuple[float, ...]:
     """The k test statistics of a single replication, given its derived seed."""
     if not isinstance(scenario, Scenario):
         raise InvalidScenario(f"expected a Scenario, got {type(scenario).__name__}")
+    rep_seed = integer(rep_seed, "rep_seed", 0, 2**64 - 1)
     return tuple(_z_block(scenario, np.asarray([rep_seed], dtype=np.uint64), _shift(scenario))[0].tolist())
 
 
@@ -300,13 +302,13 @@ def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Ban
 @dataclass(frozen=True)
 class _Plan:
     """How one run decides. With ``words`` the statistics are the word tops
-    of the draws, in test-major (k, rows) tiles; otherwise they are z (|z|
-    when two-sided), in (rows, k) tiles. ``test`` bands each test's decision
-    at alpha. ``joint`` bands the disjunction: a scalar band meets each
-    replication's maximum, a band per test meets its statistics as they are,
-    or, for Hochberg, sorted ascending. Bands per test are shaped to
-    broadcast over a tile. Replications that fall inside a joint band are
-    judged on their p-values by :func:`~alphagate.decisions.reject`."""
+    of the draws; otherwise they are z (|z| when two-sided). Either way a
+    tile holds them test-major, (k, rows). ``test`` bands each test's
+    decision at alpha. ``joint`` bands the disjunction: a scalar band meets
+    each replication's maximum, a (k, 1) column of bands, one per test,
+    meets its statistics as they are, or, for Hochberg, sorted ascending.
+    Replications that fall inside a joint band are judged on their p-values
+    by :func:`~alphagate.decisions.reject`."""
 
     words: bool
     hochberg: bool
@@ -314,22 +316,17 @@ class _Plan:
     test: _Band
     joint: _Band
 
-    @property
-    def tests_axis(self) -> int:
-        """The axis of a tile that runs over the tests."""
-        return 0 if self.words else 1
-
 
 def _plan(scenario: Scenario) -> _Plan:
     k, alpha, method = scenario.k, scenario.alpha_joint, scenario.method
     hochberg = method is AdjustmentMethod.HOCHBERG
     t = steps(method, alpha, k)
-    # the sorted row's column j meets alpha / (j + 1); otherwise the joint
-    # verdict is the row minimum against the first step (Holm's is Bonferroni's)
+    # the sorted column's entry j meets alpha / (j + 1); otherwise the joint
+    # verdict is the column maximum against the first step (Holm's is Bonferroni's)
     joint_t = t[::-1] if hochberg else t[:1]
     z = _z_bands(np.concatenate([[alpha], joint_t]), scenario.sides)
     test = _Band(z.lower[0], z.upper[0])
-    joint = _Band(z.lower[1:], z.upper[1:]) if hochberg else _Band(z.lower[1], z.upper[1])
+    joint = _Band(z.lower[1:, None], z.upper[1:, None]) if hochberg else _Band(z.lower[1], z.upper[1])
     shift = _shift(scenario)
     words = scenario.design.kind == "independent" and scenario.sides is Sides.ONE_SIDED and not hochberg
     if words:
@@ -342,30 +339,17 @@ def _plan(scenario: Scenario) -> _Plan:
     return _Plan(words, hochberg, shift, test, joint)
 
 
-@dataclass(frozen=True)
-class _Tile:
-    """Views of a worker's scratch block for judging one tile of replications.
-
-    ``stats`` holds the statistics: uint64 words (k, rows) on the word route,
-    float64 draws (rows, draws per replication) on the z route. ``bits`` is a
-    uint64 array of the same shape for the words behind them. ``rejected``
-    and ``mask`` are boolean arrays shaped like the statistics; ``top``,
-    ``maybe`` and ``joint`` hold one value per replication."""
-
-    stats: np.ndarray
-    bits: np.ndarray
-    rejected: np.ndarray
-    mask: np.ndarray
-    top: np.ndarray
-    maybe: np.ndarray
-    joint: np.ndarray
-
-
 class _Scratch:
     """The memory one worker judges its chunks in: a single ``np.empty`` block,
     carved into a chunk's seeds and totals and a tile's statistics and masks.
     Its size depends only on the tile, k and the chunk length, so every chunk
     and tile the worker judges reuses it and allocates nothing of that size.
+
+    The tile views are test-major: (draws, tile) for the statistics ``stats``
+    (uint64 words on the word route, float64 draws on the z route) and the
+    uint64 words behind them ``bits``, (k, tile) for the booleans ``rejected``
+    and ``mask``. ``top``, of the statistics' type, ``maybe`` and ``joint``
+    hold one value per replication. A shorter tile takes their heads.
 
     A chunk's per-replication counts ``r`` and ``v`` take the smallest
     unsigned type that holds k, and a tile's per-test ``counts`` the one that
@@ -373,97 +357,83 @@ class _Scratch:
 
     def __init__(self, plan: _Plan, scenario: Scenario, tile: int, chunk: int):
         k = scenario.k
-        self._k, self._words, self._draws = k, plan.words, k if plan.words else _draws(scenario)
+        draws = _draws(scenario)  # k on the word route, whose design is independent
+        stat_type = np.uint64 if plan.words else np.float64
         count_type = np.min_scalar_type(k)
         parts = {
-            "seeds": (chunk, np.uint64),
-            "seed_bits": (chunk, np.uint64),
-            "r": (chunk, count_type),
-            "v": (chunk, count_type),
-            "ratio": (chunk, np.float64),
-            "flags": (chunk, np.bool_),
-            "counts": (k, np.min_scalar_type(tile)),
-            "stats": (tile * self._draws, np.uint64),
-            "bits": (tile * self._draws, np.uint64),
-            "rejected": (tile * k, np.bool_),
-            "mask": (tile * k, np.bool_),
-            "top": (tile, np.uint64),
-            "maybe": (tile, np.bool_),
-            "joint": (tile, np.bool_),
+            "seeds": ((chunk,), np.uint64),
+            "seed_bits": ((chunk,), np.uint64),
+            "r": ((chunk,), count_type),
+            "v": ((chunk,), count_type),
+            "ratio": ((chunk,), np.float64),
+            "flags": ((chunk,), np.bool_),
+            "counts": ((k,), np.min_scalar_type(tile)),
+            "stats": ((draws, tile), stat_type),
+            "bits": ((draws, tile), np.uint64),
+            "rejected": ((k, tile), np.bool_),
+            "mask": ((k, tile), np.bool_),
+            "top": ((tile,), stat_type),
+            "maybe": ((tile,), np.bool_),
+            "joint": ((tile,), np.bool_),
         }
-        sizes = {name: length * np.dtype(dtype).itemsize for name, (length, dtype) in parts.items()}
+        sizes = {name: math.prod(shape) * np.dtype(dtype).itemsize for name, (shape, dtype) in parts.items()}
         # each view starts on a 64-byte boundary of the block
         self.block = np.empty(sum(-(-size // 64) * 64 for size in sizes.values()), dtype=np.uint8)
         offset = 0
-        for name, (_, dtype) in parts.items():
-            setattr(self, name, self.block[offset : offset + sizes[name]].view(dtype))
+        for name, (shape, dtype) in parts.items():
+            setattr(self, name, self.block[offset : offset + sizes[name]].view(dtype).reshape(shape))
             offset += -(-sizes[name] // 64) * 64
-        self._tiles: dict[int, _Tile] = {}
-
-    def tile(self, rows: int) -> _Tile:
-        """Views for a tile of ``rows`` replications, each contiguous."""
-        views = self._tiles.get(rows)
-        if views is None:
-            k, d = self._k, self._draws
-            shape = (k, rows) if self._words else (rows, k)
-            stats = self.stats[: rows * d]
-            views = self._tiles[rows] = _Tile(
-                stats=stats.reshape(shape) if self._words else stats.view(np.float64).reshape(rows, d),
-                bits=self.bits[: rows * d].reshape(shape if self._words else (rows, d)),
-                rejected=self.rejected[: rows * k].reshape(shape),
-                mask=self.mask[: rows * k].reshape(shape),
-                top=self.top[:rows] if self._words else self.top[:rows].view(np.float64),
-                maybe=self.maybe[:rows],
-                joint=self.joint[:rows],
-            )
-        return views
 
 
-def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, tile: _Tile) -> tuple[np.ndarray, np.ndarray]:
-    """Per-test rejections at alpha and the disjunction verdict of each
-    replication, equal to judging p_from_z of each statistic. Both are views
-    of ``tile``; the rejections are shaped like the statistics."""
+def _head(view: np.ndarray, rows: int) -> np.ndarray:
+    """A (len(view), rows) tile in the memory of a (len(view), tile) scratch
+    view: its contiguous head, since a short tile judged in strided columns
+    costs about twice as much per replication."""
+    return view.reshape(-1)[: len(view) * rows].reshape(-1, rows)
+
+
+def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Per-test rejections at alpha, (k, rows), and the disjunction verdict of
+    each replication, equal to judging p_from_z of each statistic. Both are
+    views of ``scratch``."""
     k, sides, alpha = scenario.k, scenario.sides, scenario.alpha_joint
+    rows = len(seeds)
+    # word_block and _z_block fill (rows, draws); writing them through the
+    # transposes makes the tile test-major
+    stats, bits = _head(scratch.stats, rows).T, _head(scratch.bits, rows).T
     if plan.words:
-        # word_block fills (rows, k); writing it through the transposes makes
-        # the tile test-major
-        x = word_block(seeds, k, tile.stats.T, tile.bits.T).T
+        x = word_block(seeds, k, stats, bits).T
         np.right_shift(x, _WORD_DROP, out=x)
-
-        def z_of(reps, tests):
-            return _word_z(plan.shift[tests], x[tests, reps])
     else:
-        x = _z_block(scenario, seeds, plan.shift, tile.stats, tile.bits)
+        x = _z_block(scenario, seeds, plan.shift, stats, bits).T
         if sides is Sides.TWO_SIDED:
             np.abs(x, out=x)
 
-        def z_of(reps, tests):
-            return x[reps, tests]
+    def z_of(tests, reps):
+        return _word_z(plan.shift[tests], x[tests, reps]) if plan.words else x[tests, reps]
 
-    rejected = np.greater_equal(x, plan.test.upper, out=tile.rejected)
-    maybe = np.greater_equal(x, plan.test.lower, out=tile.mask)
+    rejected = np.greater_equal(x, plan.test.upper, out=_head(scratch.rejected, rows))
+    mask = _head(scratch.mask, rows)
+    maybe = np.greater_equal(x, plan.test.lower, out=mask)
     if np.count_nonzero(maybe) != np.count_nonzero(rejected):
         inside = np.nonzero(maybe & ~rejected)
-        reps, tests = inside[::-1] if plan.words else inside
-        rejected[inside] = p_from_z(z_of(reps, tests), sides) <= alpha
+        rejected[inside] = p_from_z(z_of(*inside), sides) <= alpha
 
-    across = plan.tests_axis
     if plan.hochberg:
-        x.sort(axis=across)
+        x.sort(axis=0)
+    joint, maybe = scratch.joint[:rows], scratch.maybe[:rows]
     if np.ndim(plan.joint.upper) == 0:
-        top = np.max(x, axis=across, out=tile.top)
-        joint = np.greater_equal(top, plan.joint.upper, out=tile.joint)
-        maybe = np.greater_equal(top, plan.joint.lower, out=tile.maybe)
+        top = np.max(x, axis=0, out=scratch.top[:rows])
+        np.greater_equal(top, plan.joint.upper, out=joint)
+        np.greater_equal(top, plan.joint.lower, out=maybe)
     else:
-        above = np.greater_equal(x, plan.joint.upper, out=tile.mask)
-        joint = np.logical_or.reduce(above, axis=across, out=tile.joint)
-        above = np.greater_equal(x, plan.joint.lower, out=tile.mask)
-        maybe = np.logical_or.reduce(above, axis=across, out=tile.maybe)
+        np.logical_or.reduce(np.greater_equal(x, plan.joint.upper, out=mask), axis=0, out=joint)
+        np.logical_or.reduce(np.greater_equal(x, plan.joint.lower, out=mask), axis=0, out=maybe)
     # maybe and not joint: inside the band
     if np.greater(maybe, joint, out=maybe).any():
-        rows = np.flatnonzero(maybe)
-        p = p_from_z(z_of(rows[:, None], np.arange(k)), sides)
-        joint[rows] = reject(p, alpha, scenario.method)[0].any(axis=1)
+        reps = np.flatnonzero(maybe)
+        p = p_from_z(z_of(np.arange(k), reps[:, None]), sides)
+        joint[reps] = reject(p, alpha, scenario.method)[0].any(axis=1)
     return rejected, joint
 
 
@@ -488,11 +458,9 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
 
     start_time = time.perf_counter()
     k, reps = scenario.k, scenario.reps
-    nulls = np.asarray(scenario.null_pattern, dtype=bool)
+    nulls = np.asarray(scenario.null_pattern, dtype=bool)[:, None]
     all_nulls = bool(nulls.all())
     plan = _plan(scenario)
-    across = plan.tests_axis
-    null_tests = nulls[:, None] if plan.words else nulls
 
     chunk_reps = min(CHUNK_REPS, reps)
     tile = min(max(1, TILE_BYTES // (8 * (k + 1))), chunk_reps)
@@ -512,12 +480,12 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
         disjunction_rejects = 0
         for lo in range(0, count, tile):
             hi = min(lo + tile, count)
-            rejected, joint = _decide(plan, scenario, seeds[lo:hi], scratch.tile(hi - lo))
+            rejected, joint = _decide(plan, scenario, seeds[lo:hi], scratch)
             ones = rejected.view(np.uint8)
-            np.add.reduce(ones, axis=across, dtype=r.dtype, out=r[lo:hi])
+            np.add.reduce(ones, axis=0, dtype=r.dtype, out=r[lo:hi])
             if not all_nulls:
-                np.add.reduce(ones, axis=across, dtype=v.dtype, out=v[lo:hi], where=null_tests)
-            per_test += np.add.reduce(ones, axis=1 - across, dtype=scratch.counts.dtype, out=scratch.counts)
+                np.add.reduce(ones, axis=0, dtype=v.dtype, out=v[lo:hi], where=nulls)
+            per_test += np.add.reduce(ones, axis=1, dtype=scratch.counts.dtype, out=scratch.counts)
             disjunction_rejects += int(np.count_nonzero(joint))
         # V / max(R, 1), as doubles
         fdp = np.maximum(r, 1, out=scratch.ratio[:count])

@@ -111,6 +111,16 @@ def test_normal_block_moments():
     assert abs(z.std() - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_normal_block_fills_transposed_arrays_in_place(rows):
+    seeds = rep_seed_block(3, 0, rows)
+    out = np.empty((6, rows))
+    scratch = np.empty(out.shape, dtype=np.uint64)
+    z = normal_block(seeds, 6, out.T, scratch.T)
+    assert np.shares_memory(z, out)
+    assert np.array_equal(z.view(np.uint64), normal_block(seeds, 6).view(np.uint64))
+
+
 def test_word_block_is_counter_addressable():
     seeds = rep_seed_block(11, 0, 4)
     words = word_block(seeds, 6)

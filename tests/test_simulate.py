@@ -22,7 +22,7 @@ from scipy.special import ndtri
 
 from alphagate.decisions import Verdict, decide_conjunction, decide_disjunction, decide_individual, reject
 from alphagate.errors import DomainError, InvalidScenario
-from alphagate.families import AdjustmentMethod, TestBattery, TestingMode
+from alphagate.families import MAX_REPS, AdjustmentMethod, TestBattery, TestingMode
 from alphagate.rates import bonferroni_adjust, conjunction_power, fwer_independent, sidak_adjust
 from alphagate.rng import derive_rep_seed, rep_seed_block, uniform_from_words
 from alphagate.simulate import (
@@ -263,7 +263,7 @@ class TestScenarioValidation:
         (dict(alpha_joint=1.0), "alpha_joint must be a real in (0, 1), got 1.0"),
         (dict(method=AdjustmentMethod.NONE),
          "scenario method must control the FWER (bonferroni, sidak, holm, hochberg), got 'none'"),
-        (dict(reps=0), "reps must be an integer >= 1, got 0"),
+        (dict(reps=0), "reps must be an integer in [1, 100000000], got 0"),
         (dict(seed=-1), "seed must be an integer in [0, 18446744073709551615], got -1"),
     ])
     def test_single_fault_messages(self, fault, message):
@@ -306,14 +306,24 @@ class TestScenarioValidation:
         assert run.null_pattern is base.null_pattern and run.deltas is base.deltas
 
     @pytest.mark.parametrize("reps, seed, message", [
-        (0, 1, "reps must be an integer >= 1, got 0"),
+        (0, 1, "reps must be an integer in [1, 100000000], got 0"),
         (10, -1, "seed must be an integer in [0, 18446744073709551615], got -1"),
         (10, 2**64, "seed must be an integer in [0, 18446744073709551615], got 18446744073709551616"),
-        (True, 1, "reps must be an integer >= 1, got True"),
+        (True, 1, "reps must be an integer in [1, 100000000], got True"),
     ])
     def test_with_run_checks_like_the_constructor(self, reps, seed, message):
         with pytest.raises(InvalidScenario) as err:
             Scenario(**self.BASE).with_run(reps, seed)
+        assert str(err.value) == message
+
+    def test_reps_bound(self):
+        assert Scenario(**{**self.BASE, "reps": MAX_REPS}).with_run(MAX_REPS, 0).reps == MAX_REPS
+        message = f"reps must be an integer in [1, {MAX_REPS}], got {MAX_REPS + 1}"
+        with pytest.raises(InvalidScenario) as err:
+            Scenario(**{**self.BASE, "reps": MAX_REPS + 1})
+        assert str(err.value) == message
+        with pytest.raises(InvalidScenario) as err:
+            Scenario(**self.BASE).with_run(MAX_REPS + 1, 0)
         assert str(err.value) == message
 
     def test_numpy_integers_are_kept_as_ints(self):
@@ -711,8 +721,8 @@ class TestScratchReuse:
                 super().__init__(*args)
                 made.append(self)
 
-        def recorded(plan, s, seeds, tile, decide=SIM._decide):
-            decided.append(decide(plan, s, seeds, tile))
+        def recorded(plan, s, seeds, scratch, decide=SIM._decide):
+            decided.append(decide(plan, s, seeds, scratch))
             return decided[-1]
 
         monkeypatch.setattr(SIM, "_Scratch", Recorded)
@@ -733,6 +743,19 @@ class TestScratchReuse:
         for scratch in made:
             for chunk_view in (scratch.seeds, scratch.r, scratch.v, scratch.ratio):
                 assert np.shares_memory(chunk_view, scratch.block)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("design", DESIGNS.values(), ids=DESIGNS.keys())
+    def test_z_block_fills_test_major_tiles_in_place(self, design, rows):
+        # a tile is (draws, rows); _z_block fills it through its transposes
+        mixed = [0.0, 0.0, 0.3, -0.2, 2.5]
+        s = scenario(5, nulls=[d == 0.0 for d in mixed], deltas=mixed, design=design)
+        seeds, shift = rep_seed_block(s.seed, 0, rows), _shift(s)
+        out = np.empty((SIM._draws(s), rows))
+        scratch = np.empty(out.shape, dtype=np.uint64)
+        z = _z_block(s, seeds, shift, out.T, scratch.T)
+        assert np.array_equal(z.view(np.uint64), _z_block(s, seeds, shift).view(np.uint64))
+        assert np.shares_memory(z, out if design.kind == "independent" else scratch)
 
 
 def order_keys(x):
@@ -801,11 +824,11 @@ class TestInsideBands:
             return reject(p, alpha, method)
 
         monkeypatch.setattr(SIM, "reject", counted)
-        tile = SIM._Scratch(plan, s, len(z), 1).tile(len(z))
-        rejected, joint = SIM._decide(plan, s, np.zeros(len(z), dtype=np.uint64), tile)
-        assert np.shares_memory(rejected, tile.rejected) and np.shares_memory(joint, tile.joint)
+        scratch = SIM._Scratch(plan, s, len(z), 1)
+        rejected, joint = SIM._decide(plan, s, np.zeros(len(z), dtype=np.uint64), scratch)
+        assert np.shares_memory(rejected, scratch.rejected) and np.shares_memory(joint, scratch.joint)
         p = p_from_z(z, s.sides)
-        assert np.array_equal(rejected.T if plan.words else rejected, p <= s.alpha_joint)
+        assert np.array_equal(rejected.T, p <= s.alpha_joint)
         assert np.array_equal(joint, p_space_joint(p, s.alpha_joint, s.method))
         assert fallbacks and sum(fallbacks) < len(z)
 
@@ -820,7 +843,7 @@ class TestInsideBands:
         z = SIM._double_at(self.near(edges, rng, (3000, k)))
         if method is AdjustmentMethod.HOCHBERG:  # sorted column j near step j's band
             step = rng.integers(0, 2, size=(3000, k)) * k + np.arange(k)
-            hochberg = order_keys(np.concatenate([plan.joint.lower, plan.joint.upper]))
+            hochberg = order_keys(np.concatenate([np.ravel(plan.joint.lower), np.ravel(plan.joint.upper)]))
             planted = SIM._double_at(hochberg[step] + rng.integers(-300, 300, size=(3000, k)))
             z = np.concatenate([z, rng.permuted(planted, axis=1)])
         if sides is Sides.TWO_SIDED:

@@ -27,7 +27,7 @@ from alphagate.rates import (
     sidak_adjust,
 )
 from alphagate.rng import derive_rep_seed
-from alphagate.simulate import simulate, wilson_ci
+from alphagate.simulate import sample_statistics, simulate, wilson_ci
 
 #: values no argument takes: None, a str, a bool (Python or numpy), a list,
 #: nan, +-inf, an int too large for a double, and a float where an int belongs
@@ -74,6 +74,15 @@ class TestInteger:
         except InvalidScenario:
             return
         assert type(out) is int and lo <= out and (hi is None or out <= hi)
+
+
+@pytest.mark.parametrize("check", [lambda v: derive_rep_seed(v, 0), lambda v: sample_statistics(_scenario(), v)],
+                         ids=["derive_rep_seed", "sample_statistics"])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None], ids=repr)
+def test_seeds_outside_64_bits_are_domain_errors(check, seed):
+    with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 18446744073709551615\]"):
+        check(seed)
+    assert check(2**64 - 1) == check(np.uint64(2**64 - 1))
 
 
 class TestReal:
@@ -154,7 +163,9 @@ PUBLIC_CHECKS = {
     "wilson_ci.trials": lambda v: wilson_ci(3, v, 0.95),
     "wilson_ci.level": lambda v: wilson_ci(3, 10, v),
     "simulate.threads": lambda v: simulate(_scenario(), threads=v),
+    "derive_rep_seed.seed": lambda v: derive_rep_seed(v, 0),
     "derive_rep_seed.rep": lambda v: derive_rep_seed(1, v),
+    "sample_statistics.rep_seed": lambda v: sample_statistics(_scenario(), v),
     "decide_individual.alpha": lambda v: decide_individual(BATTERY, v),
     "decide_disjunction.alpha": lambda v: decide_disjunction(BATTERY, v, AdjustmentMethod.HOLM),
     "decide_conjunction.alpha": lambda v: decide_conjunction(BATTERY, v),
