@@ -16,14 +16,14 @@ Uniforms take the top 53 bits of a mixed word plus a half-ulp offset; the
 one word whose top bits are all ones would round to exactly 1.0 and is
 capped at the largest double below 1, so uniforms lie strictly inside
 (0, 1). Normals are the inverse normal CDF of those uniforms, so each draw
-consumes exactly one counter slot. :func:`uniform_from_words` is the only
-word-to-uniform map: the simulator also applies it to search the words at
-which a decision changes.
+consumes exactly one counter slot. :func:`uniform_from_words` and
+:func:`normal_from_words` are the only word-to-uniform and word-to-normal
+maps: the simulator also applies them to the words it picks out of a block
+and to search the words at which a decision changes.
 
-The block functions take an ``out`` array for their result and a uint64
-``scratch`` array of the same shape for their intermediate words, each made
-anew when None, so that a caller can draw block after block into the same
-memory.
+:func:`word_block` takes an ``out`` array for its words and a uint64
+``scratch`` array of the same shape for the mixing, each made anew when
+None, so that a caller can draw block after block into the same memory.
 """
 
 from __future__ import annotations
@@ -119,17 +119,19 @@ def uniform_from_words(words: np.ndarray, out=None) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def uniform_block(seeds: np.ndarray, draws: int, out=None, scratch=None) -> np.ndarray:
-    """Uniforms in (0, 1) of :func:`word_block`'s words; ``out`` and
-    ``scratch`` as in :func:`word_block`, with ``out`` float64."""
-    if out is None:
-        out = np.empty((len(seeds), draws))
-    # the states are built in the memory of the uniforms, the words in scratch
-    return uniform_from_words(word_block(seeds, draws, scratch, out.view(np.uint64)), out)
-
-
-def normal_block(seeds: np.ndarray, draws: int, out=None, scratch=None) -> np.ndarray:
-    """Standard normals via inverse-CDF transform of :func:`uniform_block`,
-    with its ``out`` and ``scratch``; the transform runs in place."""
-    u = uniform_block(seeds, draws, out, scratch)
+def normal_from_words(words: np.ndarray, out=None) -> np.ndarray:
+    """The standard normal that each word stands for: ndtri of
+    :func:`uniform_from_words`, in place in its ``out``. Give ``out`` memory
+    of its own: numpy copies words mapped to floats in the same memory."""
+    u = uniform_from_words(words, out)
     return ndtri(u, out=u)
+
+
+def uniform_block(seeds: np.ndarray, draws: int) -> np.ndarray:
+    """Uniforms in (0, 1) of :func:`word_block`'s words, shape (len(seeds), draws)."""
+    return uniform_from_words(word_block(seeds, draws))
+
+
+def normal_block(seeds: np.ndarray, draws: int) -> np.ndarray:
+    """Standard normals of :func:`word_block`'s words, shape (len(seeds), draws)."""
+    return normal_from_words(word_block(seeds, draws))

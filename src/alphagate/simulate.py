@@ -28,8 +28,9 @@ O(tile * (k + 1) + CHUNK_REPS) and does not grow with k times the chunk
 length; replications are judged independently and every per-tile total is
 an integer, so the estimates never depend on the tile size. Each worker
 judges all its chunks in one scratch block, made on its first chunk and
-sized only by the tile, k and the chunk length: the draws, statistics,
-masks and counts of every tile are written in place into views of it.
+sized only by the tile, k, the chunk length and the number of distinct
+shifts: the draws, statistics, masks and counts of every tile are written
+in place into views of it.
 Every tile is test-major, (draws, rows), so the per-replication counts and
 maxima reduce down contiguous rows of replications, the per-test counts
 along each row, and Hochberg sorts each replication down its column.
@@ -50,6 +51,23 @@ point: the bisections run at thresholds loosened by far more than those
 functions' error, so outside the band the answer is certain, and the rare
 statistic inside it is judged by p_from_z. Every decision therefore equals
 the one the p-values give, and so do the estimates.
+
+On every other run (the z route) a screen spares ndtri the draws that
+cannot matter. Every joint threshold is at most alpha, so a statistic below
+the lower edge of the band at alpha is never rejected and never moves
+Hochberg's sorted verdict. A tile draws the raw words and makes only the
+shared draw W of each replication a normal. Per replication and distinct
+shift, ndtr of that edge in the space of a test's own draw G gives an
+interval of word tops inside which z (|z| when two-sided) stays below it.
+The interval is narrowed by 2**-30 relative in z and in the uniform, far
+more than the error of ndtr and ndtri and the rounding of z, and rounded
+inward. Only the words outside it go through ndtri, and their z is
+assembled by the same IEEE operations as :func:`_z_block`'s, so it is the
+same double; the others become -inf, below every band. A screened
+replication judged by the joint fallback is drawn again in full with
+:func:`_z_block`.
+The screen spends two ndtr per distinct shift and replication, so a run
+uses it only where it is expected to pay (:func:`_pays`).
 """
 
 from __future__ import annotations
@@ -70,7 +88,7 @@ from .errors import DomainError, InvalidScenario
 # the scenario types live in families, which needs no numpy; they stay
 # importable from here
 from .families import MAX_THREADS, AdjustmentMethod, Design, Scenario, Sides, TestingMode  # noqa: F401
-from .rng import normal_block, rep_seed_block, uniform_from_words, word_block
+from .rng import normal_block, normal_from_words, rep_seed_block, word_block
 from .validators import N_MAX, integer, real
 
 _SQRT2 = math.sqrt(2.0)
@@ -139,41 +157,41 @@ def _draws(scenario: Scenario) -> int:
     return scenario.k if scenario.design.kind == "independent" else scenario.k + 1
 
 
-def _z_block(scenario: Scenario, rep_seeds: np.ndarray, shift: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Z statistics for one batch of replications, shape (len(rep_seeds), k),
-    given the scenario's :func:`_shift`.
+def _common(design: Design, draws: np.ndarray) -> np.ndarray:
+    """The shared term of the dependent designs from their shared draws W, in
+    place: sqrt(rho) * W when equicorrelated, W itself under shared control."""
+    if design.kind == "equicorrelated":
+        draws *= math.sqrt(design.rho)
+    return draws
 
-    ``out`` (float64) and ``scratch`` (uint64), both of shape
-    (len(rep_seeds), :func:`_draws`), take the draws and the words; each is a
-    new array when None and may be the transpose of a (draws, len(rep_seeds))
-    array, and the statistics are a view of one of them."""
-    k, per_rep = scenario.k, _draws(scenario)
-    kind = scenario.design.kind
-    if scratch is None:
-        scratch = np.empty((len(rep_seeds), per_rep), dtype=np.uint64)
-    # in-place steps; each is the same IEEE operation on the same operands as
-    # the plain expression
-    draws = normal_block(rep_seeds, per_rep, out, scratch)
-    if kind == "independent":
-        draws += shift
-        return draws
-    # the words are spent, so their memory takes the statistics
-    z = scratch[:, :k].view(np.float64)
-    common = draws[:, :1]
-    if kind == "equicorrelated":
-        rho = scenario.design.rho
-        common *= math.sqrt(rho)
-        np.add(shift, common, out=z)
-        own = draws[:, 1:]
-        own *= math.sqrt(1.0 - rho)
-        z += own
-        return z
-    # shared control: Z_i = (mean_i - mean_0) / sqrt(2/n) with all group
-    # means at their defining variance 1/n
-    np.subtract(draws[:, 1:], common, out=z)
-    z /= _SQRT2
-    z += shift
-    return z
+
+def _assemble(design: Design, own: np.ndarray, common, shift: np.ndarray, out=None) -> np.ndarray:
+    """z from each test's own normal draw G, in place in ``own``, given the
+    :func:`_common` term and the :func:`_shift`, all broadcast together;
+    ``out`` (a new array when None) takes the equicorrelated mean."""
+    if design.kind == "independent":
+        own += shift
+    elif design.kind == "equicorrelated":
+        # (shift + common) + sqrt(1 - rho) * G: addition commutes exactly
+        own *= math.sqrt(1.0 - design.rho)
+        own += np.add(shift, common, out=out)
+    else:
+        # shared control: Z_i = (mean_i - mean_0) / sqrt(2/n) with all group
+        # means at their defining variance 1/n
+        own -= common
+        own /= _SQRT2
+        own += shift
+    return own
+
+
+def _z_block(scenario: Scenario, rep_seeds: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Z statistics for one batch of replications, shape (len(rep_seeds), k),
+    given the scenario's :func:`_shift`."""
+    design = scenario.design
+    draws = normal_block(rep_seeds, _draws(scenario))
+    if design.kind == "independent":
+        return _assemble(design, draws, None, shift)
+    return _assemble(design, draws[:, 1:], _common(design, draws[:, :1]), shift)
 
 
 def sample_statistics(scenario: Scenario, rep_seed: int) -> tuple[float, ...]:
@@ -214,6 +232,18 @@ _MAGNITUDE_BITS = np.int64((1 << 63) - 1)
 #: A uniform is made of the top 53 bits of a word.
 _WORD_DROP = np.uint64(11)
 _TOPS = 1 << 53
+#: Relative margin by which the z route's screen narrows the words it skips,
+#: in z and in the uniform: far above the error of ndtr, ndtri and the
+#: rounding of z's assembly.
+_SCREEN_MARGIN = 2.0**-30
+#: Above the largest |normal| a word stands for (ndtri(2**-54) = -8.29...).
+_NORMAL_MAX = 9.0
+#: Uniform -> word top, narrowing the upper edge and widening the lower one.
+_SCREEN_SCALE = np.array([_TOPS * (1.0 - _SCREEN_MARGIN), _TOPS * (1.0 + _SCREEN_MARGIN)])[:, None, None]
+#: The shared term of the independent design, which has none.
+_NO_COMMON = np.zeros(1)
+#: Equally likely quantiles of a normal draw, at which the screen's cost is judged.
+_QUANTILES = (np.arange(16) + 0.5) / 16
 
 
 def _double_at(key: np.ndarray) -> np.ndarray:
@@ -267,7 +297,8 @@ def _z_bands(t: np.ndarray, sides: Sides) -> _Band:
         np.full(loose.size, start - 1, dtype=np.int64),
         np.full(loose.size, _INF_KEY + 1, dtype=np.int64),
         _key_of(guess),
-        1 << 24,
+        # the guess lands within a few keys of the band
+        1 << 6,
     )
     # p_from_z(+inf) = 0 <= t, so +inf is a valid top for every band
     cut = _double_at(np.minimum(keys, _INF_KEY))
@@ -277,7 +308,7 @@ def _z_bands(t: np.ndarray, sides: Sides) -> _Band:
 def _word_z(shift, tops):
     """z of 53-bit word tops under the independent design, by the same
     operations on the same values as the draws."""
-    return shift + ndtri(uniform_from_words(tops << _WORD_DROP))
+    return shift + normal_from_words(tops << _WORD_DROP)
 
 
 def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Band:
@@ -299,6 +330,63 @@ def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Ban
     return _Band(tops[:, : lower.size], tops[:, lower.size :])
 
 
+def _distinct(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct shifts, ascending, and the index of each test's among
+    them; as np.unique gives them, without the quarter MiB its first call
+    adds to a process."""
+    ordered = np.sort(shift)
+    distinct = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
+    return distinct, np.searchsorted(distinct, shift)
+
+
+@dataclass(frozen=True)
+class _Screen:
+    """Where the z route's screen cuts each test's own normal draw G.
+    ``column`` gives the index of each test's shift among the distinct
+    shifts, or is the single index 0. With c the replication's
+    :func:`_common` term, a G strictly between ``edges[1, j] + slope * c``
+    and ``edges[0, j] + slope * c`` gives a test of shift j a z (|z| when
+    two-sided) below the cut, by a margin far above the rounding of z and of
+    these edges. ``edges`` has shape (2, distinct shifts, 1)."""
+
+    edges: np.ndarray
+    column: np.ndarray
+    slope: float
+
+
+def _screen_for(scenario: Scenario, shift: np.ndarray, cut: float) -> _Screen:
+    """The screen below ``cut`` for tests of the given shifts."""
+    design = scenario.design
+    distinct, column = _distinct(shift)
+    margin = _SCREEN_MARGIN * (1.0 + abs(cut) + np.abs(distinct) + _NORMAL_MAX)
+    floor = -cut + margin if scenario.sides is Sides.TWO_SIDED else np.full(distinct.size, -np.inf)
+    # a huge shift puts an edge at infinity, where it screens all or nothing
+    with np.errstate(over="ignore"):
+        edges = np.stack([cut - margin, floor])[:, :, None] - distinct[:, None]
+        if design.kind == "equicorrelated":
+            scale = math.sqrt(1.0 - design.rho)  # z = (shift + c) + scale * G
+            edges, slope = edges / scale, -1.0 / scale
+        elif design.kind == "shared_control":  # z = (G - c) / sqrt(2) + shift
+            edges, slope = edges * _SQRT2, 1.0
+        else:
+            slope = 0.0
+    return _Screen(edges, column if distinct.size > 1 else column[:1], slope)
+
+
+def _pays(screen: _Screen, scenario: Scenario) -> bool:
+    """Whether the screen is expected to save time. Per replication it
+    spends two ndtr on each distinct shift and ndtri on each draw it keeps;
+    it pays where that is at most half of the k ndtri it replaces. The kept
+    share is averaged over quantiles of the shared draw and over at most
+    256 tests, evenly spaced, so that judging costs little next to a run."""
+    k, shifts = scenario.k, screen.edges.shape[1]
+    if 4 * shifts > k:
+        return False
+    tests = screen.column[:: -(-screen.column.size // 256)]
+    u = ndtr(screen.edges[:, tests] + screen.slope * _common(scenario.design, ndtri(_QUANTILES)))
+    return 2 * shifts + k * (1.0 - np.maximum(u[0] - u[1], 0.0).mean()) <= k / 2
+
+
 @dataclass(frozen=True)
 class _Plan:
     """How one run decides. With ``words`` the statistics are the word tops
@@ -308,13 +396,15 @@ class _Plan:
     each replication's maximum, a (k, 1) column of bands, one per test,
     meets its statistics as they are, or, for Hochberg, sorted ascending.
     Replications that fall inside a joint band are judged on their p-values
-    by :func:`~alphagate.decisions.reject`."""
+    by :func:`~alphagate.decisions.reject`. ``screen`` is the z route's
+    :class:`_Screen`, if it has one."""
 
     words: bool
     hochberg: bool
     shift: np.ndarray
     test: _Band
     joint: _Band
+    screen: _Screen | None
 
 
 def _plan(scenario: Scenario) -> _Plan:
@@ -329,27 +419,36 @@ def _plan(scenario: Scenario) -> _Plan:
     joint = _Band(z.lower[1:, None], z.upper[1:, None]) if hochberg else _Band(z.lower[1], z.upper[1])
     shift = _shift(scenario)
     words = scenario.design.kind == "independent" and scenario.sides is Sides.ONE_SIDED and not hochberg
-    if words:
-        distinct, column = np.unique(shift, return_inverse=True)
-        # every test has the same cutoffs, or a column of them per test
-        column = 0 if distinct.size == 1 else column[:, None]
-        tops = _word_bands(distinct, z.lower[:2], z.upper[:2])
-        test = _Band(tops.lower[column, 0], tops.upper[column, 0])
-        joint = _Band(tops.lower[column, 1], tops.upper[column, 1])
-    return _Plan(words, hochberg, shift, test, joint)
+    if not words:
+        # every joint step is at most alpha, so the test band's lower edge
+        # is the lowest of all: a statistic below it changes no decision
+        screen = _screen_for(scenario, shift, test.lower)
+        return _Plan(words, hochberg, shift, test, joint, screen if _pays(screen, scenario) else None)
+    distinct, column = _distinct(shift)
+    # every test has the same cutoffs, or a column of them per test
+    column = 0 if distinct.size == 1 else column[:, None]
+    tops = _word_bands(distinct, z.lower[:2], z.upper[:2])
+    test = _Band(tops.lower[column, 0], tops.upper[column, 0])
+    joint = _Band(tops.lower[column, 1], tops.upper[column, 1])
+    return _Plan(words, hochberg, shift, test, joint, None)
 
 
 class _Scratch:
     """The memory one worker judges its chunks in: a single ``np.empty`` block,
     carved into a chunk's seeds and totals and a tile's statistics and masks.
-    Its size depends only on the tile, k and the chunk length, so every chunk
-    and tile the worker judges reuses it and allocates nothing of that size.
+    Its size depends only on the tile, k, the chunk length and the number of
+    distinct shifts, so every chunk and tile the worker judges reuses it and
+    allocates nothing of that size.
 
     The tile views are test-major: (draws, tile) for the statistics ``stats``
-    (uint64 words on the word route, float64 draws on the z route) and the
-    uint64 words behind them ``bits``, (k, tile) for the booleans ``rejected``
-    and ``mask``. ``top``, of the statistics' type, ``maybe`` and ``joint``
-    hold one value per replication. A shorter tile takes their heads.
+    (uint64 words on the word route, float64 z on the z route) and the
+    uint64 working memory ``bits`` (the z route's words), (k, tile) for the
+    booleans ``rejected`` and ``mask``.
+    ``top``, of the statistics' type, ``maybe`` and ``joint`` hold one value
+    per replication. A shorter tile takes their heads. The z route's screen
+    carves its (2, distinct shifts, rows) edges and word bounds from
+    ``edges`` and ``bounds``, one column only for the independent design, whose bounds no
+    shared draw moves.
 
     A chunk's per-replication counts ``r`` and ``v`` take the smallest
     unsigned type that holds k, and a tile's per-test ``counts`` the one that
@@ -376,6 +475,9 @@ class _Scratch:
             "maybe": ((tile,), np.bool_),
             "joint": ((tile,), np.bool_),
         }
+        if plan.screen is not None:
+            bounds = plan.screen.edges.size * (1 if scenario.design.kind == "independent" else tile)
+            parts.update(edges=((bounds,), np.float64), bounds=((bounds,), np.uint64))
         sizes = {name: math.prod(shape) * np.dtype(dtype).itemsize for name, (shape, dtype) in parts.items()}
         # each view starts on a 64-byte boundary of the block
         self.block = np.empty(sum(-(-size // 64) * 64 for size in sizes.values()), dtype=np.uint8)
@@ -385,11 +487,70 @@ class _Scratch:
             offset += -(-sizes[name] // 64) * 64
 
 
+def _carve(view: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of ``shape`` in the head of a contiguous scratch view."""
+    return view.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def _head(view: np.ndarray, rows: int) -> np.ndarray:
     """A (len(view), rows) tile in the memory of a (len(view), tile) scratch
     view: its contiguous head, since a short tile judged in strided columns
     costs about twice as much per replication."""
-    return view.reshape(-1)[: len(view) * rows].reshape(-1, rows)
+    return _carve(view, (len(view), rows))
+
+
+def _screened_z(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """The z route's statistics of one tile, (k, rows), in ``scratch.stats``:
+    z (|z| when two-sided) bitwise as :func:`_z_block` makes it wherever it
+    can reach ``plan.test.lower``, and -inf wherever the plan's screen shows
+    that it cannot. Only the draws of the first kind go through ndtri (see
+    the module docstring)."""
+    design, k, rows, screen = scenario.design, scenario.k, len(seeds), plan.screen
+    stats, bits = _head(scratch.stats, rows), _head(scratch.bits, rows)
+    # word_block fills (rows, draws); its transposes make the tile test-major.
+    # The words go to bits and the normals to stats: numpy would copy words
+    # mapped to floats in their own memory
+    words = word_block(seeds, len(bits), bits.T, stats.view(np.uint64).T).T
+    tests, x = words[-k:], stats[-k:]  # after the shared draw, if any
+    common = _NO_COMMON if design.kind == "independent" else _common(design, normal_from_words(words[0], stats[0]))
+    if screen is None:
+        normal_from_words(tests, x)
+    else:
+        # a test's words in [bounds[1], bounds[0]) are screened out: the edges
+        # in G become uniforms, narrowed by the margin, then words
+        edges = _carve(scratch.edges, (*screen.edges.shape[:2], common.size))
+        np.multiply(common, screen.slope, out=edges)
+        edges += screen.edges
+        ndtr(edges, out=edges)
+        edges *= _SCREEN_SCALE
+        np.floor(edges[0], out=edges[0])
+        np.ceil(edges[1], out=edges[1])
+        np.minimum(edges[1], edges[0], out=edges[1])  # an empty interval stays below 2**64
+        edges *= float(1 << int(_WORD_DROP))
+        bounds = _carve(scratch.bounds, edges.shape)
+        np.copyto(bounds, edges, casting="unsafe")
+
+        # x held the mixing states; now each test's bounds, then the picked
+        # words, whose normals go to bits. Every index is in range: take's
+        # "clip" only spares it a buffered out
+        each = _carve(x.view(np.uint64), (screen.column.size, common.size))
+        np.take(bounds[0], screen.column, axis=0, out=each, mode="clip")
+        above = np.greater_equal(tests, each, out=_head(scratch.rejected, rows))
+        np.take(bounds[1], screen.column, axis=0, out=each, mode="clip")
+        keep = np.less(tests, each, out=_head(scratch.mask, rows))
+        keep |= above
+        where = np.flatnonzero(keep)
+        picked = np.take(tests, where, out=x.view(np.uint64).reshape(-1)[: where.size], mode="clip")
+        normals = normal_from_words(picked, bits.view(np.float64).reshape(-1)[: where.size])
+        x.fill(np.nan)
+        x.reshape(-1)[where] = normals
+    _assemble(design, x, common, plan.shift[:, None], out=_carve(bits.view(np.float64), x.shape))
+    if scenario.sides is Sides.TWO_SIDED:
+        np.abs(x, out=x)
+    if screen is not None:
+        # a screened-out draw's nan becomes -inf, below every band
+        np.fmax(x, -np.inf, out=x)
+    return x
 
 
 def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
@@ -398,26 +559,20 @@ def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratc
     views of ``scratch``."""
     k, sides, alpha = scenario.k, scenario.sides, scenario.alpha_joint
     rows = len(seeds)
-    # word_block and _z_block fill (rows, draws); writing them through the
-    # transposes makes the tile test-major
-    stats, bits = _head(scratch.stats, rows).T, _head(scratch.bits, rows).T
     if plan.words:
-        x = word_block(seeds, k, stats, bits).T
+        # word_block fills (rows, k); its transposes make the tile test-major
+        x = word_block(seeds, k, _head(scratch.stats, rows).T, _head(scratch.bits, rows).T).T
         np.right_shift(x, _WORD_DROP, out=x)
     else:
-        x = _z_block(scenario, seeds, plan.shift, stats, bits).T
-        if sides is Sides.TWO_SIDED:
-            np.abs(x, out=x)
-
-    def z_of(tests, reps):
-        return _word_z(plan.shift[tests], x[tests, reps]) if plan.words else x[tests, reps]
+        x = _screened_z(plan, scenario, seeds, scratch)
 
     rejected = np.greater_equal(x, plan.test.upper, out=_head(scratch.rejected, rows))
     mask = _head(scratch.mask, rows)
     maybe = np.greater_equal(x, plan.test.lower, out=mask)
     if np.count_nonzero(maybe) != np.count_nonzero(rejected):
-        inside = np.nonzero(maybe & ~rejected)
-        rejected[inside] = p_from_z(z_of(*inside), sides) <= alpha
+        tests, reps = np.nonzero(maybe & ~rejected)
+        z = _word_z(plan.shift[tests], x[tests, reps]) if plan.words else x[tests, reps]
+        rejected[tests, reps] = p_from_z(z, sides) <= alpha
 
     if plan.hochberg:
         x.sort(axis=0)
@@ -432,8 +587,13 @@ def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratc
     # maybe and not joint: inside the band
     if np.greater(maybe, joint, out=maybe).any():
         reps = np.flatnonzero(maybe)
-        p = p_from_z(z_of(np.arange(k), reps[:, None]), sides)
-        joint[reps] = reject(p, alpha, scenario.method)[0].any(axis=1)
+        if plan.words:
+            z = _word_z(plan.shift, x[:, reps].T)
+        elif plan.screen is None:
+            z = x[:, reps].T
+        else:  # the screen left no z in the draws it skipped: draw them again
+            z = _z_block(scenario, seeds[reps], plan.shift)
+        joint[reps] = reject(p_from_z(z, sides), alpha, scenario.method)[0].any(axis=1)
     return rejected, joint
 
 

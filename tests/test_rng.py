@@ -10,6 +10,7 @@ from alphagate.rng import (
     derive_rep_seed,
     mix64,
     normal_block,
+    normal_from_words,
     rep_seed_block,
     uniform_block,
     uniform_from_words,
@@ -112,11 +113,10 @@ def test_normal_block_moments():
 
 
 @pytest.mark.parametrize("rows", [1, 7])
-def test_normal_block_fills_transposed_arrays_in_place(rows):
+def test_normal_from_words_fills_transposed_arrays(rows):
     seeds = rep_seed_block(3, 0, rows)
     out = np.empty((6, rows))
-    scratch = np.empty(out.shape, dtype=np.uint64)
-    z = normal_block(seeds, 6, out.T, scratch.T)
+    z = normal_from_words(word_block(seeds, 6, np.empty((6, rows), dtype=np.uint64).T), out.T)
     assert np.shares_memory(z, out)
     assert np.array_equal(z.view(np.uint64), normal_block(seeds, 6).view(np.uint64))
 

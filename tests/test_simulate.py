@@ -24,7 +24,7 @@ from alphagate.decisions import Verdict, decide_conjunction, decide_disjunction,
 from alphagate.errors import DomainError, InvalidScenario
 from alphagate.families import MAX_REPS, AdjustmentMethod, TestBattery, TestingMode
 from alphagate.rates import bonferroni_adjust, conjunction_power, fwer_independent, sidak_adjust
-from alphagate.rng import derive_rep_seed, rep_seed_block, uniform_from_words
+from alphagate.rng import derive_rep_seed, normal_from_words, rep_seed_block, uniform_from_words, word_block
 from alphagate.simulate import (
     CHUNK_REPS,
     Design,
@@ -41,6 +41,7 @@ from alphagate.simulate import (
 
 # the package re-exports the function simulate under the submodule's name
 SIM = importlib.import_module("alphagate.simulate")
+RNG = importlib.import_module("alphagate.rng")
 
 Z_95 = 1.6448536269514722  # one-sided 5% critical value
 Z_80 = 0.8416212335729143  # 80th percentile
@@ -644,16 +645,23 @@ class TestThresholdRoute:
     def test_equals_p_value_route_at_full_chunks(self):
         reps = CHUNK_REPS + 1001
         mixed = [0.0] * 6 + [0.4] * 7 + [-0.2] * 7
+        # the benchmark's wide shape: 100 true nulls, then 100 at delta 0.4
+        wide = [0.0] * 100 + [0.4] * 100
         cases = [
-            (scenario(20, method=AdjustmentMethod.SIDAK, reps=reps, seed=11), True),
+            (scenario(20, method=AdjustmentMethod.SIDAK, reps=reps, seed=11), "words"),
             (scenario(20, nulls=[d == 0.0 for d in mixed], deltas=mixed,
-                      method=AdjustmentMethod.BONFERRONI, reps=reps, seed=12), True),
+                      method=AdjustmentMethod.BONFERRONI, reps=reps, seed=12), "words"),
             (scenario(20, design=Design.equicorrelated(0.5), sides=Sides.TWO_SIDED,
-                      method=AdjustmentMethod.HOCHBERG, reps=reps, seed=13), False),
-            (scenario(20, method=AdjustmentMethod.HOCHBERG, reps=reps, seed=14), False),
+                      method=AdjustmentMethod.HOCHBERG, reps=reps, seed=13), "screen"),
+            (scenario(20, method=AdjustmentMethod.HOCHBERG, reps=reps, seed=14), "screen"),
+            (scenario(200, nulls=[d == 0.0 for d in wide], deltas=wide, design=Design.equicorrelated(0.5),
+                      sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOCHBERG, reps=reps, seed=15), "screen"),
+            (scenario(200, nulls=[d == 0.0 for d in wide], deltas=wide, design=Design.shared_control(),
+                      sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOLM, reps=reps, seed=16), "screen"),
         ]
-        for s, on_words in cases:
-            assert SIM._plan(s).words is on_words
+        for s, route in cases:
+            plan = SIM._plan(s)
+            assert plan.words is (route == "words") and (plan.screen is not None) is (route == "screen")
             assert simulate(s, threads=2) == p_space_simulate(s)
 
 
@@ -744,18 +752,112 @@ class TestScratchReuse:
             for chunk_view in (scratch.seeds, scratch.r, scratch.v, scratch.ratio):
                 assert np.shares_memory(chunk_view, scratch.block)
 
+
+SCREEN_DESIGNS = [Design.independent(), *map(Design.equicorrelated, (0.0, 0.3, 0.5, 0.999)), Design.shared_control()]
+
+
+@st.composite
+def screened_tiles(draw):
+    """(scenario, tile rows): a z-route scenario whose shift is its delta
+    (n = 2), on any design and sides."""
+    k = draw(st.integers(1, 12))
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.4, -1.5, 3.0]) | st.floats(-12, 12), min_size=k, max_size=k))
+    rows = draw(st.integers(1, 40))
+    s = scenario(
+        k,
+        alpha=draw(st.sampled_from([1e-6, 0.05, 0.7])),
+        nulls=[d == 0.0 for d in shifts],
+        deltas=shifts,
+        n=2,
+        design=draw(st.sampled_from(SCREEN_DESIGNS)),
+        sides=draw(st.sampled_from(list(Sides))),
+        method=AdjustmentMethod.HOCHBERG,  # the z route on every design
+        reps=rows,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return s, rows
+
+
+class TestScreen:
+    """The z route's screen: every statistic it computes is _z_block's, and
+    every one it skips lies below the lowest band edge."""
+
+    @settings(max_examples=150, derandomize=True)
+    @given(screened_tiles(), st.integers(-3, 3))
+    def test_computed_entries_are_z_block_bitwise_and_skipped_ones_below_the_cut(self, tile, reach):
+        s, rows = tile
+        plan = SIM._plan(s)
+        # screened even where the screen would not pay
+        screen = SIM._screen_for(s, plan.shift, plan.test.lower)
+        plan = dataclasses.replace(plan, screen=screen)
+        scratch = SIM._Scratch(plan, s, rows, rows)
+        seeds = rep_seed_block(s.seed, 0, rows)
+        words = word_block(seeds, SIM._draws(s))
+
+        # this tile's word bounds, (2, shifts, rows or 1); then half of the
+        # test words are planted within a few tops of their replication's edges
+        SIM._screened_z(plan, s, seeds, scratch)
+        columns = 1 if s.design.kind == "independent" else rows
+        bounds = SIM._carve(scratch.bounds, (2, screen.edges.shape[1], columns))[:, screen.column]
+        rng = np.random.default_rng(s.seed % 2**32)
+        edge = np.where(rng.integers(0, 2, size=(s.k, rows)) == 1, bounds[1], bounds[0])
+        tops = (edge >> np.uint64(11)).astype(np.int64) + reach + rng.integers(-3, 4, size=(s.k, rows))
+        tops = np.clip(tops, 0, 2**53 - 1).astype(np.uint64)
+        planted = (tops << np.uint64(11)) | rng.integers(0, 2048, size=tops.shape, dtype=np.uint64)
+        keep = rng.random(planted.shape) < 0.5
+        words[:, -s.k :] = np.where(keep, words[:, -s.k :].T, planted).T
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "word_block", lambda seeds, draws, out, scratch: np.copyto(out, words) or out)
+            mp.setattr(SIM, "normal_block", lambda seeds, draws: normal_from_words(words.copy()))
+            x = SIM._screened_z(plan, s, seeds, scratch)
+            z = SIM._z_block(s, seeds, plan.shift).T
+        assert np.shares_memory(x, scratch.stats)
+        if s.sides is Sides.TWO_SIDED:
+            z = np.abs(z)
+        skipped = x == -np.inf
+        assert np.array_equal(x[~skipped].view(np.uint64), z[~skipped].view(np.uint64))
+        assert np.all(z[skipped] < plan.test.lower)
+
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("design", DESIGNS.values(), ids=DESIGNS.keys())
-    def test_z_block_fills_test_major_tiles_in_place(self, design, rows):
-        # a tile is (draws, rows); _z_block fills it through its transposes
-        mixed = [0.0, 0.0, 0.3, -0.2, 2.5]
-        s = scenario(5, nulls=[d == 0.0 for d in mixed], deltas=mixed, design=design)
-        seeds, shift = rep_seed_block(s.seed, 0, rows), _shift(s)
-        out = np.empty((SIM._draws(s), rows))
-        scratch = np.empty(out.shape, dtype=np.uint64)
-        z = _z_block(s, seeds, shift, out.T, scratch.T)
-        assert np.array_equal(z.view(np.uint64), _z_block(s, seeds, shift).view(np.uint64))
-        assert np.shares_memory(z, out if design.kind == "independent" else scratch)
+    def test_fills_the_tile_in_place(self, design, rows):
+        # with and without the screen; a tile is (draws, rows), test-major
+        mixed = [0.0, 0.0, 0.3, -0.2, 2.5] * 4
+        s = scenario(20, nulls=[d == 0.0 for d in mixed], deltas=mixed, design=design,
+                     sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOCHBERG, reps=rows)
+        seeds, plan = rep_seed_block(s.seed, 0, rows), SIM._plan(s)
+        z = np.abs(SIM._z_block(s, seeds, plan.shift).T)
+        for screen in (None, SIM._screen_for(s, plan.shift, plan.test.lower)):
+            planned = dataclasses.replace(plan, screen=screen)
+            scratch = SIM._Scratch(planned, s, rows, rows)
+            x = SIM._screened_z(planned, s, seeds, scratch)
+            assert x.shape == (20, rows) and np.shares_memory(x, scratch.stats)
+            kept = x != -np.inf
+            assert np.array_equal(x[kept].view(np.uint64), z[kept].view(np.uint64))
+            assert bool(kept.all()) is (screen is None)
+
+    def test_normals_drawn_on_the_benchmark_shape(self, monkeypatch):
+        # a count, not a time: on the benchmark's wide equicorrelated shape the
+        # screen keeps about a fifth of the test draws, plus each shared one
+        wide = [0.0] * 100 + [0.4] * 100
+        s = scenario(200, nulls=[d == 0.0 for d in wide], deltas=wide, design=Design.equicorrelated(0.5),
+                     sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOCHBERG, reps=20_000, seed=3)
+        drawn, ndtri_of = [], RNG.ndtri
+        monkeypatch.setattr(RNG, "ndtri", lambda u, **kw: drawn.append(u.size) or ndtri_of(u, **kw))
+        simulate(s, threads=2)
+        assert s.reps < sum(drawn) <= 0.25 * s.k * s.reps + s.reps
+
+    @pytest.mark.parametrize(
+        "sides, alpha, deltas",
+        [(Sides.TWO_SIDED, 0.05, [0.0] * 20), (Sides.ONE_SIDED, 0.7, [0.0] * 20),
+         (Sides.TWO_SIDED, 0.05, [0.1 * i for i in range(20)]), (Sides.TWO_SIDED, 0.05, [0.0] * 3)],
+        ids=["pays", "keeps-most-draws", "a-shift-per-test", "few-tests"],
+    )
+    def test_runs_only_where_it_pays(self, sides, alpha, deltas):
+        s = scenario(len(deltas), alpha=alpha, nulls=[d == 0.0 for d in deltas], deltas=deltas,
+                     design=Design.equicorrelated(0.5), sides=sides, method=AdjustmentMethod.HOCHBERG)
+        assert (SIM._plan(s).screen is not None) is (deltas == [0.0] * 20 and alpha == 0.05)
 
 
 def order_keys(x):
@@ -804,7 +906,9 @@ class TestInsideBands:
     """Statistics planted inside and around every band: the decisions must
     still equal the p-value route's, so the in-band fallback is exact. They
     are planted where the tile's statistics are made, in the tile's own
-    memory: ``_z_block`` writes its ``out``, ``word_block`` its ``out``."""
+    memory: ``_screened_z`` writes ``scratch.stats``, ``word_block`` its
+    ``out``; the z route's joint fallback draws its replications again with
+    ``_z_block``, which hands back the planted rows of the seeds it gets."""
 
     @staticmethod
     def near(edges, rng, shape, reach=300):
@@ -825,7 +929,7 @@ class TestInsideBands:
 
         monkeypatch.setattr(SIM, "reject", counted)
         scratch = SIM._Scratch(plan, s, len(z), 1)
-        rejected, joint = SIM._decide(plan, s, np.zeros(len(z), dtype=np.uint64), scratch)
+        rejected, joint = SIM._decide(plan, s, np.arange(len(z), dtype=np.uint64), scratch)
         assert np.shares_memory(rejected, scratch.rejected) and np.shares_memory(joint, scratch.joint)
         p = p_from_z(z, s.sides)
         assert np.array_equal(rejected.T, p <= s.alpha_joint)
@@ -851,12 +955,14 @@ class TestInsideBands:
         inside = (np.abs(z) >= plan.test.lower) & (np.abs(z) < plan.test.upper)
         assert inside.any()
 
-        def plant(scenario, seeds, shift, out, scratch):
-            # the equicorrelated draws have one column more than the statistics
-            np.copyto(out[:, :k], z)
-            return out[:, :k]
+        def plant(plan, scenario, seeds, scratch):
+            # the statistics of the tile, test-major, as the screen leaves them
+            x = SIM._head(scratch.stats, len(seeds))[-k:]
+            np.abs(z.T, out=x) if sides is Sides.TWO_SIDED else np.copyto(x, z.T)
+            return x
 
-        monkeypatch.setattr(SIM, "_z_block", plant)
+        monkeypatch.setattr(SIM, "_screened_z", plant)
+        monkeypatch.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z[seeds.astype(np.intp)])
         self.check(s, plan, z, monkeypatch)
 
     @pytest.mark.parametrize("method", FWER_METHODS[:3], ids=lambda m: m.value)
