@@ -66,8 +66,9 @@ assembled by the same IEEE operations as :func:`_z_block`'s, so it is the
 same double; the others become -inf, below every band. A screened
 replication judged by the joint fallback is drawn again in full with
 :func:`_z_block`.
-The screen spends two ndtr per distinct shift and replication, so a run
-uses it only where it is expected to pay (:func:`_pays`).
+On the dependent designs the screen spends two ndtr per distinct shift and
+replication, so a run uses it only where that and the draws it expects to
+keep come to a measured share of k (:func:`_screens`).
 """
 
 from __future__ import annotations
@@ -242,8 +243,12 @@ _NORMAL_MAX = 9.0
 _SCREEN_SCALE = np.array([_TOPS * (1.0 - _SCREEN_MARGIN), _TOPS * (1.0 + _SCREEN_MARGIN)])[:, None, None]
 #: The shared term of the independent design, which has none.
 _NO_COMMON = np.zeros(1)
-#: Equally likely quantiles of a normal draw, at which the screen's cost is judged.
-_QUANTILES = (np.arange(16) + 0.5) / 16
+#: The share of a replication's k ndtri that the screen may spend (see
+#: :func:`_screens`). Timed at one thread on a 2-vCPU Xeon over 256 z-route
+#: shapes (k 2 to 200, one to k distinct shifts, alpha 1e-4 to 0.7), the
+#: screened run's time over the unscreened one's crosses 1 at about 0.7 of
+#: k on the dependent designs and 0.56 on the independent one.
+_SCREEN_BUDGET = 0.6
 
 
 def _double_at(key: np.ndarray) -> np.ndarray:
@@ -331,12 +336,12 @@ def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Ban
 
 
 def _distinct(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct shifts, ascending, and the index of each test's among
-    them; as np.unique gives them, without the quarter MiB its first call
-    adds to a process."""
+    """The distinct shifts, ascending, and how many tests have each; as
+    np.unique gives them, without the quarter MiB its first call adds to a
+    process."""
     ordered = np.sort(shift)
-    distinct = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
-    return distinct, np.searchsorted(distinct, shift)
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1], [True]]))
+    return ordered[starts[:-1]], np.diff(starts)
 
 
 @dataclass(frozen=True)
@@ -354,10 +359,10 @@ class _Screen:
     slope: float
 
 
-def _screen_for(scenario: Scenario, shift: np.ndarray, cut: float) -> _Screen:
-    """The screen below ``cut`` for tests of the given shifts."""
+def _screen_for(scenario: Scenario, shift: np.ndarray, distinct: np.ndarray, cut: float) -> _Screen:
+    """The screen below ``cut`` for tests of the given shifts, whose distinct
+    values, ascending, are ``distinct``."""
     design = scenario.design
-    distinct, column = _distinct(shift)
     margin = _SCREEN_MARGIN * (1.0 + abs(cut) + np.abs(distinct) + _NORMAL_MAX)
     floor = -cut + margin if scenario.sides is Sides.TWO_SIDED else np.full(distinct.size, -np.inf)
     # a huge shift puts an edge at infinity, where it screens all or nothing
@@ -370,21 +375,26 @@ def _screen_for(scenario: Scenario, shift: np.ndarray, cut: float) -> _Screen:
             edges, slope = edges * _SQRT2, 1.0
         else:
             slope = 0.0
-    return _Screen(edges, column if distinct.size > 1 else column[:1], slope)
+    column = np.searchsorted(distinct, shift) if distinct.size > 1 else np.zeros(1, dtype=np.intp)
+    return _Screen(edges, column, slope)
 
 
-def _pays(screen: _Screen, scenario: Scenario) -> bool:
-    """Whether the screen is expected to save time. Per replication it
-    spends two ndtr on each distinct shift and ndtri on each draw it keeps;
-    it pays where that is at most half of the k ndtri it replaces. The kept
-    share is averaged over quantiles of the shared draw and over at most
-    256 tests, evenly spaced, so that judging costs little next to a run."""
-    k, shifts = scenario.k, screen.edges.shape[1]
-    if 4 * shifts > k:
+def _screens(scenario: Scenario, distinct: np.ndarray, counts: np.ndarray, cut: float) -> bool:
+    """Whether a run should screen below ``cut``: where the draws it expects
+    to keep, plus two ndtr per distinct shift when a shared draw moves the
+    screen's edges, come to at most :data:`_SCREEN_BUDGET` of the k ndtri a
+    replication would otherwise spend."""
+    budget = _SCREEN_BUDGET * scenario.k
+    if scenario.design.kind != "independent":
+        budget -= 2 * distinct.size
+    if budget < 0:
         return False
-    tests = screen.column[:: -(-screen.column.size // 256)]
-    u = ndtr(screen.edges[:, tests] + screen.slope * _common(scenario.design, ndtri(_QUANTILES)))
-    return 2 * shifts + k * (1.0 - np.maximum(u[0] - u[1], 0.0).mean()) <= k / 2
+    # every design's z is marginally normal about its shift, so this is the
+    # expected number of draws the screen keeps
+    kept = ndtr(distinct - cut)
+    if scenario.sides is Sides.TWO_SIDED:
+        kept += ndtr(-distinct - cut)
+    return float(counts @ kept) <= budget
 
 
 @dataclass(frozen=True)
@@ -418,15 +428,17 @@ def _plan(scenario: Scenario) -> _Plan:
     test = _Band(z.lower[0], z.upper[0])
     joint = _Band(z.lower[1:, None], z.upper[1:, None]) if hochberg else _Band(z.lower[1], z.upper[1])
     shift = _shift(scenario)
+    distinct, counts = _distinct(shift)
     words = scenario.design.kind == "independent" and scenario.sides is Sides.ONE_SIDED and not hochberg
     if not words:
         # every joint step is at most alpha, so the test band's lower edge
         # is the lowest of all: a statistic below it changes no decision
-        screen = _screen_for(scenario, shift, test.lower)
-        return _Plan(words, hochberg, shift, test, joint, screen if _pays(screen, scenario) else None)
-    distinct, column = _distinct(shift)
+        screen = None
+        if _screens(scenario, distinct, counts, test.lower):
+            screen = _screen_for(scenario, shift, distinct, test.lower)
+        return _Plan(words, hochberg, shift, test, joint, screen)
     # every test has the same cutoffs, or a column of them per test
-    column = 0 if distinct.size == 1 else column[:, None]
+    column = 0 if distinct.size == 1 else np.searchsorted(distinct, shift)[:, None]
     tops = _word_bands(distinct, z.lower[:2], z.upper[:2])
     test = _Band(tops.lower[column, 0], tops.upper[column, 0])
     joint = _Band(tops.lower[column, 1], tops.upper[column, 1])

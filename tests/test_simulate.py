@@ -788,7 +788,7 @@ class TestScreen:
         s, rows = tile
         plan = SIM._plan(s)
         # screened even where the screen would not pay
-        screen = SIM._screen_for(s, plan.shift, plan.test.lower)
+        screen = SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0], plan.test.lower)
         plan = dataclasses.replace(plan, screen=screen)
         scratch = SIM._Scratch(plan, s, rows, rows)
         seeds = rep_seed_block(s.seed, 0, rows)
@@ -828,7 +828,8 @@ class TestScreen:
                      sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOCHBERG, reps=rows)
         seeds, plan = rep_seed_block(s.seed, 0, rows), SIM._plan(s)
         z = np.abs(SIM._z_block(s, seeds, plan.shift).T)
-        for screen in (None, SIM._screen_for(s, plan.shift, plan.test.lower)):
+        distinct, _ = SIM._distinct(plan.shift)
+        for screen in (None, SIM._screen_for(s, plan.shift, distinct, plan.test.lower)):
             planned = dataclasses.replace(plan, screen=screen)
             scratch = SIM._Scratch(planned, s, rows, rows)
             x = SIM._screened_z(planned, s, seeds, scratch)
@@ -849,15 +850,19 @@ class TestScreen:
         assert s.reps < sum(drawn) <= 0.25 * s.k * s.reps + s.reps
 
     @pytest.mark.parametrize(
-        "sides, alpha, deltas",
-        [(Sides.TWO_SIDED, 0.05, [0.0] * 20), (Sides.ONE_SIDED, 0.7, [0.0] * 20),
-         (Sides.TWO_SIDED, 0.05, [0.1 * i for i in range(20)]), (Sides.TWO_SIDED, 0.05, [0.0] * 3)],
-        ids=["pays", "keeps-most-draws", "a-shift-per-test", "few-tests"],
+        "design, sides, alpha, deltas, screened",
+        [(Design.equicorrelated(0.5), Sides.TWO_SIDED, 0.05, [0.0] * 20, True),
+         (Design.equicorrelated(0.5), Sides.ONE_SIDED, 0.7, [0.0] * 20, False),
+         (Design.equicorrelated(0.5), Sides.TWO_SIDED, 0.05, [0.1 * i for i in range(20)], False),
+         (Design.equicorrelated(0.5), Sides.TWO_SIDED, 0.05, [0.0] * 3, False),
+         # no shared draw moves the independent design's edges: they cost nothing per replication
+         (Design.independent(), Sides.TWO_SIDED, 0.05, [0.0] * 3, True)],
+        ids=["pays", "keeps-most-draws", "a-shift-per-test", "few-tests", "few-independent-tests"],
     )
-    def test_runs_only_where_it_pays(self, sides, alpha, deltas):
+    def test_runs_only_where_it_pays(self, design, sides, alpha, deltas, screened):
         s = scenario(len(deltas), alpha=alpha, nulls=[d == 0.0 for d in deltas], deltas=deltas,
-                     design=Design.equicorrelated(0.5), sides=sides, method=AdjustmentMethod.HOCHBERG)
-        assert (SIM._plan(s).screen is not None) is (deltas == [0.0] * 20 and alpha == 0.05)
+                     design=design, sides=sides, method=AdjustmentMethod.HOCHBERG)
+        assert (SIM._plan(s).screen is not None) is screened
 
 
 def order_keys(x):
