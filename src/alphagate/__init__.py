@@ -5,62 +5,53 @@ alpha-adjustment contracts, closed-form error-rate math, FWER/FDR decision
 procedures, and a seeded Monte Carlo simulator that verifies the analytic
 claims over independent, equicorrelated, and shared-control test designs.
 
-The simulator's names (and ``derive_rep_seed``) load on first access, so
-importing the package does not import numpy or scipy.
+Every public name loads its submodule on first access, so importing the
+package imports none of them, and neither numpy nor scipy.
 """
 
 import importlib
 import sys
 from types import ModuleType
 
-from .decisions import (
-    Decision,
-    Verdict,
-    apply_bh,
-    decide_conjunction,
-    decide_disjunction,
-    decide_individual,
-)
-from .errors import (
-    DomainError,
-    FileFormatError,
-    InvalidBattery,
-    InvalidMethod,
-    InvalidScenario,
-)
-from .families import (
-    AdjustmentMethod,
-    AlphaConfig,
-    ClassificationInput,
-    Design,
-    FamilySpec,
-    Rationale,
-    Recommendation,
-    Scenario,
-    Sides,
-    TestBattery,
-    TestingMode,
-    ValidationIssue,
-    ValidationReport,
-    classify_testing_mode,
-    validate_family,
-)
-from .rates import (
-    ErrorRateReport,
-    bonferroni_adjust,
-    conjunction_power,
-    conjunction_type2,
-    error_rate_report,
-    fwer_independent,
-    per_family_rate,
-    power_one_sided_z,
-    sidak_adjust,
-)
-
 __version__ = "0.1.0"
 
-#: names resolved on first access -> the submodule that defines them
+#: public names, each resolved on first access -> the submodule that defines it
 _LAZY = {
+    "Decision": "decisions",
+    "Verdict": "decisions",
+    "apply_bh": "decisions",
+    "decide_conjunction": "decisions",
+    "decide_disjunction": "decisions",
+    "decide_individual": "decisions",
+    "AdjustmentMethod": "enums",
+    "Sides": "enums",
+    "TestingMode": "enums",
+    "DomainError": "errors",
+    "FileFormatError": "errors",
+    "InvalidBattery": "errors",
+    "InvalidMethod": "errors",
+    "InvalidScenario": "errors",
+    "AlphaConfig": "families",
+    "ClassificationInput": "families",
+    "Design": "families",
+    "FamilySpec": "families",
+    "Rationale": "families",
+    "Recommendation": "families",
+    "Scenario": "families",
+    "TestBattery": "families",
+    "ValidationIssue": "families",
+    "ValidationReport": "families",
+    "classify_testing_mode": "families",
+    "validate_family": "families",
+    "ErrorRateReport": "rates",
+    "bonferroni_adjust": "rates",
+    "conjunction_power": "rates",
+    "conjunction_type2": "rates",
+    "error_rate_report": "rates",
+    "fwer_independent": "rates",
+    "per_family_rate": "rates",
+    "power_one_sided_z": "rates",
+    "sidak_adjust": "rates",
     "derive_rep_seed": "rng",
     "Estimates": "simulate",
     "p_from_z": "simulate",
@@ -68,6 +59,8 @@ _LAZY = {
     "simulate": "simulate",
     "wilson_ci": "simulate",
 }
+
+__all__ = list(_LAZY)
 
 
 def __getattr__(name):
@@ -91,47 +84,3 @@ class _Package(ModuleType):
 
 
 sys.modules[__name__].__class__ = _Package
-
-__all__ = [
-    "AdjustmentMethod",
-    "AlphaConfig",
-    "ClassificationInput",
-    "Decision",
-    "Design",
-    "DomainError",
-    "ErrorRateReport",
-    "Estimates",
-    "FamilySpec",
-    "FileFormatError",
-    "InvalidBattery",
-    "InvalidMethod",
-    "InvalidScenario",
-    "Rationale",
-    "Recommendation",
-    "Scenario",
-    "Sides",
-    "TestBattery",
-    "TestingMode",
-    "ValidationIssue",
-    "ValidationReport",
-    "Verdict",
-    "apply_bh",
-    "bonferroni_adjust",
-    "classify_testing_mode",
-    "conjunction_power",
-    "conjunction_type2",
-    "decide_conjunction",
-    "decide_disjunction",
-    "decide_individual",
-    "derive_rep_seed",
-    "error_rate_report",
-    "fwer_independent",
-    "p_from_z",
-    "per_family_rate",
-    "power_one_sided_z",
-    "sample_statistics",
-    "sidak_adjust",
-    "simulate",
-    "validate_family",
-    "wilson_ci",
-]

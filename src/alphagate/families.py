@@ -27,39 +27,10 @@ import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
-from enum import Enum
 
+from .enums import FWER_METHODS, AdjustmentMethod, Sides, TestingMode
 from .errors import DomainError, InvalidBattery, InvalidScenario
-from .validators import K_MAX, N_MAX, integer, is_bool, real
-
-
-class TestingMode(Enum):
-    """How multiple test results feed decisions about hypotheses."""
-
-    INDIVIDUAL = "individual"
-    DISJUNCTION = "disjunction"
-    CONJUNCTION = "conjunction"
-
-
-class AdjustmentMethod(Enum):
-    """Per-test alpha adjustment procedures (NONE = unadjusted)."""
-
-    NONE = "none"
-    BONFERRONI = "bonferroni"
-    SIDAK = "sidak"
-    HOLM = "holm"
-    HOCHBERG = "hochberg"
-    BENJAMINI_HOCHBERG = "bh"
-
-
-#: Methods that control the familywise error rate: the ones disjunction
-#: testing and the simulator accept.
-FWER_METHODS = (
-    AdjustmentMethod.BONFERRONI,
-    AdjustmentMethod.SIDAK,
-    AdjustmentMethod.HOLM,
-    AdjustmentMethod.HOCHBERG,
-)
+from .validators import K_MAX, MAX_REPS, N_MAX, integer, is_bool, real
 
 
 def _check_id(token: str, what: str) -> None:
@@ -286,18 +257,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-
-#: Upper bound of ``simulate``'s ``threads``; workers are further capped at
-#: the chunk count and the CPU count.
-MAX_THREADS = 1024
-#: Upper bound of a scenario's ``reps``.
-MAX_REPS = 100_000_000
-
-
-class Sides(Enum):
-    ONE_SIDED = "one_sided"
-    TWO_SIDED = "two_sided"
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,11 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
 
 
 def _read_text(path: Path) -> str:
+    """The file's UTF-8 text without a leading byte order mark, which Excel
+    and Notepad write. The mark is dropped after decoding, so the offset of
+    a bad byte still counts it."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -88,9 +88,9 @@ from .decisions import reject, steps
 from .errors import DomainError, InvalidScenario
 # the scenario types live in families, which needs no numpy; they stay
 # importable from here
-from .families import MAX_THREADS, AdjustmentMethod, Design, Scenario, Sides, TestingMode  # noqa: F401
+from .families import AdjustmentMethod, Design, Scenario, Sides, TestingMode  # noqa: F401
 from .rng import normal_block, normal_from_words, rep_seed_block, word_block
-from .validators import N_MAX, integer, real
+from .validators import MAX_THREADS, N_MAX, integer, real
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -330,7 +330,8 @@ def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Ban
         np.full(goal.size, -1, dtype=np.int64),
         np.full(goal.size, _TOPS, dtype=np.int64),
         guess,
-        1 << 20,
+        # the guess lands within about 10**4 tops of the band
+        1 << 14,
     ).astype(np.uint64).reshape(goal.shape)
     return _Band(tops[:, : lower.size], tops[:, lower.size :])
 

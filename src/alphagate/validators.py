@@ -20,6 +20,11 @@ from .errors import DomainError
 K_MAX = 10_000_000
 #: Largest supported per-group sample size: every integer up to it is a double.
 N_MAX = 2**53
+#: Upper bound of ``simulate``'s ``threads``; workers are further capped at
+#: the chunk count and the CPU count.
+MAX_THREADS = 1024
+#: Upper bound of a scenario's ``reps``.
+MAX_REPS = 100_000_000
 
 
 def _show(bound: int) -> str:

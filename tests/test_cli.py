@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import runpy
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alphagate
 from alphagate import cli, simulate
 from alphagate.cli import main
 from alphagate.decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual, steps
@@ -632,3 +638,110 @@ class TestExitCodes:
     def test_help_exits_zero(self, run):
         code, _, _ = run(["--help"])
         assert code == 0
+
+
+SRC = str(Path(alphagate.__file__).resolve().parents[1])
+
+
+def fresh_run(args: list[str]) -> subprocess.CompletedProcess:
+    """``python args`` in a new interpreter on this checkout, at a fixed
+    terminal width, so help text wraps as it does in process."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8", COLUMNS="80")
+    env.pop("ALPHAGATE_SEED", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+@pytest.fixture
+def cold_inputs(tmp_path):
+    """Files for the argv shapes of the benchmark's cli-cold workload."""
+    battery = tmp_path / "battery3.csv"
+    battery.write_text("id,p\nt1,0.012\nt2,0.0031\nt3,0.04\n", encoding="utf-8")
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps({"statistical_claim": True, "joint_inference": True, "all_constituents_required": True,
+                                   "exchangeable": True, "family_theoretically_relevant": True}), encoding="utf-8")
+    return {"battery": str(battery), "answers": str(answers)}
+
+
+MODES = ["individual", "disjunction", "conjunction", "bh"]
+
+
+class TestModuleRoute:
+    """``python -m alphagate.cli`` prints what ``cli.main`` prints in process."""
+
+    ARGV = [
+        ["rates", "--alpha", "0.05", "--k", "17"],
+        ["adjust", "--alpha", "0.05", "--k", "17", "--method", "sidak"],
+        ["table1", "--t", "12", "--h", "3", "--alpha", "0.05"],
+        ["power", "--alpha", "0.05", "--delta", "0.412", "--n", "57", "--k", "17", "--conjunction"],
+        ["classify", "--input", "{answers}"],
+        ["decide", "--battery", "{battery}", "--mode", "disjunction", "--method", "holm", "--alpha", "0.05"],
+        ["--help"],
+        ["decide", "--help"],
+        ["--version"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_stdout_equals_main(self, run, cold_inputs, monkeypatch, argv):
+        argv = [arg.format(**cold_inputs) for arg in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run(argv)
+        assert code == 0 and out
+        proc = fresh_run(["-m", "alphagate.cli", *argv])
+        assert (proc.returncode, proc.stdout.decode("utf-8")) == (0, out)
+
+    def test_decide_help_lists_the_fwer_methods(self, run):
+        _, out, _ = run(["decide", "--help"])
+        assert "[--method {bonferroni,sidak,holm,hochberg}]" in " ".join(out.split())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_as_main_without_replacing_sys_modules(self, run, cold_inputs, mode):
+        # runpy.run_module leaves sys.modules["__main__"] alone unless alter_sys
+        # is set, so there the module cannot look itself up by name
+        argv = ["decide", "--battery", cold_inputs["battery"], "--mode", mode, "--alpha", "0.05"]
+        proc = fresh_run(["-c", f"import runpy, sys\nsys.argv = {['alphagate', *argv]!r}\n"
+                                "runpy.run_module('alphagate.cli', run_name='__main__')"])
+        assert (proc.returncode, proc.stdout.decode("utf-8")) == (0, run(argv)[1])
+
+
+class TestDecideCallees:
+    """A wrapper set on the cli module's attribute sees every call ``decide``
+    makes to its callee, from the first call in a fresh interpreter on: the
+    benchmark's tracer relies on it."""
+
+    CALLS = {
+        "individual": ["load_battery_file", "decide_individual"],
+        "disjunction": ["load_battery_file", "decide_disjunction"],
+        "conjunction": ["load_battery_file", "decide_conjunction"],
+        "bh": ["load_battery_file", "apply_bh"],
+    }
+    CALLEES = ["load_battery_file", "apply_bh", "decide_conjunction", "decide_disjunction", "decide_individual"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_wrappers_see_each_call(self, cold_inputs, mode):
+        argv = ["decide", "--battery", cold_inputs["battery"], "--mode", mode, "--alpha", "0.05"]
+        # wrap as the tracer does, by getattr then setattr; call twice, restore,
+        # then call once more
+        proc = fresh_run(["-c", f"""
+import json
+from alphagate import cli
+calls, originals = [], {{name: getattr(cli, name) for name in {self.CALLEES!r}}}
+def recording(name, original):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    return wrapper
+for name, original in originals.items():
+    setattr(cli, name, recording(name, original))
+seen = []
+for _ in range(2):
+    assert cli.main({argv!r} + ["--out", {os.devnull!r}]) == 0
+    seen.append(calls[:])
+    calls.clear()
+for name, original in originals.items():
+    setattr(cli, name, original)
+assert cli.main({argv!r} + ["--out", {os.devnull!r}]) == 0
+seen.append(calls)
+print(json.dumps(seen))
+"""])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [self.CALLS[mode], self.CALLS[mode], []]

@@ -311,6 +311,32 @@ class TestBatteryFile:
         assert str(err.value) == "b.csv:6: duplicate hypothesis id 'a'"
 
 
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" and Notepad start a file with a UTF-8 byte order
+    mark; every input file reads as if it had none."""
+
+    FILES = {
+        "battery": (fileio.load_battery_file, "id,p\ngreen,0.030\nred,0.070\n"),
+        "scenario": (fileio.load_scenario_file, render(doc(classification=TestClassificationDocument.ANSWERS))),
+        "classification": (fileio.load_classification_file, json.dumps(TestClassificationDocument.ANSWERS)),
+    }
+
+    @pytest.mark.parametrize("kind", FILES)
+    def test_a_leading_mark_is_dropped(self, tmp_path, kind):
+        load, text = self.FILES[kind]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert load(marked) == load(plain)
+
+    def test_a_bad_byte_offset_counts_the_mark(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,p\n\xff")
+        with pytest.raises(FileFormatError, match=r"not UTF-8 text: byte offset 8: invalid start byte"):
+            fileio.load_battery_file(path)
+
+
 #: quote-free cells, chosen to reach every rule: spaces around cells,
 #: numbers Python's float reads and C's strtod does not, out-of-range,
 #: non-finite and empty p, empty, repeated and blank ids

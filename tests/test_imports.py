@@ -1,6 +1,7 @@
-"""Import weight: numpy and scipy load only where they are called, and the
-package attribute ``simulate`` stays the function. Each case runs in a fresh
-interpreter, since this process has long imported everything."""
+"""Import weight: numpy, scipy and each alphagate submodule load only where
+they are called, and the package attribute ``simulate`` stays the function.
+Each case runs in a fresh interpreter, since this process has long imported
+everything."""
 
 import json
 import os
@@ -14,6 +15,8 @@ import alphagate
 
 SRC = str(Path(alphagate.__file__).resolve().parents[1])
 HEAVY = ("numpy", "scipy")
+#: the submodules every subcommand loads: alphagate.cli and what its parser needs
+CLI = ["cli", "enums", "errors", "validators"]
 
 
 def fresh(code: str) -> str:
@@ -24,13 +27,17 @@ def fresh(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def loaded_by(argv: list[str]) -> list[str]:
-    return json.loads(fresh(
-        "import json, sys\n"
-        "from alphagate.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
-    ))
+def loaded(code: str) -> tuple[list[str], list[str]]:
+    """The heavy libraries and the alphagate submodules loaded once ``code`` has run."""
+    return tuple(json.loads(fresh(
+        f"import json, sys\n{code}\n"
+        f"print(json.dumps([[m for m in {HEAVY!r} if m in sys.modules],\n"
+        "                  sorted(m.removeprefix('alphagate.') for m in sys.modules if m.startswith('alphagate.'))]))\n"
+    )))
+
+
+def loaded_by(argv: list[str]) -> tuple[list[str], list[str]]:
+    return loaded(f"from alphagate.cli import main\nassert main({argv!r}) == 0")
 
 
 @pytest.fixture
@@ -49,23 +56,26 @@ def inputs(tmp_path):
     return {"scenario": str(scenario), "battery": str(battery), "out": str(tmp_path / "out.tsv")}
 
 
-#: argv (with {scenario}/{battery} filled in) -> the heavy libraries it loads
+#: argv (with {scenario}/{battery} filled in) -> the heavy libraries it loads,
+#: and the alphagate submodules it loads besides :data:`CLI`
 COMMANDS = [
-    (["rates", "--alpha", "0.05", "--k", "20"], []),
-    (["adjust", "--alpha", "0.05", "--k", "20", "--method", "sidak"], []),
-    (["table1", "--t", "20", "--h", "4", "--alpha", "0.05"], []),
-    (["classify", "--input", "{scenario}"], []),
-    (["decide", "--battery", "{battery}", "--mode", "disjunction", "--alpha", "0.05", "--method", "holm"], ["numpy"]),
-    (["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64", "--k", "3", "--conjunction"], []),
-    (["simulate", "--scenario", "{scenario}", "--threads", "1"], ["numpy", "scipy"]),
+    (["rates", "--alpha", "0.05", "--k", "20"], [], ["rates"]),
+    (["adjust", "--alpha", "0.05", "--k", "20", "--method", "sidak"], [], ["rates"]),
+    (["table1", "--t", "20", "--h", "4", "--alpha", "0.05"], [], ["rates"]),
+    (["classify", "--input", "{scenario}"], [], ["families", "fileio"]),
+    (["decide", "--battery", "{battery}", "--mode", "disjunction", "--alpha", "0.05", "--method", "holm"], ["numpy"],
+     ["decisions", "families", "fileio", "rates"]),
+    (["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64", "--k", "3", "--conjunction"], [], ["normal", "rates"]),
+    (["simulate", "--scenario", "{scenario}", "--threads", "1"], ["numpy", "scipy"],
+     ["decisions", "families", "fileio", "normal", "rates", "rng", "simulate"]),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
-@pytest.mark.parametrize("argv, heavy", [pytest.param(*case, id=case[0][0]) for case in COMMANDS])
-def test_subcommands_load_only_what_they_call(inputs, argv, heavy, fmt):
+@pytest.mark.parametrize("argv, heavy, modules", [pytest.param(*case, id=case[0][0]) for case in COMMANDS])
+def test_subcommands_load_only_what_they_call(inputs, argv, heavy, modules, fmt):
     argv = [arg.format(**inputs) for arg in argv] + ["--format", fmt, "--out", inputs["out"]]
-    assert loaded_by(argv) == heavy
+    assert loaded_by(argv) == (heavy, sorted(CLI + modules))
 
 
 @pytest.mark.parametrize(
@@ -86,7 +96,7 @@ def test_star_import_binds_all_names():
 
 
 def test_package_import_loads_neither():
-    assert fresh(f"import sys, alphagate\nprint([m for m in {HEAVY!r} if m in sys.modules])") == "[]"
+    assert loaded("import alphagate") == ([], [])
 
 
 def test_power_function_loads_neither():
