@@ -33,23 +33,28 @@ shifts: the draws, statistics, masks and counts of every tile are written
 in place into views of it.
 Every tile is test-major, (draws, rows), so the per-replication counts and
 maxima reduce down contiguous rows of replications, the per-test counts
-along each row, and Hochberg sorts each replication down its column.
+along each row, and Hochberg sorts a replication down its column.
 
 Decisions are made in threshold space. Every rule compares p-values with
 thresholds (alpha, the single-step level, Hochberg's alpha/(k-i+1)), and a
 p-value falls as z (|z| when two-sided) grows, so once per run each
 threshold t becomes a cutoff on z found by bisection over the ordered
 doubles against :func:`p_from_z` itself. The chunks then compare z with
-the cutoffs and never call erfc; Hochberg compares each sorted row with the
-reversed cutoff vector. Under the independent design with one-sided tests
-and a single-step rule, z = shift + ndtri(u(word)) only grows with the top
-53 bits of the word, so a second bisection per distinct shift turns each
-cutoff into an integer, and the chunks compare raw SplitMix64 words: no
-ndtri either. Because scipy's erfc and ndtri are monotone only to within an
-ulp, each cutoff is a narrow band (about 1e-13 wide in z) rather than a
-point: the bisections run at thresholds loosened by far more than those
-functions' error, so outside the band the answer is certain, and the rare
-statistic inside it is judged by p_from_z. Every decision therefore equals
+the cutoffs and never call erfc. Hochberg brackets each replication by its
+maximum and its count K of rejections at alpha: a maximum at the cutoff of
+step alpha/k rejects, as Bonferroni does, and one below that of step
+alpha/(k-K+1) retains, since a rejection at rank i needs i p-values at or
+below alpha/(k-i+1) <= alpha, so i <= K. Only the few replications in
+between are sorted and compared with the reversed cutoff vector. Under the
+independent design with one-sided tests and a single-step rule, z = shift +
+ndtri(u(word)) only grows with the top 53 bits of the word, so a second
+bisection per distinct shift turns each cutoff into an integer, and the
+chunks compare raw SplitMix64 words: no ndtri either. Because scipy's erfc
+and ndtri are monotone only to within an ulp, each cutoff is a narrow band
+(about 1e-13 wide in z) rather than a point: the bisections run at
+thresholds loosened by far more than those functions' error, so outside the
+band the answer is certain, and the rare statistic inside it is judged by
+p_from_z. Every decision therefore equals
 the one the p-values give, and so do the estimates.
 
 On every other run (the z route) a screen spares ndtri the draws that
@@ -62,8 +67,10 @@ interval of word tops inside which z (|z| when two-sided) stays below it.
 The interval is narrowed by 2**-30 relative in z and in the uniform, far
 more than the error of ndtr and ndtri and the rounding of z, and rounded
 inward. Only the words outside it go through ndtri, and their z is
-assembled by the same IEEE operations as :func:`_z_block`'s, so it is the
-same double; the others become -inf, below every band. A screened
+assembled in a compact array, each with its own test's shift and its
+replication's shared term, by the same IEEE operations as
+:func:`_z_block`'s, so it is the same double. It is scattered into a tile
+that holds -inf everywhere else, below every band. A screened
 replication judged by the joint fallback is drawn again in full with
 :func:`_z_block`.
 On the dependent designs the screen spends two ndtr per distinct shift and
@@ -247,7 +254,9 @@ _NO_COMMON = np.zeros(1)
 #: :func:`_screens`). Timed at one thread on a 2-vCPU Xeon over 256 z-route
 #: shapes (k 2 to 200, one to k distinct shifts, alpha 1e-4 to 0.7), the
 #: screened run's time over the unscreened one's crosses 1 at about 0.7 of
-#: k on the dependent designs and 0.56 on the independent one.
+#: k on the dependent designs and 0.56 on the independent one. That was
+#: before screened tiles assembled only their kept draws, which made them
+#: cheaper; the crossover waits to be timed again on an unscreened workload.
 _SCREEN_BUDGET = 0.6
 
 
@@ -407,6 +416,9 @@ class _Plan:
     decision at alpha. ``joint`` bands the disjunction: a scalar band meets
     each replication's maximum, a (k, 1) column of bands, one per test,
     meets its statistics as they are, or, for Hochberg, sorted ascending.
+    Hochberg sorts only the replications its bracket leaves open: one whose
+    maximum reaches the band of step alpha / k rejects, and one with K
+    rejections at alpha whose maximum is below ``retain[K]`` retains.
     Replications that fall inside a joint band are judged on their p-values
     by :func:`~alphagate.decisions.reject`. ``screen`` is the z route's
     :class:`_Screen`, if it has one."""
@@ -417,6 +429,7 @@ class _Plan:
     test: _Band
     joint: _Band
     screen: _Screen | None
+    retain: np.ndarray | None = None
 
 
 def _plan(scenario: Scenario) -> _Plan:
@@ -438,7 +451,13 @@ def _plan(scenario: Scenario) -> _Plan:
         screen = None
         if _screens(scenario, distinct, counts, test.lower):
             screen = _screen_for(scenario, shift, distinct, test.lower)
-        return _Plan(words, hochberg, shift, test, joint, screen)
+        retain = None
+        if hochberg:
+            # a rejection at rank i puts i p-values at or below alpha / (k - i + 1),
+            # which is at most alpha: so i <= K, and the smallest p is at most
+            # alpha / (k - K + 1), the step of sorted entry k - K (k - 1 when K = 0)
+            retain = z.lower[1:][np.minimum(k - np.arange(k + 1), k - 1)]
+        return _Plan(words, hochberg, shift, test, joint, screen, retain)
     # every test has the same cutoffs, or a column of them per test
     column = 0 if distinct.size == 1 else np.searchsorted(distinct, shift)[:, None]
     tops = _word_bands(distinct, z.lower[:2], z.upper[:2])
@@ -458,11 +477,19 @@ class _Scratch:
     (uint64 words on the word route, float64 z on the z route) and the
     uint64 working memory ``bits`` (the z route's words), (k, tile) for the
     booleans ``rejected`` and ``mask``.
-    ``top``, of the statistics' type, ``maybe`` and ``joint`` hold one value
-    per replication. A shorter tile takes their heads. The z route's screen
+    ``top``, of the statistics' type, ``maybe``, ``joint``, ``rejections``
+    (each replication's count of rejections at alpha) and, for Hochberg,
+    ``cut`` (the bracket's retain cut) hold one value per replication. A
+    shorter tile takes their heads. The z route's screen
     carves its (2, distinct shifts, rows) edges and word bounds from
     ``edges`` and ``bounds``, one column only for the independent design, whose bounds no
     shared draw moves.
+
+    Views that are idle while a tile is judged hold its compact arrays: the
+    screen's kept draws take their shared terms in ``stats``, and their test
+    and replication indices and shifts in ``seed_bits`` and ``ratio``, which
+    the chunk needs only before its first tile and after its last. Hochberg
+    copies the replications its bracket leaves open to ``bits``.
 
     A chunk's per-replication counts ``r`` and ``v`` take the smallest
     unsigned type that holds k, and a tile's per-test ``counts`` the one that
@@ -488,7 +515,10 @@ class _Scratch:
             "top": ((tile,), stat_type),
             "maybe": ((tile,), np.bool_),
             "joint": ((tile,), np.bool_),
+            "rejections": ((tile,), count_type),
         }
+        if plan.hochberg:
+            parts["cut"] = ((tile,), np.float64)
         if plan.screen is not None:
             bounds = plan.screen.edges.size * (1 if scenario.design.kind == "independent" else tile)
             parts.update(edges=((bounds,), np.float64), bounds=((bounds,), np.uint64))
@@ -529,48 +559,77 @@ def _screened_z(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Sc
     common = _NO_COMMON if design.kind == "independent" else _common(design, normal_from_words(words[0], stats[0]))
     if screen is None:
         normal_from_words(tests, x)
-    else:
-        # a test's words in [bounds[1], bounds[0]) are screened out: the edges
-        # in G become uniforms, narrowed by the margin, then words
-        edges = _carve(scratch.edges, (*screen.edges.shape[:2], common.size))
-        np.multiply(common, screen.slope, out=edges)
-        edges += screen.edges
-        ndtr(edges, out=edges)
-        edges *= _SCREEN_SCALE
-        np.floor(edges[0], out=edges[0])
-        np.ceil(edges[1], out=edges[1])
-        np.minimum(edges[1], edges[0], out=edges[1])  # an empty interval stays below 2**64
-        edges *= float(1 << int(_WORD_DROP))
-        bounds = _carve(scratch.bounds, edges.shape)
-        np.copyto(bounds, edges, casting="unsafe")
+        _assemble(design, x, common, plan.shift[:, None], out=_carve(bits.view(np.float64), x.shape))
+        if scenario.sides is Sides.TWO_SIDED:
+            np.abs(x, out=x)
+        return x
 
-        # x held the mixing states; now each test's bounds, then the picked
-        # words, whose normals go to bits. Every index is in range: take's
-        # "clip" only spares it a buffered out
-        each = _carve(x.view(np.uint64), (screen.column.size, common.size))
-        np.take(bounds[0], screen.column, axis=0, out=each, mode="clip")
-        above = np.greater_equal(tests, each, out=_head(scratch.rejected, rows))
-        np.take(bounds[1], screen.column, axis=0, out=each, mode="clip")
-        keep = np.less(tests, each, out=_head(scratch.mask, rows))
-        keep |= above
-        where = np.flatnonzero(keep)
-        picked = np.take(tests, where, out=x.view(np.uint64).reshape(-1)[: where.size], mode="clip")
-        normals = normal_from_words(picked, bits.view(np.float64).reshape(-1)[: where.size])
-        x.fill(np.nan)
-        x.reshape(-1)[where] = normals
-    _assemble(design, x, common, plan.shift[:, None], out=_carve(bits.view(np.float64), x.shape))
+    # a test's words in [bounds[1], bounds[0]) are screened out: the edges
+    # in G become uniforms, narrowed by the margin, then words
+    edges = _carve(scratch.edges, (*screen.edges.shape[:2], common.size))
+    np.multiply(common, screen.slope, out=edges)
+    edges += screen.edges
+    ndtr(edges, out=edges)
+    edges *= _SCREEN_SCALE
+    np.floor(edges[0], out=edges[0])
+    np.ceil(edges[1], out=edges[1])
+    np.minimum(edges[1], edges[0], out=edges[1])  # an empty interval stays below 2**64
+    edges *= float(1 << int(_WORD_DROP))
+    bounds = _carve(scratch.bounds, edges.shape)
+    np.copyto(bounds, edges, casting="unsafe")
+
+    # x held the mixing states; now each test's bounds, then the picked
+    # words, whose normals go to bits. Every index is in range: take's
+    # "clip" only spares it a buffered out
+    each = _carve(x.view(np.uint64), (screen.column.size, common.size))
+    np.take(bounds[0], screen.column, axis=0, out=each, mode="clip")
+    above = np.greater_equal(tests, each, out=_head(scratch.rejected, rows))
+    np.take(bounds[1], screen.column, axis=0, out=each, mode="clip")
+    keep = np.less(tests, each, out=_head(scratch.mask, rows))
+    keep |= above
+    where = np.flatnonzero(keep)
+    picked = np.take(tests, where, out=x.view(np.uint64).reshape(-1)[: where.size], mode="clip")
+    kept = normal_from_words(picked, bits.view(np.float64).reshape(-1)[: where.size])
+
+    # z of the kept draws alone, by _assemble's operations on their own test's
+    # shift and replication's shared term, gathered in pieces as long as the
+    # spare chunk views; their shared terms go where the picked words were
+    shared = x.reshape(-1)
+    step = scratch.ratio.size
+    for lo in range(0, where.size, step):
+        hi = min(lo + step, where.size)
+        index = np.floor_divide(where[lo:hi], rows, out=scratch.seed_bits[: hi - lo].view(np.intp))
+        shift = np.take(plan.shift, index, out=scratch.ratio[: hi - lo], mode="clip")
+        term = None
+        if design.kind != "independent":
+            index *= rows
+            np.subtract(where[lo:hi], index, out=index)
+            term = np.take(common, index, out=shared[lo:hi], mode="clip")
+        _assemble(design, kept[lo:hi], term, shift, out=term)
     if scenario.sides is Sides.TWO_SIDED:
-        np.abs(x, out=x)
-    if screen is not None:
-        # a screened-out draw's nan becomes -inf, below every band
-        np.fmax(x, -np.inf, out=x)
+        np.abs(kept, out=kept)
+    # a screened-out draw is -inf, below every band
+    x.fill(-np.inf)
+    shared[where] = kept
     return x
+
+
+def _step_up(plan: _Plan, columns: np.ndarray, passes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hochberg's joint verdict on the bands, for each replication of a
+    (k, n) array of its statistics, sorted in place: whether some sorted
+    entry reaches its step's band, and whether one reaches the band's lower
+    edge. ``passes`` is (k, n) boolean scratch."""
+    columns.sort(axis=0)
+    reaches = np.logical_or.reduce(np.greater_equal(columns, plan.joint.upper, out=passes), axis=0)
+    near = np.logical_or.reduce(np.greater_equal(columns, plan.joint.lower, out=passes), axis=0)
+    return reaches, near
 
 
 def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Per-test rejections at alpha, (k, rows), and the disjunction verdict of
     each replication, equal to judging p_from_z of each statistic. Both are
-    views of ``scratch``."""
+    views of ``scratch``, and so are the per-replication counts of
+    rejections, left in ``scratch.rejections``."""
     k, sides, alpha = scenario.k, scenario.sides, scenario.alpha_joint
     rows = len(seeds)
     if plan.words:
@@ -588,10 +647,24 @@ def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratc
         z = _word_z(plan.shift[tests], x[tests, reps]) if plan.words else x[tests, reps]
         rejected[tests, reps] = p_from_z(z, sides) <= alpha
 
-    if plan.hochberg:
-        x.sort(axis=0)
+    counts = scratch.rejections[:rows]
+    np.add.reduce(rejected.view(np.uint8), axis=0, dtype=counts.dtype, out=counts)
+
     joint, maybe = scratch.joint[:rows], scratch.maybe[:rows]
-    if np.ndim(plan.joint.upper) == 0:
+    if plan.hochberg:
+        # the bracket: a maximum that reaches the band of step alpha / k
+        # rejects, one below the retain cut of its replication's count
+        # retains, and only the replications in between are sorted
+        top = np.max(x, axis=0, out=scratch.top[:rows])
+        np.greater_equal(top, plan.joint.upper[-1, 0], out=joint)
+        np.greater_equal(top, np.take(plan.retain, counts, out=scratch.cut[:rows], mode="clip"), out=maybe)
+        unsettled = np.flatnonzero(np.greater(maybe, joint, out=maybe))
+        if unsettled.size:
+            # bits is spent once the tile's z is made
+            columns = _carve(scratch.bits.view(np.float64), (k, unsettled.size))
+            np.take(x, unsettled, axis=1, out=columns, mode="clip")
+            joint[unsettled], maybe[unsettled] = _step_up(plan, columns, _carve(scratch.mask, columns.shape))
+    elif np.ndim(plan.joint.upper) == 0:
         top = np.max(x, axis=0, out=scratch.top[:rows])
         np.greater_equal(top, plan.joint.upper, out=joint)
         np.greater_equal(top, plan.joint.lower, out=maybe)
@@ -656,7 +729,7 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
             hi = min(lo + tile, count)
             rejected, joint = _decide(plan, scenario, seeds[lo:hi], scratch)
             ones = rejected.view(np.uint8)
-            np.add.reduce(ones, axis=0, dtype=r.dtype, out=r[lo:hi])
+            np.copyto(r[lo:hi], scratch.rejections[: hi - lo])
             if not all_nulls:
                 np.add.reduce(ones, axis=0, dtype=v.dtype, out=v[lo:hi], where=nulls)
             per_test += np.add.reduce(ones, axis=1, dtype=scratch.counts.dtype, out=scratch.counts)

@@ -16,7 +16,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -678,6 +678,24 @@ class TestChunkMemory:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_warm_wide_call_peak_stays_at_its_figure(self):
+        # the benchmark's wide shape at one thread: one scratch block of about
+        # 1,610 KiB plus a tile's transients. Before the screened tiles were
+        # assembled compactly and Hochberg bracketed, a warm call peaked at
+        # 1,871 KiB; a fresh array of the kept draws' shifts or shared terms
+        # would add about 110 KiB each, and one of tile size 512 KiB
+        wide = [0.0] * 100 + [0.4] * 100
+        s = scenario(200, nulls=[d == 0.0 for d in wide], deltas=wide, design=Design.equicorrelated(0.5),
+                     sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOCHBERG, reps=2 * CHUNK_REPS, seed=1)
+        simulate(s)
+        tracemalloc.start()
+        try:
+            simulate(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_871 * 1024
+
 
 @st.composite
 def small_runs(draw):
@@ -999,3 +1017,124 @@ class TestInsideBands:
 
         monkeypatch.setattr(SIM, "word_block", plant)
         self.check(s, plan, z, monkeypatch)
+
+
+@st.composite
+def bracket_tiles(draw):
+    """A Hochberg scenario of k <= 64 tests, judged in one tile of at least
+    three replications, on either sides and any alpha."""
+    k = draw(st.integers(1, 64))
+    return scenario(
+        k,
+        alpha=draw(st.sampled_from([0.05, 0.3, 0.7]) | st.floats(1e-4, 0.99)),
+        design=Design.equicorrelated(0.3),
+        sides=draw(st.sampled_from(list(Sides))),
+        method=AdjustmentMethod.HOCHBERG,
+        reps=draw(st.integers(3, 24)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestHochbergBracket:
+    """Hochberg's bracket: a replication whose maximum reaches the band of
+    step alpha / k rejects, one with K rejections at alpha whose maximum is
+    below the lower edge of step alpha / (k - K + 1) retains (step alpha / k
+    when K = 0), and only the rest go through the sort."""
+
+    @staticmethod
+    def plant(s, plan, rng):
+        """(tile, z): a test-major tile as the screen leaves it, -inf for a
+        screened-out draw, and the z that _z_block would give. Replication 0
+        has no rejection at alpha and replication 1 rejects every test; each
+        maximum lies within a few order keys of a retain cut, of the band of
+        step alpha / k or of an edge of the test band."""
+        k, rows = s.k, s.reps
+        test_lower, test_upper = (order_keys(plan.test.lower), order_keys(plan.test.upper))
+        bonferroni = order_keys(plan.joint.upper[-1, 0])
+        keys = np.empty((k, rows), dtype=np.int64)
+        for rep in range(rows):
+            count = 0 if rep == 0 else k if rep == 1 else int(rng.integers(0, k + 1))
+            anchors = [order_keys(plan.joint.lower[min(k - count, k - 1), 0]), bonferroni, test_lower, test_upper]
+            top = anchors[rng.integers(0, 4)] + int(rng.integers(-3, 4))
+            if count == 0:
+                top = min(top, test_lower - 1)
+            if count == k:
+                top = max(top, test_upper)
+            # the other rejections lie between the test band and the maximum,
+            # and the draws that are not rejected below the test band or near it
+            column = np.concatenate([
+                rng.integers(min(test_lower - 3, top), top + 1, size=max(count - 1, 0)),
+                test_lower - rng.integers(1, 2000, size=k - max(count, 1)),
+            ])
+            if count == k:
+                column = rng.integers(test_upper, top + 1, size=k - 1)
+            keys[:, rep] = rng.permutation(np.append(column, top))
+        if s.sides is Sides.TWO_SIDED:
+            keys = np.maximum(keys, 0)
+        tile = SIM._double_at(keys)
+        # a screened-out draw is below the test band in z
+        screened = (rng.random(tile.shape) < 0.5) & (tile < plan.test.lower)
+        if s.sides is Sides.TWO_SIDED:
+            inside = rng.random(tile.shape) * plan.test.lower * 0.5
+            z = np.where(screened, inside, tile) * rng.choice([-1.0, 1.0], size=tile.shape)
+        else:
+            z = np.where(screened, plan.test.lower - 1.0 - rng.random(tile.shape), tile)
+        tile[screened] = -np.inf
+        return tile, z.T
+
+    @settings(max_examples=150)
+    @given(bracket_tiles())
+    @example(scenario(1, design=Design.equicorrelated(0.3), sides=Sides.TWO_SIDED,
+                      method=AdjustmentMethod.HOCHBERG, reps=3, seed=7))
+    def test_settled_verdicts_equal_the_sort_and_the_rest_are_sorted(self, s):
+        k, rows = s.k, s.reps
+        plan = SIM._plan(s)
+        # screened, so the joint fallback draws its replications again
+        plan = dataclasses.replace(plan, screen=SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0],
+                                                                plan.test.lower))
+        tile, z = self.plant(s, plan, np.random.default_rng(s.seed))
+        sorted_columns = []
+
+        def step_up(plan, columns, passes, sort=SIM._step_up):
+            verdict = sort(plan, columns, passes)
+            sorted_columns.append(columns.copy())
+            return verdict
+
+        def screened_z(plan, scenario, seeds, scratch):
+            x = SIM._head(scratch.stats, len(seeds))[-k:]
+            np.copyto(x, tile)
+            return x
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "_step_up", step_up)
+            mp.setattr(SIM, "_screened_z", screened_z)
+            mp.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z[seeds.astype(np.intp)])
+            rejected, joint = SIM._decide(plan, s, np.arange(rows, dtype=np.uint64), SIM._Scratch(plan, s, rows, rows))
+
+        p = p_from_z(z, s.sides)
+        assert np.array_equal(rejected.T, p <= s.alpha_joint)
+        assert np.array_equal(joint, p_space_joint(p, s.alpha_joint, s.method))
+        # the bracket, from the p-values' counts and the joint bands
+        counts = (p <= s.alpha_joint).sum(axis=1)
+        assert counts[0] == 0 and counts[1] == k
+        top = tile.max(axis=0)
+        retains = top < plan.joint.lower[np.minimum(k - counts, k - 1), 0]
+        rejects = top >= plan.joint.upper[-1, 0]
+        unsettled = ~retains & ~rejects
+        if unsettled.any():
+            assert len(sorted_columns) == 1
+            assert np.array_equal(sorted_columns[0], np.sort(tile[:, unsettled], axis=0))
+        else:
+            assert not sorted_columns
+
+    def test_sorts_few_replications_on_the_benchmark_shape(self, monkeypatch):
+        # a count, not a time: the benchmark's wide equicorrelated Hochberg
+        # shape leaves about 3% of its replications to the sort
+        wide = [0.0] * 100 + [0.4] * 100
+        s = scenario(200, nulls=[d == 0.0 for d in wide], deltas=wide, design=Design.equicorrelated(0.5),
+                     sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOCHBERG, reps=2 * CHUNK_REPS, seed=3)
+        sorted_reps, sort = [], SIM._step_up
+        monkeypatch.setattr(SIM, "_step_up", lambda plan, columns, passes: sorted_reps.append(columns.shape[1])
+                            or sort(plan, columns, passes))
+        simulate(s, threads=2)
+        assert 0 < sum(sorted_reps) <= 0.05 * s.reps
