@@ -93,38 +93,32 @@ def _precision(text: str) -> int:
 
 def _real_cells(values, precision: int, pretty: bool) -> list[str]:
     """The cells of a float64 array, or of a list of floats, formatted in one
-    ``%`` pass: fixed-point, except nonzero magnitudes below
-    :data:`SCI_BELOW` in scientific notation, and in pretty output a
-    3-significant-digit rounding after each."""
+    ``%`` pass in which each value picks its spec: fixed-point, except nonzero
+    magnitudes below :data:`SCI_BELOW` in scientific notation, and in pretty
+    output a 3-significant-digit rounding after each."""
     if isinstance(values, list):
-        floats = values
-        tiny = [i for i, x in enumerate(floats) if x and abs(x) < SCI_BELOW]
+        floats, tiny = values, [x != 0.0 and abs(x) < SCI_BELOW for x in values]
     else:  # array methods keep numpy out of this module's imports
-        floats = values.tolist()
-        tiny = ((values != 0.0) & (abs(values) < SCI_BELOW)).nonzero()[0].tolist()
-    fixed, sci, fields = f"%.{precision}f", f"%.{precision}e", floats
-    if pretty:  # each real fills two fields
-        fixed, sci = fixed + " (~%.3g)", sci + " (~%.3g)"
-        fields = [None] * (2 * len(floats))
-        fields[::2] = fields[1::2] = floats
-    cells = ((fixed + "\n") * len(floats) % tuple(fields)).split("\n")
+        floats, tiny = values.tolist(), ((values != 0.0) & (abs(values) < SCI_BELOW)).tolist()
+    specs = [f"%.{precision}{kind}" + (" (~%.3g)\n" if pretty else "\n") for kind in "fe"]
+    fields = [None] * ((1 + pretty) * len(floats))  # in pretty each real fills two fields
+    fields[:: 1 + pretty] = fields[pretty :: 1 + pretty] = floats
+    cells = ("".join(map(specs.__getitem__, tiny)) % tuple(fields)).split("\n")
     cells.pop()  # after the last line end
-    for i in tiny:
-        cells[i] = sci % ((floats[i], floats[i]) if pretty else floats[i])
     return cells
 
 
-def _cells(column, precision: int, pretty: bool) -> list[str]:
-    """The cells of a float64 array or of a list of values: a real by
-    :func:`_real_cells`, a bool as true or false, a str as it is, anything
-    else as ``str()`` gives it."""
+def _cells(column, precision: int, pretty: bool):
+    """A float64 array as the cell of its one double if it holds one, else as
+    it is in TSV and as its cells in pretty; a list of values as its cells: a
+    real by :func:`_real_cells`, a bool as true or false, else by ``str()``."""
     if not isinstance(column, list):
-        return _real_cells(column, precision, pretty)
-    cells = [v if type(v) is str else ("true" if v else "false") if isinstance(v, bool) else str(v) for v in column]
-    at = [i for i, v in enumerate(column) if isinstance(v, float)]
-    for i, cell in zip(at, _real_cells([column[i] for i in at], precision, pretty)):
-        cells[i] = cell
-    return cells
+        if (column.view("u8") == column.view("u8")[0]).all():  # by bits: -0.0 is not 0.0
+            return _real_cells(column[:1], precision, pretty)[0]
+        return _real_cells(column, precision, pretty) if pretty else column
+    formatted = iter(_real_cells([v for v in column if isinstance(v, float)], precision, pretty))
+    return [next(formatted) if isinstance(v, float) else ("true" if v else "false") if isinstance(v, bool) else str(v)
+            for v in column]
 
 
 def _rows(*rows: list) -> list[list]:
@@ -142,14 +136,16 @@ def _table(header: list[str], blocks: Callable[[], Iterable[list]], args, notes:
     :func:`_cells`. No cell holds a tab or a line break. Pretty column
     widths are sized here, before any file is opened, by a first call of
     ``blocks()``; the notes do not size them, so a long note runs past its
-    column. The rows are formatted as the blocks are taken."""
+    column. Each block is formatted as it is taken, by one ``%`` pass over
+    row templates: a str column adds its cell to them, any other ``%s``,
+    and a TSV float64 array fixed-point or scientific notation."""
     pretty = args.format == "pretty"
 
     def cells(block: list) -> tuple[int, list]:
         rows = len(next(column for column in block if not isinstance(column, str)))
         return rows, [c if isinstance(c, (str, tuple)) else _cells(c, args.precision, pretty) for c in block]
 
-    fields, sep = ["%s"] * len(header), "\t"
+    fields, sep, reals = ["%s"] * len(header), "\t", [f"%.{args.precision}f", f"%.{args.precision}e"]
     if pretty:
         widths = list(map(len, header))
         for rows, columns in map(cells, blocks()):
@@ -158,18 +154,22 @@ def _table(header: list[str], blocks: Callable[[], Iterable[list]], args, notes:
         fields, sep = [f"%-{w}s" for w in widths], "  "
 
     def text(rows: int, columns: list) -> str:
-        varying = [c for c in columns if not isinstance(c, str)]
-        line = sep.join((f % c).replace("%", "%%") if isinstance(c, str) else f for c, f in zip(columns, fields))
+        templates, varying, codes = [""], [], 0
+        for c, f in zip(columns, fields):
+            if not isinstance(c, (str, tuple, list)):  # a row's tiny flags, read as a binary number, index its template
+                codes, c, f = 2 * codes + ((c != 0.0) & (abs(c) < SCI_BELOW)), c.tolist(), reals
+            specs = [(f % c).replace("%", "%%")] if isinstance(c, str) else f if f is reals else [f]
+            templates = [t + sep + spec for t in templates for spec in specs]
+            varying += [] if isinstance(c, str) else [c]
         values = [None] * (rows * len(varying))
         for j, column in enumerate(varying):
             values[j :: len(varying)] = column
-        out = (line + "\n") * rows % tuple(values)
+        templates = [t[len(sep) :] + "\n" for t in templates]
+        out = ("".join(map(templates.__getitem__, codes.tolist())) if len(templates) > 1 else templates[0] * rows) % tuple(values)
         return "\n".join(map(str.rstrip, out.split("\n"))) if pretty else out
 
-    head = text(1, header) + (text(1, ["-" * w for w in widths]) if pretty else "")
-
     def write() -> Iterator[str]:
-        yield head
+        yield text(1, header) + (text(1, ["-" * w for w in widths]) if pretty else "")
         for block in blocks():
             yield text(*cells(block))
         if notes is not None:

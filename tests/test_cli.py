@@ -8,9 +8,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import alphagate
 from alphagate import cli, simulate
@@ -426,21 +429,89 @@ class TestEveryCommandRender:
             assert out == expected, argv
 
 
+def written(header, blocks, precision, fmt):
+    """The text that the table writer makes of the blocks that ``blocks()`` yields."""
+    return "".join(cli._table(header, blocks, SimpleNamespace(format=fmt, precision=precision)))
+
+
+#: a real of the row-template property: an edge of the per-cell rule or any finite double
+REALS = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+#: the rows of each block in :class:`TestRowTemplates`, as ``BLOCK_ROWS`` in the commands
+BLOCK = 7
+
+
+class TestRowTemplates:
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    @pytest.mark.parametrize("precision", [0, 6, 17])
+    @settings(max_examples=60)
+    @given(rows=st.lists(st.tuples(REALS, REALS), min_size=1, max_size=3 * BLOCK))
+    @example(rows=[(1.0, 1.0), (1.0, 5e-310), (5e-310, 1.0), (5e-310, 5e-310), (0.3, 0.7), (1e-4, EDGE_VALUES[3]),
+                   (-0.0, 0.0), (2.5e-6, 0.05)])
+    def test_two_real_columns_equal_the_reference(self, precision, fmt, rows):
+        # the tiny flags of the two columns vary independently, so a block
+        # picks among all four row templates
+        a, b = (np.array(column) for column in zip(*rows))
+        ids = tuple(f"t{i}" for i in range(len(rows)))
+
+        def blocks():
+            for lo in range(0, len(rows), BLOCK):
+                yield ["x%d", ids[lo : lo + BLOCK], a[lo : lo + BLOCK], b[lo : lo + BLOCK], "50%"]
+
+        header = ["row", "id", "a", "b", "share"]
+        expected = reference_table(header, [["x%d", i, *row, "50%"] for i, row in zip(ids, rows)], precision, fmt)
+        assert written(header, blocks, precision, fmt) == expected
+
+
+#: the decide modes whose threshold is one value for every test
+SINGLE_STEP_MODES = [mode for mode in DECIDE_MODES if not {"bh", "holm", "hochberg"} & set(mode[0])]
+
+
+class TestConstantColumns:
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    @pytest.mark.parametrize("value", [0.0, 1e-5, 0.5])
+    def test_single_step_modes_on_a_constant_battery_equal_the_reference(self, run, tmp_path, monkeypatch, value, fmt):
+        # one double in the p column and one in the threshold column; at k =
+        # 20,000 Bonferroni's threshold, 2.5e-6, prints in scientific notation
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+        bonferroni = [mode for mode in SINGLE_STEP_MODES if "bonferroni" in mode[0]]
+        for k, modes in ((30, SINGLE_STEP_MODES), (20_000, bonferroni)):
+            text = "id,p\n" + "".join(f"h{i},{value!r}\n" for i in range(k))
+            path = tmp_path / "b.csv"
+            path.write_text(text, encoding="utf-8")
+            battery = parse_battery_text(text)
+            for args, rule, notes in modes:
+                for precision in (6, 17):
+                    code, out, _ = run(["decide", "--battery", str(path), "--alpha", "0.05", "--precision",
+                                        str(precision), "--format", fmt, *args])
+                    assert code == 0
+                    assert out == reference_decide(battery, rule(battery, 0.05), notes, precision, fmt), (k, args)
+        assert format(0.05 / 20_000, ".17e") in out  # the threshold at precision 17, the last written
+
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    def test_zero_and_negative_zero_are_two_doubles(self, fmt):
+        for values in ([0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]):
+            out = written(["value"], lambda values=values: [[np.array(values)]], 6, fmt)
+            assert out == reference_table(["value"], [[v] for v in values], 6, fmt), values
+
+
 class TestDecideMemory:
     def test_bh_out_peak(self, tmp_path):
-        # 1e5 rows: about 26 MiB by column; a renderer holding an object per row peaks near 68 MiB
+        # 1e5 rows: about 26 MiB by column; a renderer holding an object per row
+        # peaks near 68 MiB. Holm prints the most thresholds in scientific notation.
         battery = tmp_path / "b.csv"
         battery.write_text("id,p\n" + "".join(f"h{i},{i * 0.6180339887498949 % 1.0!r}\n" for i in range(100_000)),
                            encoding="utf-8")
-        argv = ["decide", "--battery", str(battery), "--mode", "bh", "--alpha", "0.05", "--out", str(tmp_path / "o.tsv")]
-        assert main(argv) == 0  # the first call loads numpy
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20
+        for mode in (["bh"], ["disjunction", "--method", "holm"]):
+            argv = ["decide", "--battery", str(battery), "--mode", *mode, "--alpha", "0.05",
+                    "--out", str(tmp_path / "o.tsv")]
+            assert main(argv) == 0  # the first call loads numpy
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 40 * 2**20, mode
 
 
 class TestClassifyCommand:
