@@ -2,7 +2,12 @@
 
 
 class DomainError(ValueError):
-    """An argument fell outside its mathematical domain."""
+    """An argument fell outside its mathematical domain. ``field`` names the
+    argument, when the message is about one."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class InvalidBattery(ValueError):
@@ -19,7 +24,12 @@ class InvalidMethod(ValueError):
 
 
 class InvalidScenario(ValueError):
-    """A simulation scenario violates its structural invariants."""
+    """A simulation scenario violates its structural invariants. ``field``
+    names the argument at fault, when the message is about one."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class FileFormatError(ValueError):

@@ -35,7 +35,7 @@ from .validators import K_MAX, MAX_REPS, N_MAX, integer, is_bool, real
 
 def _check_id(token: str, what: str) -> None:
     if not isinstance(token, str) or not token:
-        raise DomainError(f"{what} must be a non-empty string, got {token!r}")
+        raise DomainError(f"{what} must be a non-empty string, got {token!r}", what)
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,9 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         _check_id(self.joint_id, "joint_id")
+        for flag in ("exchangeable", "independent"):
+            if not is_bool(value := getattr(self, flag)):
+                raise DomainError(f"{flag} must be a boolean, got {value!r}", flag)
         object.__setattr__(self, "constituents", tuple(self.constituents))
         for token in self.constituents:
             _check_id(token, "constituent id")
@@ -296,9 +299,9 @@ def _column(value, name: str, k: int) -> tuple:
             raise TypeError
         column = tuple(value)
     except TypeError:
-        raise InvalidScenario(f"{name} must be a sequence of length k={k}, got {type(value).__name__}") from None
+        raise InvalidScenario(f"{name} must be a sequence of length k={k}, got {type(value).__name__}", name) from None
     if len(column) != k:
-        raise InvalidScenario(f"{name} has length {len(column)}, expected k={k}")
+        raise InvalidScenario(f"{name} has length {len(column)}, expected k={k}", name)
     return column
 
 
@@ -326,13 +329,13 @@ class Scenario:
         # one pass over the columns; a finite float delta needs no conversion
         for i, (is_null, delta) in enumerate(zip(nulls, deltas)):
             if type(is_null) is not bool and not is_bool(is_null):
-                raise InvalidScenario(f"null_pattern[{i}] must be a bool, got {is_null!r}")
+                raise InvalidScenario(f"null_pattern[{i}] must be a bool, got {is_null!r}", f"null_pattern[{i}]")
             if type(delta) is not float or not math.isfinite(delta):
                 delta = deltas[i] = real(delta, f"deltas[{i}]", -math.inf, math.inf, error=InvalidScenario)
             if not math.isfinite(delta * scale):
-                raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}")
+                raise InvalidScenario(f"deltas[{i}] * sqrt(n/2) must be finite, got {delta}", f"deltas[{i}]")
             if is_null and delta != 0.0:
-                raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}")
+                raise InvalidScenario(f"deltas[{i}] must be 0 where the null is true, got {delta}", f"deltas[{i}]")
         object.__setattr__(self, "null_pattern", tuple(map(bool, nulls)))
         object.__setattr__(self, "deltas", tuple(deltas))
         if not isinstance(self.design, Design):

@@ -36,17 +36,39 @@ from .families import (
 
 DEFAULT_REPS = 100_000
 
-_FAMILY_KEYS = {"joint_id", "constituents", "mode", "exchangeable", "independent"}
-_ALPHA_KEYS = {"alpha_joint", "method", "mode"}
-_SIMULATION_KEYS = {"k", "null_pattern", "deltas", "n", "design", "sides", "reps", "seed"}
-_CLASSIFICATION_KEYS = {
-    "statistical_claim",
-    "joint_inference",
-    "all_constituents_required",
-    "exchangeable",
-    "family_theoretically_relevant",
+#: A key's JSON kind: the exact types its value may take (JSON makes only
+#: bool, int, float, str, list, dict and None), the types of a list's
+#: entries, and how a message names the kind, with the value at ``{!r}``.
+#: An enum class is a kind whose values are its members' values; None leaves
+#: the value to the type it feeds, which checks every range.
+_BOOLEAN = ((bool,), None, "a boolean, got {!r}")
+_INTEGER = ((int,), None, "an integer, got {!r}")
+_NUMBER = ((int, float), None, "a number, got {!r}")
+_STRINGS = ((list,), {str}, "a list of strings")
+_BOOLEANS = ((list,), {bool}, "a list of booleans")
+_NUMBERS = ((list,), {int, float}, "a list of numbers")
+
+#: Each section's keys and their kinds, in the order they are checked
+_DOCUMENT = dict.fromkeys(("family", "alpha", "simulation", "classification"))
+_FAMILY = {"joint_id": None, "constituents": _STRINGS, "mode": TestingMode, "exchangeable": _BOOLEAN,
+           "independent": _BOOLEAN}
+_ALPHA = {"mode": TestingMode, "method": AdjustmentMethod, "alpha_joint": _NUMBER}
+_SIMULATION = {
+    "k": _INTEGER,
+    "null_pattern": _BOOLEANS,
+    "deltas": _NUMBERS,
+    "design": ((str, dict), None, "a string or an object with a 'kind' key"),
+    "sides": Sides,
+    "n": _INTEGER,
+    "reps": _INTEGER,
+    "seed": _INTEGER,
 }
-_DESIGN_KEYS = {"kind", "rho"}
+_DESIGN = {"kind": None, "rho": _NUMBER}
+_CLASSIFICATION = dict.fromkeys(
+    ("statistical_claim", "joint_inference", "all_constituents_required", "exchangeable",
+     "family_theoretically_relevant"),
+    _BOOLEAN,
+)
 
 
 @dataclass(frozen=True)
@@ -78,116 +100,83 @@ class _Locator:
                 return i + 1
         return None
 
-    def fail(self, message: str, key: str | None = None, after: int = 0) -> FileFormatError:
+    def fail(self, message: str, key: str = "", section: str = "") -> FileFormatError:
+        """``message`` anchored at the first line naming ``key`` from the line
+        of ``section`` on."""
+        after = (self.line_of(section) or 1) - 1 if section else 0
         line = self.line_of(key, after) if key else None
         where = f"{self.source}:{line}" if line else self.source
         return FileFormatError(f"{where}: {message}")
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], section: str, loc: _Locator) -> None:
+def _section(obj, name: str, kinds: dict, required, loc: _Locator) -> dict:
+    """The keys of section ``name`` that ``obj`` holds, each checked against
+    its kind in ``kinds`` in table order; an enum value comes back as its
+    member. Unknown keys, then missing ``required`` keys, are refused first."""
+    if not isinstance(obj, dict):
+        raise loc.fail(f"{name} must be a JSON object", name)
+    where = name or "document"
     for key in obj:
-        if key not in allowed:
-            raise loc.fail(
-                f"unknown key {key!r} in {section or 'document'} "
-                f"(allowed: {', '.join(sorted(allowed))})",
-                key,
-                (loc.line_of(section) or 1) - 1 if section else 0,
-            )
+        if key not in kinds:
+            raise loc.fail(f"unknown key {key!r} in {where} (allowed: {', '.join(sorted(kinds))})", key, name)
     for key in required:
         if key not in obj:
-            raise loc.fail(f"{section or 'document'} is missing required key {key!r}", section)
+            raise loc.fail(f"{where} is missing required key {key!r}", name)
+    values = {}
+    for key, kind in kinds.items():
+        if key not in obj:
+            continue
+        value = values[key] = obj[key]
+        if isinstance(kind, type):
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                options = ", ".join(member.value for member in kind)
+                raise loc.fail(f"{name}.{key} must be one of: {options}; got {value!r}", key, name) from None
+        elif kind is not None:
+            types, entries, text = kind
+            if type(value) not in types or (entries is not None and not set(map(type, value)) <= entries):
+                raise loc.fail(f"{name}.{key} must be {text.format(value)}", key, name)
+    return values
 
 
-def _as_bool(obj: dict, key: str, section: str, loc: _Locator) -> bool:
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise loc.fail(f"{section}.{key} must be a boolean, got {value!r}", key)
-    return value
-
-
-def _as_int(obj: dict, key: str, section: str, loc: _Locator) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise loc.fail(f"{section}.{key} must be an integer, got {value!r}", key)
-    return value
-
-
-def _as_real(obj: dict, key: str, section: str, loc: _Locator) -> int | float:
-    """A JSON number as it is: the type it feeds checks its range."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise loc.fail(f"{section}.{key} must be a number, got {value!r}", key)
-    return value
-
-
-def _parse_enum(enum_cls, value, key: str, section: str, loc: _Locator):
+def _build(cls, values: dict, obj, name: str, loc: _Locator, label: str = ""):
+    """``cls(**values)``, whose checks refuse a value out of range: anchored
+    at the key the error's ``field`` names, if ``obj`` holds it (``deltas[2]``
+    names ``deltas``), else at section ``name``."""
     try:
-        return enum_cls(value)
-    except ValueError:
-        options = ", ".join(member.value for member in enum_cls)
-        raise loc.fail(f"{section}.{key} must be one of: {options}; got {value!r}", key) from None
+        return cls(**values)
+    except ValueError as exc:
+        key = (getattr(exc, "field", None) or "").partition("[")[0]
+        anchor = (key, name) if isinstance(obj, dict) and key in obj else (name,)
+        raise loc.fail(f"{label or name}: {exc}", *anchor) from None
 
 
 def _parse_family(obj, loc: _Locator) -> FamilySpec:
-    if not isinstance(obj, dict):
-        raise loc.fail("family must be a JSON object", "family")
-    _require_keys(obj, _FAMILY_KEYS, _FAMILY_KEYS, "family", loc)
-    constituents = obj["constituents"]
-    if not isinstance(constituents, list) or not set(map(type, constituents)) <= {str}:
-        raise loc.fail("family.constituents must be a list of strings", "constituents")
-    mode = _parse_enum(TestingMode, obj["mode"], "mode", "family", loc)
-    exchangeable = _as_bool(obj, "exchangeable", "family", loc)
-    independent = _as_bool(obj, "independent", "family", loc)
-    try:
-        family = FamilySpec(
-            joint_id=obj["joint_id"],
-            constituents=tuple(constituents),
-            mode=mode,
-            exchangeable=exchangeable,
-            independent=independent,
-        )
-    except ValueError as exc:
-        raise loc.fail(f"family: {exc}", "family") from None
+    family = _build(FamilySpec, _section(obj, "family", _FAMILY, _FAMILY, loc), obj, "family", loc)
     report = validate_family(family)
     if report.errors:
         raise loc.fail(
-            "family: " + "; ".join(issue.message for issue in report.errors), "constituents"
+            "family: " + "; ".join(issue.message for issue in report.errors), "constituents", "family"
         )
     return family
 
 
 def _parse_alpha(obj, family: FamilySpec, loc: _Locator) -> AlphaConfig:
-    if not isinstance(obj, dict):
-        raise loc.fail("alpha must be a JSON object", "alpha")
-    _require_keys(obj, _ALPHA_KEYS, _ALPHA_KEYS, "alpha", loc)
-    mode = _parse_enum(TestingMode, obj["mode"], "mode", "alpha", loc)
-    method = _parse_enum(AdjustmentMethod, obj["method"], "method", "alpha", loc)
-    if mode is not family.mode:
+    values = _section(obj, "alpha", _ALPHA, _ALPHA, loc)
+    if values["mode"] is not family.mode:
         raise loc.fail(
-            f"alpha.mode {mode.value!r} must match family.mode {family.mode.value!r} "
+            f"alpha.mode {values['mode'].value!r} must match family.mode {family.mode.value!r} "
             "(individual testing involves no family and no scenario document)",
             "mode",
-            (loc.line_of("alpha") or 1) - 1,
+            "alpha",
         )
-    alpha_joint = _as_real(obj, "alpha_joint", "alpha", loc)
-    try:
-        return AlphaConfig(alpha_joint=alpha_joint, method=method, mode=mode)
-    except ValueError as exc:
-        raise loc.fail(f"alpha: {exc}", "alpha") from None
+    return _build(AlphaConfig, values, obj, "alpha", loc)
 
 
 def _parse_design(value, loc: _Locator) -> Design:
-    if isinstance(value, dict):
-        _require_keys(value, _DESIGN_KEYS, {"kind"}, "design", loc)
-        kind, rho = value["kind"], _as_real(value, "rho", "design", loc) if "rho" in value else None
-    elif isinstance(value, str):
-        kind, rho = value, None
-    else:
-        raise loc.fail("simulation.design must be a string or an object with a 'kind' key", "design")
-    try:
-        return Design(kind, rho)
-    except ValueError as exc:
-        raise loc.fail(f"simulation.design: {exc}", "design") from None
+    values = _section(value, "design", _DESIGN, ("kind",), loc) if isinstance(value, dict) else {"kind": value}
+    return _build(Design, values, value, "design", loc, "simulation.design")
 
 
 def _resolve_method(alpha: AlphaConfig, family: FamilySpec, loc: _Locator) -> AdjustmentMethod:
@@ -200,60 +189,28 @@ def _resolve_method(alpha: AlphaConfig, family: FamilySpec, loc: _Locator) -> Ad
             "alpha.method 'bh' controls the false discovery rate, not the FWER; pick "
             "bonferroni, sidak, holm, or hochberg for simulation",
             "method",
+            "alpha",
         )
     return alpha.method
 
 
 def _parse_simulation(obj, family: FamilySpec, alpha: AlphaConfig, loc: _Locator) -> Scenario:
-    if not isinstance(obj, dict):
-        raise loc.fail("simulation must be a JSON object", "simulation")
-    _require_keys(obj, _SIMULATION_KEYS, set(), "simulation", loc)
-    k = _as_int(obj, "k", "simulation", loc) if "k" in obj else family.k
+    values = _section(obj, "simulation", _SIMULATION, (), loc)
+    k = values.setdefault("k", family.k)
     if k != family.k:
         raise loc.fail(
-            f"simulation.k ({k}) must match the family's constituent count ({family.k})", "k"
+            f"simulation.k ({k}) must match the family's constituent count ({family.k})", "k", "simulation"
         )
-    null_pattern = obj.get("null_pattern", [True] * k)
-    # JSON makes only the exact types bool, int, float, str, list, dict and None
-    if not isinstance(null_pattern, list) or not set(map(type, null_pattern)) <= {bool}:
-        raise loc.fail("simulation.null_pattern must be a list of booleans", "null_pattern")
-    deltas = obj.get("deltas", [0.0] * k)
-    if not isinstance(deltas, list) or not set(map(type, deltas)) <= {int, float}:
-        raise loc.fail("simulation.deltas must be a list of numbers", "deltas")
-    design = _parse_design(obj["design"], loc) if "design" in obj else Design.independent()
-    sides = (
-        _parse_enum(Sides, obj["sides"], "sides", "simulation", loc)
-        if "sides" in obj
-        else Sides.ONE_SIDED
-    )
-    n = _as_int(obj, "n", "simulation", loc) if "n" in obj else 2
+    design = _parse_design(values["design"], loc) if "design" in values else Design.independent()
     method = _resolve_method(alpha, family, loc)
-    reps = _as_int(obj, "reps", "simulation", loc) if "reps" in obj else DEFAULT_REPS
-    seed = _as_int(obj, "seed", "simulation", loc) if "seed" in obj else 0
-    try:
-        return Scenario(
-            k=k,
-            null_pattern=tuple(null_pattern),
-            deltas=tuple(deltas),
-            n=n,
-            design=design,
-            sides=sides,
-            alpha_joint=alpha.alpha_joint,
-            method=method,
-            reps=reps,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise loc.fail(f"simulation: {exc}", "simulation") from None
+    defaults = {"null_pattern": [True] * k, "deltas": [0.0] * k, "sides": Sides.ONE_SIDED, "n": 2,
+                "reps": DEFAULT_REPS, "seed": 0}
+    run = {"design": design, "alpha_joint": alpha.alpha_joint, "method": method}
+    return _build(Scenario, {**defaults, **values, **run}, obj, "simulation", loc)
 
 
 def _parse_classification(obj, loc: _Locator) -> ClassificationInput:
-    if not isinstance(obj, dict):
-        raise loc.fail("classification must be a JSON object", "classification")
-    _require_keys(obj, _CLASSIFICATION_KEYS, _CLASSIFICATION_KEYS, "classification", loc)
-    return ClassificationInput(
-        **{key: _as_bool(obj, key, "classification", loc) for key in _CLASSIFICATION_KEYS}
-    )
+    return ClassificationInput(**_section(obj, "classification", _CLASSIFICATION, _CLASSIFICATION, loc))
 
 
 def _load_json_object(text: str, source: str) -> dict:
@@ -272,8 +229,7 @@ def _load_json_object(text: str, source: str) -> dict:
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
     loc = _Locator(text, source)
-    doc = _load_json_object(text, source)
-    _require_keys(doc, {"family", "alpha", "simulation", "classification"}, {"family", "alpha"}, "", loc)
+    doc = _section(_load_json_object(text, source), "", _DOCUMENT, ("family", "alpha"), loc)
     family = _parse_family(doc["family"], loc)
     alpha = _parse_alpha(doc["alpha"], family, loc)
     scenario = _parse_simulation(doc["simulation"], family, alpha, loc) if "simulation" in doc else None

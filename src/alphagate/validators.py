@@ -2,11 +2,12 @@
 
 Every check of a numeric argument in the package goes through
 :func:`integer` or :func:`real`, so a bad one always raises the caller's
-``error``, a ``ValueError`` subclass, with one message format per kind of
-check. A numpy integer is an integer here, and the check returns it as a
-Python int. A bool, Python or numpy, is neither an integer nor a real, and a
-value that ``float()`` cannot take (``None``, a list, ``10**400``) fails the
-real check like any value out of range.
+``error``, ``DomainError`` or ``InvalidScenario``, with one message format
+per kind of check and the argument's name as its ``field``. A numpy integer
+is an integer here, and the check returns it as a Python int. A bool, Python
+or numpy, is neither an integer nor a real, and a value that ``float()``
+cannot take (``None``, a list, ``10**400``) fails the real check like any
+value out of range.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import operator
 import sys
 
-from .errors import DomainError
+from .errors import DomainError, InvalidScenario
 
 #: Largest supported family size: it keeps ``(1 - x)**k`` numerically benign.
 K_MAX = 10_000_000
@@ -39,7 +40,9 @@ def is_bool(value) -> bool:
     return isinstance(value, bool) or (numpy is not None and isinstance(value, numpy.bool_))
 
 
-def integer(value, name: str, lo: int, hi: int | None = None, *, error: type[ValueError] = DomainError) -> int:
+def integer(
+    value, name: str, lo: int, hi: int | None = None, *, error: type[DomainError | InvalidScenario] = DomainError
+) -> int:
     """``value`` as an int if it is an integer in [lo, hi], or >= lo when hi is
     None: an int or a numpy integer, by ``operator.index``, but not a bool."""
     try:
@@ -48,12 +51,12 @@ def integer(value, name: str, lo: int, hi: int | None = None, *, error: type[Val
         number = None
     if number is None or number < lo or (hi is not None and number > hi):
         span = f">= {_show(lo)}" if hi is None else f"in [{_show(lo)}, {_show(hi)}]"
-        raise error(f"{name} must be an integer {span}, got {value!r}")
+        raise error(f"{name} must be an integer {span}, got {value!r}", name)
     return number
 
 
 def real(
-    value, name: str, lo: float, hi: float, ends: str = "()", *, error: type[ValueError] = DomainError
+    value, name: str, lo: float, hi: float, ends: str = "()", *, error: type[DomainError | InvalidScenario] = DomainError
 ) -> float:
     """``float(value)`` if it lies between lo and hi; ``ends`` gives the
     brackets, "(" or "[" then ")" or "]", so an open end excludes its bound;
@@ -70,4 +73,4 @@ def real(
         if above and below:
             return x
         shown = repr(x)
-    raise error(f"{name} must be a real in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {shown}")
+    raise error(f"{name} must be a real in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {shown}", name)

@@ -50,6 +50,19 @@ class TestFamilySpec:
                 independent=True,
             )
 
+    @pytest.mark.parametrize("flag", ["exchangeable", "independent"])
+    @pytest.mark.parametrize("value", ["no", 0, None, 1.0])
+    def test_flags_must_be_booleans(self, flag, value):
+        with pytest.raises(DomainError, match=f"^{flag} must be a boolean, got {re.escape(repr(value))}$") as err:
+            _family(["a", "b"], **{flag: value})
+        assert err.value.field == flag
+
+    def test_numpy_bool_flags_accepted(self):
+        import numpy as np
+
+        family = _family(["a", "b"], exchangeable=np.False_, independent=np.True_)
+        assert [issue.code for issue in validate_family(family).warnings] == ["NotExchangeable"]
+
 
 class TestValidateFamily:
     def test_duplicate_constituent(self):

@@ -221,6 +221,169 @@ class TestClassificationDocument:
             parse_classification_text(render(doc()))
 
 
+def full_doc():
+    """A valid document with every section and every key."""
+    return doc(
+        simulation={
+            "k": 2,
+            "null_pattern": [True, False],
+            "deltas": [0.0, 0.5],
+            "n": 16,
+            "design": {"kind": "equicorrelated", "rho": 0.3},
+            "sides": "two_sided",
+            "reps": 1000,
+            "seed": 7,
+        },
+        classification=dict(TestClassificationDocument.ANSWERS),
+    )
+
+
+def section_of(document, path):
+    """The object at ``path`` ("" for the document itself, "design" for the
+    simulation's design object)."""
+    if path == "":
+        return document
+    if path == "design":
+        return document["simulation"]["design"]
+    return document[path]
+
+
+def line_of(text, key, section=""):
+    """The first line mentioning ``"key"`` at or after the line of ``"section"``."""
+    lines = text.splitlines()
+    start = next(i for i, row in enumerate(lines) if f'"{section}"' in row) if section else 0
+    return next(i for i, row in enumerate(lines[start:], start=start + 1) if f'"{key}"' in row)
+
+
+DROP = object()
+
+
+def edited(document, path, key, value):
+    """``document`` with ``key`` of section ``path`` set to ``value``, or
+    removed if ``value`` is DROP."""
+    section = section_of(document, path)
+    if value is DROP:
+        del section[key]
+    else:
+        section[key] = value
+    return document
+
+FAMILY_KEYS = "constituents, exchangeable, independent, joint_id, mode"
+CLASSIFICATION_KEYS = "all_constituents_required, exchangeable, family_theoretically_relevant, joint_inference, statistical_claim"
+MODES = "individual, disjunction, conjunction"
+
+
+class TestScenarioMessages:
+    """The full ``path:line: message`` of every key of every section given a
+    value of the wrong JSON kind, of every required key removed, and of a
+    stray key in each section. ``anchor`` is the (section, key) whose line
+    the message names, or None for no line."""
+
+    ROWS = [
+        # each section of the wrong kind
+        ("", "family", [], "family must be a JSON object", ("", "family")),
+        ("", "alpha", "x", "alpha must be a JSON object", ("", "alpha")),
+        ("", "simulation", 1, "simulation must be a JSON object", ("", "simulation")),
+        ("", "classification", None, "classification must be a JSON object", ("", "classification")),
+        # each key of the wrong kind
+        ("family", "joint_id", 5, "family: joint_id must be a non-empty string, got 5", ("family", "joint_id")),
+        ("family", "constituents", "green", "family.constituents must be a list of strings", ("family", "constituents")),
+        ("family", "mode", 1, f"family.mode must be one of: {MODES}; got 1", ("family", "mode")),
+        ("family", "exchangeable", "yes", "family.exchangeable must be a boolean, got 'yes'", ("family", "exchangeable")),
+        ("family", "independent", 0, "family.independent must be a boolean, got 0", ("family", "independent")),
+        ("alpha", "alpha_joint", "0.05", "alpha.alpha_joint must be a number, got '0.05'", ("alpha", "alpha_joint")),
+        ("alpha", "method", None,
+         "alpha.method must be one of: none, bonferroni, sidak, holm, hochberg, bh; got None", ("alpha", "method")),
+        ("alpha", "mode", ["disjunction"], f"alpha.mode must be one of: {MODES}; got ['disjunction']", ("alpha", "mode")),
+        ("simulation", "k", 2.0, "simulation.k must be an integer, got 2.0", ("simulation", "k")),
+        ("simulation", "null_pattern", [1, 0], "simulation.null_pattern must be a list of booleans",
+         ("simulation", "null_pattern")),
+        ("simulation", "deltas", ["0", "0.5"], "simulation.deltas must be a list of numbers", ("simulation", "deltas")),
+        ("simulation", "n", "16", "simulation.n must be an integer, got '16'", ("simulation", "n")),
+        ("simulation", "design", 3, "simulation.design must be a string or an object with a 'kind' key",
+         ("simulation", "design")),
+        ("simulation", "sides", "both", "simulation.sides must be one of: one_sided, two_sided; got 'both'",
+         ("simulation", "sides")),
+        ("simulation", "reps", 1e3, "simulation.reps must be an integer, got 1000.0", ("simulation", "reps")),
+        ("simulation", "seed", True, "simulation.seed must be an integer, got True", ("simulation", "seed")),
+        ("design", "kind", 5, "simulation.design: unknown design kind 5", ("simulation", "design")),
+        ("design", "rho", "0.3", "design.rho must be a number, got '0.3'", ("design", "rho")),
+        ("classification", "statistical_claim", "yes", "classification.statistical_claim must be a boolean, got 'yes'",
+         ("classification", "statistical_claim")),
+        ("classification", "joint_inference", 1, "classification.joint_inference must be a boolean, got 1",
+         ("classification", "joint_inference")),
+        ("classification", "all_constituents_required", None,
+         "classification.all_constituents_required must be a boolean, got None",
+         ("classification", "all_constituents_required")),
+        ("classification", "exchangeable", "no", "classification.exchangeable must be a boolean, got 'no'",
+         ("classification", "exchangeable")),
+        ("classification", "family_theoretically_relevant", [True],
+         "classification.family_theoretically_relevant must be a boolean, got [True]",
+         ("classification", "family_theoretically_relevant")),
+        # each required key removed
+        ("", "family", DROP, "document is missing required key 'family'", None),
+        ("", "alpha", DROP, "document is missing required key 'alpha'", None),
+        *[("family", key, DROP, f"family is missing required key {key!r}", ("", "family"))
+          for key in ["joint_id", "constituents", "mode", "exchangeable", "independent"]],
+        *[("alpha", key, DROP, f"alpha is missing required key {key!r}", ("", "alpha"))
+          for key in ["alpha_joint", "method", "mode"]],
+        ("design", "kind", DROP, "design is missing required key 'kind'", ("", "design")),
+        *[("classification", key, DROP, f"classification is missing required key {key!r}", ("", "classification"))
+          for key in CLASSIFICATION_KEYS.split(", ")],
+        # a stray key in each section
+        ("", "stray", 0, "unknown key 'stray' in document (allowed: alpha, classification, family, simulation)",
+         ("", "stray")),
+        ("family", "stray", 0, f"unknown key 'stray' in family (allowed: {FAMILY_KEYS})", ("family", "stray")),
+        ("alpha", "stray", 0, "unknown key 'stray' in alpha (allowed: alpha_joint, method, mode)", ("alpha", "stray")),
+        ("simulation", "stray", 0,
+         "unknown key 'stray' in simulation (allowed: deltas, design, k, n, null_pattern, reps, seed, sides)",
+         ("simulation", "stray")),
+        ("design", "stray", 0, "unknown key 'stray' in design (allowed: kind, rho)", ("design", "stray")),
+        ("classification", "stray", 0, f"unknown key 'stray' in classification (allowed: {CLASSIFICATION_KEYS})",
+         ("classification", "stray")),
+    ]
+
+    #: a value the type checks refuse is anchored at its key, not its section
+    RANGE_ROWS = [
+        ("family", "joint_id", "", "family: joint_id must be a non-empty string, got ''", ("family", "joint_id")),
+        ("alpha", "alpha_joint", 1.5, "alpha: alpha_joint must be a real in (0, 1), got 1.5", ("alpha", "alpha_joint")),
+        ("simulation", "deltas", [0.5, 0.0], "simulation: deltas[0] must be 0 where the null is true, got 0.5",
+         ("simulation", "deltas")),
+        ("simulation", "n", 1, "simulation: n must be an integer in [2, 2**53], got 1", ("simulation", "n")),
+        ("simulation", "seed", -1, "simulation: seed must be an integer in [0, 18446744073709551615], got -1",
+         ("simulation", "seed")),
+        ("design", "rho", 1.5, "simulation.design: rho must be a real in [0, 1), got 1.5", ("design", "rho")),
+    ]
+
+    @staticmethod
+    def ids(rows):
+        return [f"{path or 'document'}.{key}-{'dropped' if value is DROP else 'wrong'}" for path, key, value, *_ in rows]
+
+    @staticmethod
+    def assert_refused(document, message, anchor, parse=parse_scenario_text):
+        text = render(document)
+        where = f"s.json:{line_of(text, anchor[1], anchor[0])}" if anchor else "s.json"
+        with pytest.raises(FileFormatError) as err:
+            parse(text, source="s.json")
+        assert str(err.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("path, key, value, message, anchor", ROWS, ids=ids(ROWS))
+    def test_message_and_line(self, path, key, value, message, anchor):
+        self.assert_refused(edited(full_doc(), path, key, value), message, anchor)
+
+    @pytest.mark.parametrize("path, key, value, message, anchor", RANGE_ROWS,
+                             ids=[f"{path}.{key}" for path, key, *_ in RANGE_ROWS])
+    def test_range_error_is_anchored_at_its_key(self, path, key, value, message, anchor):
+        self.assert_refused(edited(full_doc(), path, key, value), message, anchor)
+
+    BARE = [row for row in ROWS if row[0] == "classification"]
+
+    @pytest.mark.parametrize("path, key, value, message, anchor", BARE, ids=ids(BARE))
+    def test_bare_classification_object(self, path, key, value, message, anchor):
+        answers = edited(dict(TestClassificationDocument.ANSWERS), "", key, value)
+        self.assert_refused(answers, message, None if value is DROP else ("", key), parse_classification_text)
+
+
 def test_deep_nesting_in_classification_is_a_format_error():
     deep = '{"exchangeable": ' + "[" * 100_000 + "]" * 100_000 + "}"
     with pytest.raises(FileFormatError, match="nests too deeply"):
@@ -445,7 +608,7 @@ json_values = st.recursive(
 def answer_objects(draw):
     """The five answers, up to two of them dropped or replaced by any JSON
     value, or a stray key added."""
-    answers = {key: draw(st.booleans()) for key in sorted(fileio._CLASSIFICATION_KEYS)}
+    answers = {key: draw(st.booleans()) for key in sorted(TestClassificationDocument.ANSWERS)}
     for key in draw(st.lists(st.sampled_from([*answers, "extra"]), max_size=2)):
         if draw(st.booleans()):
             answers.pop(key, None)
@@ -466,5 +629,35 @@ classification_texts = (
 @given(classification_texts)
 def test_classification_file_exits_0_or_2(text):
     code, out = run_cli(["classify", "--input", "{path}"], "answers.json", text)
+    assert code in (0, 2)
+    assert (out == "") == (code == 2)
+
+
+@st.composite
+def scenario_documents(draw):
+    """The full document, with up to two keys of any section dropped or
+    replaced by any JSON value, or a stray key added."""
+    document = full_doc()
+    for path in draw(st.lists(st.sampled_from(["", "family", "alpha", "simulation", "design", "classification"]),
+                              max_size=2)):
+        try:
+            section = section_of(document, path)
+        except (KeyError, TypeError):  # an edit above took the section away
+            continue
+        if not isinstance(section, dict):
+            continue
+        key = draw(st.sampled_from([*section, "stray"]))
+        if draw(st.booleans()):
+            section.pop(key, None)
+        else:
+            section[key] = draw(json_values)
+    return document
+
+
+@settings(max_examples=120, deadline=None)
+@given(scenario_documents())
+def test_scenario_file_exits_0_or_2(document):
+    argv = ["simulate", "--scenario", "{path}", "--reps", "10", "--threads", "1"]
+    code, out = run_cli(argv, "scenario.json", render(document))
     assert code in (0, 2)
     assert (out == "") == (code == 2)
