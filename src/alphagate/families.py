@@ -62,7 +62,7 @@ class FamilySpec:
         for token in self.constituents:
             _check_id(token, "constituent id")
         if self.mode is TestingMode.INDIVIDUAL:
-            raise DomainError("a family implies a joint hypothesis; mode cannot be 'individual'")
+            raise DomainError("a family implies a joint hypothesis; mode cannot be 'individual'", "mode")
 
     @property
     def k(self) -> int:
@@ -195,10 +195,10 @@ class AlphaConfig:
         object.__setattr__(self, "alpha_joint", real(self.alpha_joint, "alpha_joint", 0, 1))
         if self.mode is TestingMode.DISJUNCTION:
             if self.method is AdjustmentMethod.NONE:
-                raise DomainError("disjunction testing requires an adjustment method")
+                raise DomainError("disjunction testing requires an adjustment method", "method")
         elif self.method is not AdjustmentMethod.NONE:
             raise DomainError(
-                f"{self.mode.value} testing uses the unadjusted alpha; method must be 'none'"
+                f"{self.mode.value} testing uses the unadjusted alpha; method must be 'none'", "method"
             )
 
 
@@ -271,13 +271,13 @@ class Design:
 
     def __post_init__(self) -> None:
         if self.kind not in ("independent", "equicorrelated", "shared_control"):
-            raise InvalidScenario(f"unknown design kind {self.kind!r}")
+            raise InvalidScenario(f"unknown design kind {self.kind!r}", "kind")
         if self.kind == "equicorrelated":
             if self.rho is None:
                 raise InvalidScenario("equicorrelated design requires rho")
             object.__setattr__(self, "rho", real(self.rho, "rho", 0, 1, "[)", error=InvalidScenario))
         elif self.rho is not None:
-            raise InvalidScenario(f"design {self.kind!r} takes no rho")
+            raise InvalidScenario(f"design {self.kind!r} takes no rho", "rho")
 
     @classmethod
     def independent(cls) -> "Design":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,8 +83,9 @@ class ScenarioDoc:
 
 
 class _Locator:
-    """Best-effort line anchoring: first line mentioning a quoted key. The
-    text is split into lines only when a message needs one."""
+    """Best-effort line anchoring: first line holding a quoted key followed
+    by its colon, so that a string value equal to a key name is passed
+    over. The text is split into lines only when a message needs one."""
 
     def __init__(self, text: str, source: str):
         self.text = text
@@ -94,9 +96,9 @@ class _Locator:
         return self.text.splitlines()
 
     def line_of(self, key: str, after: int = 0) -> int | None:
-        needle = f'"{key}"'
+        needle = re.compile(rf'"{re.escape(key)}"\s*:')
         for i in range(after, len(self.lines)):
-            if needle in self.lines[i]:
+            if needle.search(self.lines[i]):
                 return i + 1
         return None
 

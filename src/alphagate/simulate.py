@@ -23,10 +23,11 @@ how replications are scheduled. Replications are seeded individually by a
 counter-based derivation (:mod:`alphagate.rng`), work is cut into
 fixed-size chunks independent of the thread count, and partial sums are
 combined in chunk order. Each chunk is judged in tiles of about
-:data:`TILE_BYTES` per (k + 1, rows) temporary, so a worker's memory is
-O(tile * (k + 1) + CHUNK_REPS) and does not grow with k times the chunk
-length; replications are judged independently and every per-tile total is
-an integer, so the estimates never depend on the tile size. Each worker
+:data:`TILE_BYTES` per (k + 1, rows) temporary when one worker runs, and
+twice that when more do, so a worker's memory is O(tile * (k + 1) +
+CHUNK_REPS) and does not grow with k times the chunk length; replications
+are judged independently and every per-tile total is an integer, so the
+estimates never depend on the tile size or the number of workers. Each worker
 judges all its chunks in one scratch block, made on its first chunk and
 sized only by the tile, k, the chunk length and the number of distinct
 shifts: the draws, statistics, masks and counts of every tile are written
@@ -105,9 +106,14 @@ _SQRT2 = math.sqrt(2.0)
 #: so that chunk boundaries, and therefore partial-sum order, are stable.
 CHUNK_REPS = 16_384
 
-#: Bytes of one (k + 1, rows) float64 temporary while a chunk is judged; a
-#: tile that fits in a core's cache saves streaming whole-chunk arrays
-#: through memory at every step.
+#: Bytes of one (k + 1, rows) float64 temporary while a single worker
+#: judges a chunk; a tile that fits in a core's cache saves streaming
+#: whole-chunk arrays through memory at every step. Workers that share the
+#: GIL judge tiles of twice this: each hands the GIL over around every
+#: numpy call, and the wider tile halves the calls per replication, which
+#: outweighs the cache (measured on 2 vCPUs; one worker is slower at twice
+#: the size). Twice, not the worker count, so that a worker's memory does
+#: not grow with the cores.
 TILE_BYTES = 1 << 19
 
 
@@ -489,7 +495,8 @@ class _Scratch:
     screen's kept draws take their shared terms in ``stats``, and their test
     and replication indices and shifts in ``seed_bits`` and ``ratio``, which
     the chunk needs only before its first tile and after its last. Hochberg
-    copies the replications its bracket leaves open to ``bits``.
+    copies the replications its bracket leaves open to ``bits``, and once a
+    tile is decided ``mask`` takes its rejections of true nulls.
 
     A chunk's per-replication counts ``r`` and ``v`` take the smallest
     unsigned type that holds k, and a tile's per-test ``counts`` the one that
@@ -709,8 +716,12 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     all_nulls = bool(nulls.all())
     plan = _plan(scenario)
 
+    n_chunks = (reps + CHUNK_REPS - 1) // CHUNK_REPS
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
     chunk_reps = min(CHUNK_REPS, reps)
-    tile = min(max(1, TILE_BYTES // (8 * (k + 1))), chunk_reps)
+    # workers that share the GIL judge twice the rows per call (see TILE_BYTES)
+    tile_bytes = TILE_BYTES if workers == 1 else 2 * TILE_BYTES
+    tile = min(max(1, tile_bytes // (8 * (k + 1))), chunk_reps)
     # each worker thread makes its scratch on its first chunk
     local = threading.local()
 
@@ -728,11 +739,11 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
         for lo in range(0, count, tile):
             hi = min(lo + tile, count)
             rejected, joint = _decide(plan, scenario, seeds[lo:hi], scratch)
-            ones = rejected.view(np.uint8)
             np.copyto(r[lo:hi], scratch.rejections[: hi - lo])
             if not all_nulls:
-                np.add.reduce(ones, axis=0, dtype=v.dtype, out=v[lo:hi], where=nulls)
-            per_test += np.add.reduce(ones, axis=1, dtype=scratch.counts.dtype, out=scratch.counts)
+                hits = np.logical_and(rejected, nulls, out=_head(scratch.mask, hi - lo))
+                np.add.reduce(hits.view(np.uint8), axis=0, dtype=v.dtype, out=v[lo:hi])
+            per_test += np.add.reduce(rejected.view(np.uint8), axis=1, dtype=scratch.counts.dtype, out=scratch.counts)
             disjunction_rejects += int(np.count_nonzero(joint))
         # V / max(R, 1), as doubles
         fdp = np.maximum(r, 1, out=scratch.ratio[:count])
@@ -748,8 +759,6 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
             per_test=per_test,
         )
 
-    n_chunks = (reps + CHUNK_REPS - 1) // CHUNK_REPS
-    workers = min(threads, n_chunks, os.cpu_count() or 1)
     # map yields in chunk order, so float accumulation is schedule-independent;
     # adding each chunk as it arrives keeps alive only the totals of chunks
     # that finished ahead of the next one in order

@@ -306,7 +306,7 @@ class TestScenarioMessages:
          ("simulation", "sides")),
         ("simulation", "reps", 1e3, "simulation.reps must be an integer, got 1000.0", ("simulation", "reps")),
         ("simulation", "seed", True, "simulation.seed must be an integer, got True", ("simulation", "seed")),
-        ("design", "kind", 5, "simulation.design: unknown design kind 5", ("simulation", "design")),
+        ("design", "kind", 5, "simulation.design: unknown design kind 5", ("design", "kind")),
         ("design", "rho", "0.3", "design.rho must be a number, got '0.3'", ("design", "rho")),
         ("classification", "statistical_claim", "yes", "classification.statistical_claim must be a boolean, got 'yes'",
          ("classification", "statistical_claim")),
@@ -355,6 +355,15 @@ class TestScenarioMessages:
         ("design", "rho", 1.5, "simulation.design: rho must be a real in [0, 1), got 1.5", ("design", "rho")),
     ]
 
+    #: a rule over more than one value is anchored at the key it names
+    RULE_ROWS = [
+        ("family", "mode", "individual",
+         "family: a family implies a joint hypothesis; mode cannot be 'individual'", ("family", "mode")),
+        ("alpha", "method", "none", "alpha: disjunction testing requires an adjustment method", ("alpha", "method")),
+        ("design", "kind", "bogus", "simulation.design: unknown design kind 'bogus'", ("design", "kind")),
+        ("design", "kind", "independent", "simulation.design: design 'independent' takes no rho", ("design", "rho")),
+    ]
+
     @staticmethod
     def ids(rows):
         return [f"{path or 'document'}.{key}-{'dropped' if value is DROP else 'wrong'}" for path, key, value, *_ in rows]
@@ -375,6 +384,21 @@ class TestScenarioMessages:
                              ids=[f"{path}.{key}" for path, key, *_ in RANGE_ROWS])
     def test_range_error_is_anchored_at_its_key(self, path, key, value, message, anchor):
         self.assert_refused(edited(full_doc(), path, key, value), message, anchor)
+
+    @pytest.mark.parametrize("path, key, value, message, anchor", RULE_ROWS,
+                             ids=[f"{path}.{key}-{value}" for path, key, value, *_ in RULE_ROWS])
+    def test_rule_error_is_anchored_at_the_key_it_names(self, path, key, value, message, anchor):
+        self.assert_refused(edited(full_doc(), path, key, value), message, anchor)
+
+    def test_a_value_equal_to_a_key_name_takes_no_anchor(self):
+        # "mode" is a constituent on line 5 and the refused key on line 8
+        document = doc()
+        document["family"].update(constituents=["mode", "x"], mode="bogus")
+        text = render(document)
+        assert [i for i, row in enumerate(text.splitlines(), start=1) if '"mode"' in row][:2] == [5, 8]
+        with pytest.raises(FileFormatError) as err:
+            parse_scenario_text(text, source="s.json")
+        assert str(err.value) == f"s.json:8: family.mode must be one of: {MODES}; got 'bogus'"
 
     BARE = [row for row in ROWS if row[0] == "classification"]
 

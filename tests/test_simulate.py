@@ -697,6 +697,12 @@ class TestChunkMemory:
         assert peak <= 1_871 * 1024
 
 
+def tile_bytes(rows, k, workers):
+    """The TILE_BYTES that gives a run of ``workers`` workers tiles of
+    ``rows`` at k: more than one worker judges tiles of twice TILE_BYTES."""
+    return rows * 8 * (k + 1) // (1 if workers == 1 else 2)
+
+
 @st.composite
 def small_runs(draw):
     """(scenario, chunk length, tile rows, threads): k up to 64 with a mix of
@@ -729,9 +735,10 @@ class TestScratchReuse:
         # every chunk and tile of a worker reuses one scratch block, so a value
         # left from an earlier chunk or a longer tile would show here
         s, chunk, tile_rows, threads = run
+        workers = min(threads, -(-s.reps // chunk), 3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SIM, "CHUNK_REPS", chunk)
-            mp.setattr(SIM, "TILE_BYTES", tile_rows * 8 * (s.k + 1))
+            mp.setattr(SIM, "TILE_BYTES", tile_bytes(tile_rows, s.k, workers))
             mp.setattr(SIM.os, "cpu_count", lambda: 3)
             got, want = simulate(s, threads=threads), p_space_simulate(s)
         # repr also tells a numpy scalar from the Python number it equals
@@ -754,7 +761,8 @@ class TestScratchReuse:
         monkeypatch.setattr(SIM, "_Scratch", Recorded)
         monkeypatch.setattr(SIM, "_decide", recorded)
         monkeypatch.setattr(SIM, "CHUNK_REPS", 64)
-        monkeypatch.setattr(SIM, "TILE_BYTES", 40 * 8 * 6)  # 40-row tiles at k = 5
+        # 40-row tiles at k = 5
+        monkeypatch.setattr(SIM, "TILE_BYTES", tile_bytes(40, 5, min(threads, 4, os.cpu_count() or 1)))
         mixed = [0.0, 0.0, 0.3, 0.3, -0.2]
         s = scenario(5, nulls=[d == 0.0 for d in mixed], deltas=mixed, reps=4 * 64,
                      sides=Sides.ONE_SIDED if route == "words" else Sides.TWO_SIDED)
@@ -769,6 +777,32 @@ class TestScratchReuse:
         for scratch in made:
             for chunk_view in (scratch.seeds, scratch.r, scratch.v, scratch.ratio):
                 assert np.shares_memory(chunk_view, scratch.block)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("route", ["words", "z"])
+    def test_more_than_one_worker_judges_tiles_twice_as_wide(self, route, threads, monkeypatch):
+        rows = []
+
+        def recorded(plan, s, seeds, scratch, decide=SIM._decide):
+            rows.append(len(seeds))
+            return decide(plan, s, seeds, scratch)
+
+        monkeypatch.setattr(SIM, "_decide", recorded)
+        monkeypatch.setattr(SIM, "CHUNK_REPS", 200)
+        monkeypatch.setattr(SIM, "TILE_BYTES", 40 * 8 * 6)  # 40-row tiles at k = 5 and one worker
+        monkeypatch.setattr(SIM.os, "cpu_count", lambda: 3)
+        mixed = [0.0, 0.0, 0.3, 0.3, -0.2]
+        s = scenario(5, nulls=[d == 0.0 for d in mixed], deltas=mixed, reps=3 * 200 + 57, seed=5,
+                     sides=Sides.ONE_SIDED if route == "words" else Sides.TWO_SIDED)
+        assert SIM._plan(s).words is (route == "words")
+        serial = simulate(s, threads=1)
+        assert sorted(rows) == sorted([40] * 15 + [40, 17])
+        rows.clear()
+        # twice the rows, not a multiple of the worker count
+        assert repr(dataclasses.replace(simulate(s, threads=threads), elapsed=0.0)) == repr(
+            dataclasses.replace(serial, elapsed=0.0)
+        )
+        assert sorted(rows) == sorted([80, 80, 40] * 3 + [57])
 
 
 SCREEN_DESIGNS = [Design.independent(), *map(Design.equicorrelated, (0.0, 0.3, 0.5, 0.999)), Design.shared_control()]
