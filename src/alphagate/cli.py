@@ -379,8 +379,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, required=True, help="standardized effect size")
     p.add_argument("--n", type=int, required=True, help="per-group sample size")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--conjunction", action="store_true", help="report joint power over k tests")
+    p.add_argument("--k", type=int, default=None, help="also report conjunction_power and conjunction_type2 over k tests")
+    p.add_argument("--conjunction", action="store_true",
+                   help="require --k; the conjunction rows follow from --k alone")
     p.set_defaults(func=_cmd_power)
 
     return parser

@@ -19,7 +19,7 @@ capped at the largest double below 1, so uniforms lie strictly inside
 consumes exactly one counter slot. :func:`uniform_from_words` and
 :func:`normal_from_words` are the only word-to-uniform and word-to-normal
 maps: the simulator also applies them to the words it picks out of a block
-and to search the words at which a decision changes.
+and to the words whose decision falls inside a band.
 
 :func:`word_block` takes an ``out`` array for its words and a uint64
 ``scratch`` array of the same shape for the mixing, each made anew when

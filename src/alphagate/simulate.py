@@ -39,24 +39,27 @@ along each row, and Hochberg sorts a replication down its column.
 Decisions are made in threshold space. Every rule compares p-values with
 thresholds (alpha, the single-step level, Hochberg's alpha/(k-i+1)), and a
 p-value falls as z (|z| when two-sided) grows, so once per run each
-threshold t becomes a cutoff on z found by bisection over the ordered
-doubles against :func:`p_from_z` itself. The chunks then compare z with
-the cutoffs and never call erfc. Hochberg brackets each replication by its
-maximum and its count K of rejections at alpha: a maximum at the cutoff of
-step alpha/k rejects, as Bonferroni does, and one below that of step
-alpha/(k-K+1) retains, since a rejection at rank i needs i p-values at or
-below alpha/(k-i+1) <= alpha, so i <= K. Only the few replications in
-between are sorted and compared with the reversed cutoff vector. Under the
-independent design with one-sided tests and a single-step rule, z = shift +
-ndtri(u(word)) only grows with the top 53 bits of the word, so a second
-bisection per distinct shift turns each cutoff into an integer, and the
-chunks compare raw SplitMix64 words: no ndtri either. Because scipy's erfc
-and ndtri are monotone only to within an ulp, each cutoff is a narrow band
-(about 1e-13 wide in z) rather than a point: the bisections run at
-thresholds loosened by far more than those functions' error, so outside the
-band the answer is certain, and the rare statistic inside it is judged by
-p_from_z. Every decision therefore equals
-the one the p-values give, and so do the estimates.
+threshold t becomes a cutoff on z in closed form, -ndtri(t) (of t/2 when
+two-sided), and the chunks compare z with the cutoffs and never call erfc.
+As erfc and ndtri are good only to about 1e-15 relative, each cutoff is a
+narrow band (about 1e-11 wide in z): its edges are the z of t loosened by
+2**-40 relative and 2**-1022 absolute, each moved outward by 2**-40 times
+1 + |z|. Outside the band the answer is certain, and the rare statistic
+inside it is judged by p_from_z, so every decision, and every estimate,
+equals what the p-values give. 2**-1022, the smallest normal double, keeps
+every finite edge where p-values are normal: erfc underflows to 0 at z =
+37.68, before ndtri reaches the z of a subnormal t. An infinite edge stays,
+as p_from_z(+inf) = 0 makes +inf a valid top. Hochberg brackets each
+replication by its maximum and its count K of rejections at alpha: a
+maximum at the cutoff of step alpha/k rejects, as Bonferroni does, and one
+below that of step alpha/(k-K+1) retains, since a rejection at rank i needs
+i p-values at or below alpha/(k-i+1) <= alpha, so i <= K. Only the few
+replications in between are sorted and compared with the reversed cutoff
+vector. Under the independent design with one-sided tests and a
+single-step rule, z = shift + ndtri(u(word)) only grows with the top 53
+bits of the word, so the screen's conversion (below) turns each band into
+word tops per distinct shift, and the chunks compare raw SplitMix64 words:
+no ndtri either.
 
 On every other run (the z route) a screen spares ndtri the draws that
 cannot matter. Every joint threshold is at most alpha, so a statistic below
@@ -67,16 +70,16 @@ shift, ndtr of that edge in the space of a test's own draw G gives an
 interval of word tops inside which z (|z| when two-sided) stays below it.
 The interval is narrowed by 2**-30 relative in z and in the uniform, far
 more than the error of ndtr and ndtri and the rounding of z, and rounded
-inward. Only the words outside it go through ndtri, and their z is
-assembled in a compact array, each with its own test's shift and its
-replication's shared term, by the same IEEE operations as
-:func:`_z_block`'s, so it is the same double. It is scattered into a tile
-that holds -inf everywhere else, below every band. A screened
+inward, by :func:`_word_tops`, which also makes the word route's bands.
+Only the words outside it go through ndtri, and their z is assembled in a
+compact array, each with its own test's shift and its replication's shared
+term, by the same IEEE operations as :func:`_z_block`'s, so it is the same
+double. It is scattered into a tile that holds -inf everywhere else, below
+every band. A screened
 replication judged by the joint fallback is drawn again in full with
-:func:`_z_block`.
-On the dependent designs the screen spends two ndtr per distinct shift and
-replication, so a run uses it only where that and the draws it expects to
-keep come to a measured share of k (:func:`_screens`).
+:func:`_z_block`. On the dependent designs the screen spends two ndtr per
+distinct shift and replication, so a run uses it only where that and the
+draws it expects to keep come to a measured share of k (:func:`_screens`).
 """
 
 from __future__ import annotations
@@ -233,27 +236,23 @@ class _ChunkTotals:
 
 # -- threshold space (see the module docstring) ----------------------------------
 
-#: Relative and absolute error allowed to p_from_z when loosening a threshold
-#: (erfc is good to about 1e-15; the absolute part covers subnormal p-values).
+#: Relative and absolute error allowed to p_from_z when loosening a threshold,
+#: and to ndtri's z relative to 1 + |z| (see the module docstring).
 _P_REL_ERR = 2.0**-40
-_P_ABS_ERR = 2.0**-1060
-#: Error allowed to a word's z = shift + ndtri(u), relative to 1 + |shift|.
-_Z_REL_ERR = 2.0**-40
-#: Order key of +inf. Keys number the doubles upward and -x has key -key(x).
-_INF_KEY = 0x7FF0000000000000
-_SIGN_BIT = np.uint64(1 << 63)
-_MAGNITUDE_BITS = np.int64((1 << 63) - 1)
+_P_ABS_ERR = 2.0**-1022
 #: A uniform is made of the top 53 bits of a word.
 _WORD_DROP = np.uint64(11)
 _TOPS = 1 << 53
-#: Relative margin by which the z route's screen narrows the words it skips,
-#: in z and in the uniform: far above the error of ndtr, ndtri and the
-#: rounding of z's assembly.
+#: Relative margin of every conversion of a z edge into word tops, in z and
+#: in the uniform: far above the error of ndtr, ndtri and the rounding of z's
+#: assembly.
 _SCREEN_MARGIN = 2.0**-30
 #: Above the largest |normal| a word stands for (ndtri(2**-54) = -8.29...).
 _NORMAL_MAX = 9.0
 #: Uniform -> word top, narrowing the upper edge and widening the lower one.
 _SCREEN_SCALE = np.array([_TOPS * (1.0 - _SCREEN_MARGIN), _TOPS * (1.0 + _SCREEN_MARGIN)])[:, None, None]
+#: Each band's lower edge moves down and its upper edge up.
+_OUTWARD = np.array([-1.0, 1.0])[:, None]
 #: The shared term of the independent design, which has none.
 _NO_COMMON = np.zeros(1)
 #: The share of a replication's k ndtri that the screen may spend (see
@@ -266,38 +265,6 @@ _NO_COMMON = np.zeros(1)
 _SCREEN_BUDGET = 0.6
 
 
-def _double_at(key: np.ndarray) -> np.ndarray:
-    magnitude = np.abs(key).astype(np.uint64)
-    return np.where(key < 0, magnitude | _SIGN_BIT, magnitude).view(np.float64)
-
-
-def _key_of(x: np.ndarray) -> np.ndarray:
-    bits = np.asarray(x, dtype=np.float64).view(np.int64)
-    return np.where(bits < 0, -(bits & _MAGNITUDE_BITS), bits)
-
-
-def _first_true(pred, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray, reach: int) -> np.ndarray:
-    """Per entry, an integer x in (lo, hi] with pred false at x - 1 (or
-    x - 1 == lo) and true at x (or x == hi), by bisection; ``pred(x, idx)``
-    judges the integers x of the entries idx and never sees lo or hi. The
-    bisection starts from [guess - reach, guess + reach] where pred bears
-    that bracket out, and from (lo, hi] elsewhere."""
-    a = np.clip(guess - reach, lo + 1, hi - 1)
-    b = np.clip(guess + reach, lo + 1, hi - 1)
-    every = np.arange(lo.size)
-    ok = pred(np.concatenate([a, b]), np.concatenate([every, every]))
-    lo, hi = np.where(ok[: lo.size], lo, a), np.where(ok[lo.size :], b, hi)
-    while True:
-        idx = np.flatnonzero(lo < hi - 1)
-        if idx.size == 0:
-            return hi
-        a, b = lo[idx], hi[idx]
-        mid = (a & b) + ((a ^ b) >> 1)  # floor((a + b) / 2) without overflow
-        ok = pred(mid, idx)
-        hi[idx[ok]] = mid[ok]
-        lo[idx[~ok]] = mid[~ok]
-
-
 @dataclass(frozen=True)
 class _Band:
     """A cutoff: below ``lower`` the statistic never passes, from ``upper``
@@ -308,21 +275,12 @@ class _Band:
 
 
 def _z_bands(t: np.ndarray, sides: Sides) -> _Band:
-    """Bands on z (on |z| when two-sided) for ``p_from_z(z) <= t``."""
-    loose = np.concatenate([t * (1.0 + _P_REL_ERR) + _P_ABS_ERR, t * (1.0 - _P_REL_ERR) - _P_ABS_ERR])
-    start = -_INF_KEY if sides is Sides.ONE_SIDED else 0
-    guess = -ndtri(loose if sides is Sides.ONE_SIDED else loose / 2.0)
-    keys = _first_true(
-        lambda key, idx: p_from_z(_double_at(key), sides) <= loose[idx],
-        np.full(loose.size, start - 1, dtype=np.int64),
-        np.full(loose.size, _INF_KEY + 1, dtype=np.int64),
-        _key_of(guess),
-        # the guess lands within a few keys of the band
-        1 << 6,
-    )
-    # p_from_z(+inf) = 0 <= t, so +inf is a valid top for every band
-    cut = _double_at(np.minimum(keys, _INF_KEY))
-    return _Band(cut[: t.size], cut[t.size :])
+    """Bands on z (on |z| when two-sided) for ``p_from_z(z) <= t``, in
+    closed form with an error margin (see the module docstring)."""
+    loose = np.clip(np.stack([t * (1.0 + _P_REL_ERR) + _P_ABS_ERR, t * (1.0 - _P_REL_ERR) - _P_ABS_ERR]), 0.0, 1.0)
+    z = -ndtri(loose if sides is Sides.ONE_SIDED else loose / 2.0)
+    z += _OUTWARD * _P_REL_ERR * (1.0 + np.abs(z))
+    return _Band(z[0], z[1])
 
 
 def _word_z(shift, tops):
@@ -331,24 +289,28 @@ def _word_z(shift, tops):
     return shift + normal_from_words(tops << _WORD_DROP)
 
 
+def _word_tops(edges: np.ndarray) -> np.ndarray:
+    """Word tops of (2, ...) edges on a test's own normal draw G, in place:
+    a word whose top is below that of ``edges[0]`` has G below edges[0], and
+    one whose top is at or above that of ``edges[1]`` has G above edges[1],
+    by a margin far above the error of ndtr and ndtri."""
+    ndtr(edges, out=edges)
+    edges *= _SCREEN_SCALE
+    np.floor(edges[0], out=edges[0])
+    np.ceil(edges[1], out=edges[1])
+    return edges
+
+
 def _word_bands(shift: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> _Band:
     """Bands on word tops, shape (len(shift), len(lower)), for z >= the z
     band (lower, upper) at each shift; 2**53 stands for never."""
-    slack = (_Z_REL_ERR * (1.0 + np.abs(shift)))[:, None]
-    goal = np.concatenate([lower - slack, upper + slack], axis=1)
-    shifts = np.broadcast_to(shift[:, None], goal.shape).ravel()
-    # the guess only starts the bisection, so it comes from the z band: a
-    # z cutoff is infinite or small, and goal - shift can overflow
-    guess = (ndtr(np.concatenate([lower, upper]) - shift[:, None]).ravel() * _TOPS).astype(np.int64)
-    tops = _first_true(
-        lambda m, idx: _word_z(shifts[idx], m.astype(np.uint64)) >= goal.flat[idx],
-        np.full(goal.size, -1, dtype=np.int64),
-        np.full(goal.size, _TOPS, dtype=np.int64),
-        guess,
-        # the guess lands within about 10**4 tops of the band
-        1 << 14,
-    ).astype(np.uint64).reshape(goal.shape)
-    return _Band(tops[:, : lower.size], tops[:, lower.size :])
+    z = np.stack([lower, upper])[:, None, :]
+    margin = _SCREEN_MARGIN * (1.0 + np.abs(z) + np.abs(shift)[:, None] + _NORMAL_MAX)
+    # a huge shift puts an edge at infinity, where no top or every top passes
+    with np.errstate(over="ignore"):
+        edges = z + _OUTWARD[:, :, None] * margin - shift[:, None]
+    tops = np.minimum(_word_tops(edges), _TOPS).astype(np.uint64)
+    return _Band(tops[0], tops[1])
 
 
 def _distinct(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -572,14 +534,11 @@ def _screened_z(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Sc
         return x
 
     # a test's words in [bounds[1], bounds[0]) are screened out: the edges
-    # in G become uniforms, narrowed by the margin, then words
+    # in G become word tops, narrowed by the margin, then words
     edges = _carve(scratch.edges, (*screen.edges.shape[:2], common.size))
     np.multiply(common, screen.slope, out=edges)
     edges += screen.edges
-    ndtr(edges, out=edges)
-    edges *= _SCREEN_SCALE
-    np.floor(edges[0], out=edges[0])
-    np.ceil(edges[1], out=edges[1])
+    _word_tops(edges)
     np.minimum(edges[1], edges[0], out=edges[1])  # an empty interval stays below 2**64
     edges *= float(1 << int(_WORD_DROP))
     bounds = _carve(scratch.bounds, edges.shape)

@@ -633,14 +633,34 @@ class TestThresholdRoute:
 
     @pytest.mark.parametrize("delta", [-1.7976931348623157e308, 1.7976931348623157e308])
     def test_equals_p_value_route_at_the_largest_shift(self, delta):
-        # at n = 2 the shift is delta itself: the word bands' search must not
-        # overflow while it starts, so the run gives no numpy warning
+        # at n = 2 the shift is delta itself: the word bands must not
+        # overflow, so the run gives no numpy warning
         s = scenario(2, nulls=[True, False], deltas=[0.0, delta], n=2,
                      method=AdjustmentMethod.BONFERRONI, reps=2000, seed=21)
         assert SIM._plan(s).words
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert simulate(s) == p_space_simulate(s)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e-300, 0.999])
+    @pytest.mark.parametrize(
+        "route, design, sides, method",
+        [("words", Design.independent(), Sides.ONE_SIDED, AdjustmentMethod.SIDAK),
+         ("words", Design.independent(), Sides.ONE_SIDED, AdjustmentMethod.BONFERRONI),
+         ("z", Design.equicorrelated(0.3), Sides.TWO_SIDED, AdjustmentMethod.HOLM),
+         ("z", Design.equicorrelated(0.3), Sides.TWO_SIDED, AdjustmentMethod.HOCHBERG)],
+        ids=["words-sidak", "words-bonferroni", "z-holm", "z-hochberg"],
+    )
+    def test_equals_p_value_route_at_extreme_alpha(self, route, design, sides, method, alpha):
+        # shifts about the cutoff at alpha, so the draws straddle it; p-values
+        # there are subnormal or 0 (erfc underflows at z = 37.68), and at
+        # 5e-324 a step alpha / k (and alpha / 2) is 0
+        cut = -float(ndtri(alpha if sides is Sides.ONE_SIDED else max(alpha / 2, 5e-324)))
+        deltas = [0.0, cut - 1.0, cut - 0.3, cut, cut + 0.3, cut + 1.0]
+        s = scenario(6, alpha=alpha, nulls=[d == 0.0 for d in deltas], deltas=deltas, n=2,
+                     design=design, sides=sides, method=method, reps=3000, seed=31)
+        assert SIM._plan(s).words is (route == "words")
+        assert simulate(s) == p_space_simulate(s)
 
     def test_equals_p_value_route_at_full_chunks(self):
         reps = CHUNK_REPS + 1001
@@ -922,6 +942,13 @@ def order_keys(x):
     return np.where(bits < 0, -(bits & 0x7FFFFFFFFFFFFFFF), bits)
 
 
+def double_at(keys):
+    """The doubles whose order keys are ``keys``: the inverse of order_keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    magnitude = np.abs(keys).astype(np.uint64)
+    return np.where(keys < 0, magnitude | np.uint64(1 << 63), magnitude).view(np.float64)
+
+
 THRESHOLDS = np.array(
     [0.7, 0.5, 0.3, 0.05, 0.05 / 7, 0.05 / 20, sidak_adjust(0.05, 20), 1e-6, 1e-300]
 )
@@ -935,8 +962,8 @@ class TestCutoffBands:
     def test_z_bands(self, sides):
         band = SIM._z_bands(THRESHOLDS, sides)
         steps = np.arange(1, 257)
-        below = SIM._double_at(order_keys(band.lower)[:, None] - steps)
-        above = SIM._double_at(order_keys(band.upper)[:, None] + steps - 1)
+        below = double_at(order_keys(band.lower)[:, None] - steps)
+        above = double_at(order_keys(band.upper)[:, None] + steps - 1)
         t = THRESHOLDS[:, None]
         assert np.all(p_from_z(below, sides) > t)
         assert np.all(p_from_z(above, sides) <= t)
@@ -954,9 +981,53 @@ class TestCutoffBands:
             assert np.all(p_from_z(SIM._word_z(shift, below), Sides.ONE_SIDED) > t[j])
             assert np.all(p_from_z(SIM._word_z(shift, above), Sides.ONE_SIDED) <= t[j])
         if shift == 12.0:
-            assert tops.upper.max() == 0  # always
+            assert tops.lower.max() == 0  # no top surely fails
         if shift == -12.0:
-            assert tops.lower.min() == 2**53  # never
+            assert tops.upper.min() == 2**53  # no top surely passes
+
+
+#: Thresholds log-uniform over the doubles in (0, 1), with 0 and values
+#: within 1e-12 of 1.
+THRESHOLD_DRAWS = (
+    st.floats(math.log(5e-324), 0.0, exclude_max=True).map(math.exp)
+    | st.just(0.0)
+    | st.floats(1e-16, 1e-12).map(lambda d: 1.0 - d)
+)
+SHIFT_DRAWS = st.builds(lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]),
+                        st.floats(0.0, 40.0) | st.just(1e300))
+
+
+class TestBandCertainty:
+    """The claim of every band, over generated thresholds and shifts: on the
+    256 doubles or word tops on each side of every finite edge, p_from_z is
+    above t below the lower edge and at or below t from the upper edge on."""
+
+    @settings(max_examples=300)
+    @given(st.lists(THRESHOLD_DRAWS, min_size=1, max_size=8), st.sampled_from(list(Sides)))
+    def test_z_edges(self, t, sides):
+        t = np.array(t)
+        band = SIM._z_bands(t, sides)
+        steps = np.arange(1, 257)
+        for edge, keys, certain in ((band.lower, -steps, np.greater), (band.upper, steps - 1, np.less_equal)):
+            finite = np.isfinite(edge)
+            z = double_at(order_keys(edge[finite])[:, None] + keys)
+            # a two-sided statistic is |z|
+            seen = z >= 0 if sides is Sides.TWO_SIDED else np.full(z.shape, True)
+            assert np.all(certain(p_from_z(z, sides), t[finite, None]) | ~seen), (t, sides)
+
+    @settings(max_examples=200)
+    @given(st.lists(THRESHOLD_DRAWS, min_size=1, max_size=4), st.lists(SHIFT_DRAWS, min_size=1, max_size=3))
+    def test_word_edges(self, t, shift):
+        t, shift = np.array(t), np.array(shift)
+        z = SIM._z_bands(t, Sides.ONE_SIDED)
+        tops = SIM._word_bands(shift, z.lower, z.upper)
+        steps = np.arange(1, 257)
+        for edge, offsets, certain in ((tops.lower, -steps, np.greater), (tops.upper, steps - 1, np.less_equal)):
+            near = edge.astype(np.int64)[..., None] + offsets
+            seen = (near >= 0) & (near < 2**53)
+            words = np.clip(near, 0, 2**53 - 1).astype(np.uint64)
+            p = p_from_z(SIM._word_z(shift[:, None, None], words), Sides.ONE_SIDED)
+            assert np.all(certain(p, t[None, :, None]) | ~seen), (t, shift)
 
 
 class TestInsideBands:
@@ -1001,11 +1072,11 @@ class TestInsideBands:
         plan = SIM._plan(s)
         edges = order_keys(np.concatenate([np.ravel(b) for b in (
             plan.test.lower, plan.test.upper, plan.joint.lower, plan.joint.upper)]))
-        z = SIM._double_at(self.near(edges, rng, (3000, k)))
+        z = double_at(self.near(edges, rng, (3000, k)))
         if method is AdjustmentMethod.HOCHBERG:  # sorted column j near step j's band
             step = rng.integers(0, 2, size=(3000, k)) * k + np.arange(k)
             hochberg = order_keys(np.concatenate([np.ravel(plan.joint.lower), np.ravel(plan.joint.upper)]))
-            planted = SIM._double_at(hochberg[step] + rng.integers(-300, 300, size=(3000, k)))
+            planted = double_at(hochberg[step] + rng.integers(-300, 300, size=(3000, k)))
             z = np.concatenate([z, rng.permuted(planted, axis=1)])
         if sides is Sides.TWO_SIDED:
             z *= rng.choice([-1.0, 1.0], size=z.shape)
@@ -1024,8 +1095,11 @@ class TestInsideBands:
 
     @pytest.mark.parametrize("method", FWER_METHODS[:3], ids=lambda m: m.value)
     @pytest.mark.parametrize(
-        "deltas", [[0.3] * 6, [0.0, 0.0, 0.3, 0.3, -0.5, 2.0], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]],
-        ids=["equal", "mixed", "distinct"],
+        "deltas",
+        [[0.3] * 6, [0.0, 0.0, 0.3, 0.3, -0.5, 2.0], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+         # n = 32, so shifts of +-12: at +12 no top surely fails, at -12 none surely passes
+         [0.0, 0.3, 3.0, -3.0, 3.0, -3.0]],
+        ids=["equal", "mixed", "distinct", "far"],
     )
     def test_word_route(self, deltas, method, monkeypatch):
         k, rng = len(deltas), np.random.default_rng(6)
@@ -1105,7 +1179,7 @@ class TestHochbergBracket:
             keys[:, rep] = rng.permutation(np.append(column, top))
         if s.sides is Sides.TWO_SIDED:
             keys = np.maximum(keys, 0)
-        tile = SIM._double_at(keys)
+        tile = double_at(keys)
         # a screened-out draw is below the test band in z
         screened = (rng.random(tile.shape) < 0.5) & (tile < plan.test.lower)
         if s.sides is Sides.TWO_SIDED:
