@@ -38,6 +38,12 @@ def _check_id(token: str, what: str) -> None:
         raise DomainError(f"{what} must be a non-empty string, got {token!r}", what)
 
 
+def _check_enum(value, kind: type, name: str) -> None:
+    # not ``in``: ``"holm" in AdjustmentMethod`` raises on Python 3.11 and is True on 3.12
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}", name)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A declared joint hypothesis and its constituent hypotheses.
@@ -58,9 +64,10 @@ class FamilySpec:
         for flag in ("exchangeable", "independent"):
             if not is_bool(value := getattr(self, flag)):
                 raise DomainError(f"{flag} must be a boolean, got {value!r}", flag)
-        object.__setattr__(self, "constituents", tuple(self.constituents))
+        object.__setattr__(self, "constituents", _column(self.constituents, "constituents", error=DomainError))
         for token in self.constituents:
             _check_id(token, "constituent id")
+        _check_enum(self.mode, TestingMode, "mode")
         if self.mode is TestingMode.INDIVIDUAL:
             raise DomainError("a family implies a joint hypothesis; mode cannot be 'individual'", "mode")
 
@@ -80,15 +87,18 @@ class TestBattery:
     A battery is held as two columns: ``ids``, a tuple of non-empty, distinct
     strings free of tabs and line breaks, and ``p``, a read-only float64
     array of p-values in [0, 1]. ``TestBattery(entries)`` takes (id, p)
-    pairs and :meth:`from_columns` the two columns; p may be given as numbers
-    or numeric strings, and a p-value of -0 is stored as 0. ``entries`` is
-    built from the columns on each access.
+    pairs, each a tuple or list, and :meth:`from_columns` the two columns;
+    p may be given as numbers or numeric strings, and a p-value of -0 is
+    stored as 0. ``entries`` is built from the columns on each access.
     """
 
     __slots__ = ("ids", "p")
 
     def __init__(self, entries: Iterable[tuple[str, object]] = ()) -> None:
         entries = tuple(entries)
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise InvalidBattery(f"entry must be an (id, p-value) pair, got {entry!r}", index)
         self._fill(tuple(hid for hid, _ in entries), [raw for _, raw in entries])
 
     @classmethod
@@ -183,8 +193,8 @@ def _checked_entries(ids: tuple, raw_p: Sequence[object]) -> list[float]:
 class AlphaConfig:
     """The joint-level alpha, the adjustment method, and the mode it serves.
 
-    Disjunction testing must name an adjustment method; conjunction and
-    individual testing must not (their per-test alpha equals ``alpha_joint``).
+    Disjunction testing must name a FWER method; conjunction and individual
+    testing must not (their per-test alpha equals ``alpha_joint``).
     """
 
     alpha_joint: float
@@ -193,9 +203,13 @@ class AlphaConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha_joint", real(self.alpha_joint, "alpha_joint", 0, 1))
+        _check_enum(self.method, AdjustmentMethod, "method")
+        _check_enum(self.mode, TestingMode, "mode")
         if self.mode is TestingMode.DISJUNCTION:
             if self.method is AdjustmentMethod.NONE:
                 raise DomainError("disjunction testing requires an adjustment method", "method")
+            if self.method not in FWER_METHODS:
+                raise DomainError("method 'bh' controls the false discovery rate, not the FWER", "method")
         elif self.method is not AdjustmentMethod.NONE:
             raise DomainError(
                 f"{self.mode.value} testing uses the unadjusted alpha; method must be 'none'", "method"
@@ -292,15 +306,17 @@ class Design:
         return cls("shared_control")
 
 
-def _column(value, name: str, k: int) -> tuple:
-    """``value`` as a tuple of k entries; a string is no sequence of them."""
+def _column(value, name: str, k: int | None = None, error: type[ValueError] = InvalidScenario) -> tuple:
+    """``value`` as a tuple, of k entries unless k is None; a string is no
+    sequence of them."""
     try:
         if isinstance(value, (str, bytes)):
             raise TypeError
         column = tuple(value)
     except TypeError:
-        raise InvalidScenario(f"{name} must be a sequence of length k={k}, got {type(value).__name__}", name) from None
-    if len(column) != k:
+        length = "" if k is None else f" of length k={k}"
+        raise error(f"{name} must be a sequence{length}, got {type(value).__name__}", name) from None
+    if k is not None and len(column) != k:
         raise InvalidScenario(f"{name} has length {len(column)}, expected k={k}", name)
     return column
 

@@ -181,21 +181,6 @@ def _parse_design(value, loc: _Locator) -> Design:
     return _build(Design, values, value, "design", loc, "simulation.design")
 
 
-def _resolve_method(alpha: AlphaConfig, family: FamilySpec, loc: _Locator) -> AdjustmentMethod:
-    if alpha.method is AdjustmentMethod.NONE:
-        # tool default for the simulator's disjunction arm: Sidak is exact
-        # under the declared independence, Bonferroni is safe otherwise
-        return AdjustmentMethod.SIDAK if family.independent else AdjustmentMethod.BONFERRONI
-    if alpha.method is AdjustmentMethod.BENJAMINI_HOCHBERG:
-        raise loc.fail(
-            "alpha.method 'bh' controls the false discovery rate, not the FWER; pick "
-            "bonferroni, sidak, holm, or hochberg for simulation",
-            "method",
-            "alpha",
-        )
-    return alpha.method
-
-
 def _parse_simulation(obj, family: FamilySpec, alpha: AlphaConfig, loc: _Locator) -> Scenario:
     values = _section(obj, "simulation", _SIMULATION, (), loc)
     k = values.setdefault("k", family.k)
@@ -204,7 +189,11 @@ def _parse_simulation(obj, family: FamilySpec, alpha: AlphaConfig, loc: _Locator
             f"simulation.k ({k}) must match the family's constituent count ({family.k})", "k", "simulation"
         )
     design = _parse_design(values["design"], loc) if "design" in values else Design.independent()
-    method = _resolve_method(alpha, family, loc)
+    method = alpha.method
+    if method is AdjustmentMethod.NONE:
+        # tool default for the simulator's disjunction arm: Sidak is exact
+        # under the declared independence, Bonferroni is safe otherwise
+        method = AdjustmentMethod.SIDAK if family.independent else AdjustmentMethod.BONFERRONI
     defaults = {"null_pattern": [True] * k, "deltas": [0.0] * k, "sides": Sides.ONE_SIDED, "n": 2,
                 "reps": DEFAULT_REPS, "seed": 0}
     run = {"design": design, "alpha_joint": alpha.alpha_joint, "method": method}

@@ -41,25 +41,28 @@ thresholds (alpha, the single-step level, Hochberg's alpha/(k-i+1)), and a
 p-value falls as z (|z| when two-sided) grows, so once per run each
 threshold t becomes a cutoff on z in closed form, -ndtri(t) (of t/2 when
 two-sided), and the chunks compare z with the cutoffs and never call erfc.
-As erfc and ndtri are good only to about 1e-15 relative, each cutoff is a
-narrow band (about 1e-11 wide in z): its edges are the z of t loosened by
-2**-40 relative and 2**-1022 absolute, each moved outward by 2**-40 times
-1 + |z|. Outside the band the answer is certain, and the rare statistic
-inside it is judged by p_from_z, so every decision, and every estimate,
-equals what the p-values give. 2**-1022, the smallest normal double, keeps
-every finite edge where p-values are normal: erfc underflows to 0 at z =
-37.68, before ndtri reaches the z of a subnormal t. An infinite edge stays,
-as p_from_z(+inf) = 0 makes +inf a valid top. Hochberg brackets each
-replication by its maximum and its count K of rejections at alpha: a
-maximum at the cutoff of step alpha/k rejects, as Bonferroni does, and one
-below that of step alpha/(k-K+1) retains, since a rejection at rank i needs
-i p-values at or below alpha/(k-i+1) <= alpha, so i <= K. Only the few
-replications in between are sorted and compared with the reversed cutoff
-vector. Under the independent design with one-sided tests and a
-single-step rule, z = shift + ndtri(u(word)) only grows with the top 53
-bits of the word, so the screen's conversion (below) turns each band into
-word tops per distinct shift, and the chunks compare raw SplitMix64 words:
-no ndtri either.
+As p_from_z's relative error grows with z, from 4e-15 below z = 5 to
+2.6e-13 near 37.68 (against mpmath at 40 digits, scipy 1.17.1), each cutoff
+is a narrow band (about 1e-11 wide in z): its edges are the z of t loosened
+by 2**-40 relative and 2**-1022 absolute, each moved outward by 2**-40
+times 1 + |z|. 2**-1022, the smallest normal double, keeps every edge where
+p-values are normal, since erfc underflows before ndtri reaches the z of a
+subnormal t, and every upper edge is capped where erfc's underflow branch
+makes p_from_z 0 on both sides (:data:`_P_ZERO`), so a t below 2**-1022
+bands [37.52, 37.68), not [37.52, +inf). Outside the band the answer is
+certain; a statistic inside it has its replication's z drawn again by
+:func:`_z_block`, on every route, and judged by p_from_z and
+:func:`~alphagate.decisions.reject`, so every decision, and every estimate,
+equals what the p-values give. Hochberg brackets each replication by its
+maximum and its count K of rejections at alpha: a maximum at the cutoff of
+step alpha/k rejects, as Bonferroni does, and one below that of step
+alpha/(k-K+1) retains, since a rejection at rank i needs i p-values at or
+below alpha/(k-i+1) <= alpha, so i <= K. Only the few replications in
+between are sorted and compared with the reversed cutoff vector. Under the
+independent design with one-sided tests and a single-step rule, z = shift +
+ndtri(u(word)) only grows with the top 53 bits of the word, so the screen's
+conversion (below) turns each band into word tops per distinct shift, and
+the chunks compare raw SplitMix64 words: no ndtri either.
 
 On every other run (the z route) a screen spares ndtri the draws that
 cannot matter. Every joint threshold is at most alpha, so a statistic below
@@ -75,9 +78,7 @@ Only the words outside it go through ndtri, and their z is assembled in a
 compact array, each with its own test's shift and its replication's shared
 term, by the same IEEE operations as :func:`_z_block`'s, so it is the same
 double. It is scattered into a tile that holds -inf everywhere else, below
-every band. A screened
-replication judged by the joint fallback is drawn again in full with
-:func:`_z_block`. On the dependent designs the screen spends two ndtr per
+every band. On the dependent designs the screen spends two ndtr per
 distinct shift and replication, so a run uses it only where that and the
 draws it expects to keep come to a measured share of k (:func:`_screens`).
 """
@@ -240,6 +241,9 @@ class _ChunkTotals:
 #: and to ndtri's z relative to 1 + |z| (see the module docstring).
 _P_REL_ERR = 2.0**-40
 _P_ABS_ERR = 2.0**-1022
+#: p_from_z is 0 on both sides from this z on, where erfc(x) takes its
+#: underflow branch (x * x above MAXLOG = log(DBL_MAX)); it caps upper edges.
+_P_ZERO = math.sqrt(2.0 * math.log(np.finfo(np.float64).max))
 #: A uniform is made of the top 53 bits of a word.
 _WORD_DROP = np.uint64(11)
 _TOPS = 1 << 53
@@ -279,14 +283,9 @@ def _z_bands(t: np.ndarray, sides: Sides) -> _Band:
     closed form with an error margin (see the module docstring)."""
     loose = np.clip(np.stack([t * (1.0 + _P_REL_ERR) + _P_ABS_ERR, t * (1.0 - _P_REL_ERR) - _P_ABS_ERR]), 0.0, 1.0)
     z = -ndtri(loose if sides is Sides.ONE_SIDED else loose / 2.0)
+    np.minimum(z[1], _P_ZERO, out=z[1])
     z += _OUTWARD * _P_REL_ERR * (1.0 + np.abs(z))
     return _Band(z[0], z[1])
-
-
-def _word_z(shift, tops):
-    """z of 53-bit word tops under the independent design, by the same
-    operations on the same values as the draws."""
-    return shift + normal_from_words(tops << _WORD_DROP)
 
 
 def _word_tops(edges: np.ndarray) -> np.ndarray:
@@ -445,10 +444,9 @@ class _Scratch:
     (uint64 words on the word route, float64 z on the z route) and the
     uint64 working memory ``bits`` (the z route's words), (k, tile) for the
     booleans ``rejected`` and ``mask``.
-    ``top``, of the statistics' type, ``maybe``, ``joint``, ``rejections``
-    (each replication's count of rejections at alpha) and, for Hochberg,
-    ``cut`` (the bracket's retain cut) hold one value per replication. A
-    shorter tile takes their heads. The z route's screen
+    ``top``, of the statistics' type, ``maybe``, ``joint`` and, for
+    Hochberg, ``cut`` (the bracket's retain cut) hold one value per
+    replication. A shorter tile takes their heads. The z route's screen
     carves its (2, distinct shifts, rows) edges and word bounds from
     ``edges`` and ``bounds``, one column only for the independent design, whose bounds no
     shared draw moves.
@@ -484,7 +482,6 @@ class _Scratch:
             "top": ((tile,), stat_type),
             "maybe": ((tile,), np.bool_),
             "joint": ((tile,), np.bool_),
-            "rejections": ((tile,), count_type),
         }
         if plan.hochberg:
             parts["cut"] = ((tile,), np.float64)
@@ -591,11 +588,15 @@ def _step_up(plan: _Plan, columns: np.ndarray, passes: np.ndarray) -> tuple[np.n
     return reaches, near
 
 
-def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+def _decide(
+    plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-test rejections at alpha, (k, rows), and the disjunction verdict of
-    each replication, equal to judging p_from_z of each statistic. Both are
-    views of ``scratch``, and so are the per-replication counts of
-    rejections, left in ``scratch.rejections``."""
+    each replication, equal to judging p_from_z of each statistic; both are
+    views of ``scratch``. ``counts`` takes each replication's count of
+    rejections at alpha. Both fallbacks judge the replications with a
+    statistic inside a band on the p-values of their z, drawn again by
+    :func:`_z_block`."""
     k, sides, alpha = scenario.k, scenario.sides, scenario.alpha_joint
     rows = len(seeds)
     if plan.words:
@@ -609,11 +610,10 @@ def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratc
     mask = _head(scratch.mask, rows)
     maybe = np.greater_equal(x, plan.test.lower, out=mask)
     if np.count_nonzero(maybe) != np.count_nonzero(rejected):
-        tests, reps = np.nonzero(maybe & ~rejected)
-        z = _word_z(plan.shift[tests], x[tests, reps]) if plan.words else x[tests, reps]
-        rejected[tests, reps] = p_from_z(z, sides) <= alpha
+        # maybe and not rejected: inside the band; outside it p_from_z agrees
+        reps = np.flatnonzero(np.logical_or.reduce(np.greater(maybe, rejected, out=maybe), axis=0))
+        rejected[:, reps] = p_from_z(_z_block(scenario, seeds[reps], plan.shift), sides).T <= alpha
 
-    counts = scratch.rejections[:rows]
     np.add.reduce(rejected.view(np.uint8), axis=0, dtype=counts.dtype, out=counts)
 
     joint, maybe = scratch.joint[:rows], scratch.maybe[:rows]
@@ -640,13 +640,8 @@ def _decide(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratc
     # maybe and not joint: inside the band
     if np.greater(maybe, joint, out=maybe).any():
         reps = np.flatnonzero(maybe)
-        if plan.words:
-            z = _word_z(plan.shift, x[:, reps].T)
-        elif plan.screen is None:
-            z = x[:, reps].T
-        else:  # the screen left no z in the draws it skipped: draw them again
-            z = _z_block(scenario, seeds[reps], plan.shift)
-        joint[reps] = reject(p_from_z(z, sides), alpha, scenario.method)[0].any(axis=1)
+        p = p_from_z(_z_block(scenario, seeds[reps], plan.shift), sides)
+        joint[reps] = reject(p, alpha, scenario.method)[0].any(axis=1)
     return rejected, joint
 
 
@@ -697,8 +692,7 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
         disjunction_rejects = 0
         for lo in range(0, count, tile):
             hi = min(lo + tile, count)
-            rejected, joint = _decide(plan, scenario, seeds[lo:hi], scratch)
-            np.copyto(r[lo:hi], scratch.rejections[: hi - lo])
+            rejected, joint = _decide(plan, scenario, seeds[lo:hi], scratch, r[lo:hi])
             if not all_nulls:
                 hits = np.logical_and(rejected, nulls, out=_head(scratch.mask, hi - lo))
                 np.add.reduce(hits.view(np.uint8), axis=0, dtype=v.dtype, out=v[lo:hi])

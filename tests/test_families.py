@@ -57,6 +57,20 @@ class TestFamilySpec:
             _family(["a", "b"], **{flag: value})
         assert err.value.field == flag
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("mode", "disjunction", "mode must be a TestingMode, got 'disjunction'"),
+         ("mode", None, "mode must be a TestingMode, got None"),
+         ("constituents", "abc", "constituents must be a sequence, got str"),
+         ("constituents", 5, "constituents must be a sequence, got int")],
+    )
+    def test_mode_and_constituents_checked(self, field, value, message):
+        spec = dict(joint_id="joint", constituents=("a", "b"), mode=TestingMode.DISJUNCTION,
+                    exchangeable=False, independent=True)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
+            FamilySpec(**{**spec, field: value})
+        assert err.value.field == field
+
     def test_numpy_bool_flags_accepted(self):
         import numpy as np
 
@@ -193,6 +207,21 @@ class TestAlphaConfig:
         AlphaConfig(0.05, AdjustmentMethod.NONE, TestingMode.CONJUNCTION)
         AlphaConfig(0.05, AdjustmentMethod.NONE, TestingMode.INDIVIDUAL)
 
+    def test_disjunction_refuses_bh(self):
+        with pytest.raises(DomainError, match="false discovery rate") as err:
+            AlphaConfig(0.05, AdjustmentMethod.BENJAMINI_HOCHBERG, TestingMode.DISJUNCTION)
+        assert err.value.field == "method"
+
+    @pytest.mark.parametrize(
+        "method, mode, field",
+        [("holm", TestingMode.DISJUNCTION, "method"), (None, TestingMode.CONJUNCTION, "method"),
+         (AdjustmentMethod.HOLM, "disjunction", "mode"), (AdjustmentMethod.NONE, None, "mode")],
+    )
+    def test_method_and_mode_must_be_members(self, method, mode, field):
+        with pytest.raises(DomainError, match=f"^{field} must be an? ") as err:
+            AlphaConfig(0.05, method, mode)
+        assert err.value.field == field
+
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             AlphaConfig(0.0, AdjustmentMethod.NONE, TestingMode.INDIVIDUAL)
@@ -275,6 +304,13 @@ class TestTestBattery:
         with pytest.raises(AttributeError):
             battery.ids = ("b",)
         assert copy.deepcopy(battery) == pickle.loads(pickle.dumps(battery)) == battery
+
+    @pytest.mark.parametrize("entry", [5, None, ("a",), "ab", ("a", 0.1, 0.2), b"ab"],
+                             ids=["int", "none", "single", "str", "triple", "bytes"])
+    def test_malformed_entry_names_its_index(self, entry):
+        with pytest.raises(InvalidBattery, match=re.escape(f"entry must be an (id, p-value) pair, got {entry!r}")) as err:
+            TestBattery([("a", 0.1), ("b", 0.2), entry])
+        assert err.value.index == 2
 
     def test_columns_must_match_in_length(self):
         with pytest.raises(InvalidBattery, match="2 hypothesis ids but 1 p-values"):

@@ -123,6 +123,12 @@ class TestScenarioDocument:
         with pytest.raises(FileFormatError, match="false discovery rate"):
             parse_scenario_text(render(document))
 
+    def test_bh_rejected_without_simulation(self):
+        # the alpha section alone: disjunction testing needs a FWER method
+        document = doc(alpha={"alpha_joint": 0.05, "method": "bh", "mode": "disjunction"})
+        with pytest.raises(FileFormatError, match="alpha: method 'bh' controls the false discovery rate"):
+            parse_scenario_text(render(document))
+
     def test_k_must_match_family(self):
         with pytest.raises(FileFormatError, match="constituent count"):
             parse_scenario_text(render(doc(simulation={"k": 5, "n": 8})))

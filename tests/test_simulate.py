@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from alphagate.decisions import Verdict, decide_conjunction, decide_disjunction, decide_individual, reject
 from alphagate.errors import DomainError, InvalidScenario
@@ -662,6 +662,37 @@ class TestThresholdRoute:
         assert SIM._plan(s).words is (route == "words")
         assert simulate(s) == p_space_simulate(s)
 
+    @pytest.mark.parametrize("route", ["words", "z"])
+    def test_fallbacks_redraw_only_replications_with_a_statistic_in_a_band(self, route, monkeypatch):
+        # at alpha = 1e-310 the bands' upper edges are capped where p_from_z
+        # turns 0, so only a statistic in [lowest lower edge, cap) sends its
+        # replication to a fallback, and p_from_z sees only redrawn z
+        words = route == "words"
+        alpha, sides = 1e-310, Sides.ONE_SIDED if words else Sides.TWO_SIDED
+        cut = -float(ndtri(alpha if words else alpha / 2))
+        deltas = [0.0, cut - 1.0, cut - 0.3, cut, cut + 0.3, cut + 1.0]
+        s = scenario(6, alpha=alpha, nulls=[d == 0.0 for d in deltas], deltas=deltas, n=2, sides=sides,
+                     design=Design.independent() if words else Design.equicorrelated(0.3),
+                     method=AdjustmentMethod.BONFERRONI if words else AdjustmentMethod.HOLM, reps=3000, seed=31)
+        plan = SIM._plan(s)
+        assert plan.words is words
+        redrawn, stats, z_block, p_of = [], [], SIM._z_block, SIM.p_from_z
+        monkeypatch.setattr(SIM, "_z_block", lambda sc, seeds, shift: redrawn.append(seeds) or z_block(sc, seeds, shift))
+        monkeypatch.setattr(SIM, "p_from_z", lambda z, sides: stats.append(np.size(z)) or p_of(z, sides))
+        assert simulate(s) == p_space_simulate(s)
+
+        seeds = rep_seed_block(s.seed, 0, s.reps)
+        z = z_block(s, seeds, plan.shift)
+        z = z if words else np.abs(z)  # a two-sided statistic is |z|
+        bands = SIM._z_bands(np.array([alpha, alpha / s.k]), sides)
+        assert np.all(bands.upper < 37.7)
+        # the word route's bands are wider by the conversion's margin, about 1e-7 here
+        in_band = ((z >= bands.lower.min() - 1e-6) & (z < bands.upper.max() + 1e-6)).any(axis=1)
+        index = {seed: rep for rep, seed in enumerate(seeds.tolist())}
+        rows = [index[seed] for seed in np.concatenate(redrawn).tolist()]
+        assert rows and np.all(in_band[rows])
+        assert 0 < sum(stats) <= s.k * len(rows) and len(rows) <= 2 * np.count_nonzero(in_band) < s.reps
+
     def test_equals_p_value_route_at_full_chunks(self):
         reps = CHUNK_REPS + 1001
         mixed = [0.0] * 6 + [0.4] * 7 + [-0.2] * 7
@@ -774,8 +805,8 @@ class TestScratchReuse:
                 super().__init__(*args)
                 made.append(self)
 
-        def recorded(plan, s, seeds, scratch, decide=SIM._decide):
-            decided.append(decide(plan, s, seeds, scratch))
+        def recorded(plan, s, seeds, scratch, counts, decide=SIM._decide):
+            decided.append(decide(plan, s, seeds, scratch, counts))
             return decided[-1]
 
         monkeypatch.setattr(SIM, "_Scratch", Recorded)
@@ -803,9 +834,9 @@ class TestScratchReuse:
     def test_more_than_one_worker_judges_tiles_twice_as_wide(self, route, threads, monkeypatch):
         rows = []
 
-        def recorded(plan, s, seeds, scratch, decide=SIM._decide):
+        def recorded(plan, s, seeds, scratch, counts, decide=SIM._decide):
             rows.append(len(seeds))
-            return decide(plan, s, seeds, scratch)
+            return decide(plan, s, seeds, scratch, counts)
 
         monkeypatch.setattr(SIM, "_decide", recorded)
         monkeypatch.setattr(SIM, "CHUNK_REPS", 200)
@@ -942,6 +973,11 @@ def order_keys(x):
     return np.where(bits < 0, -(bits & 0x7FFFFFFFFFFFFFFF), bits)
 
 
+def word_z(shift, tops):
+    """z of 53-bit word tops under the independent design, as the draws make it."""
+    return shift + normal_from_words(tops << np.uint64(11))
+
+
 def double_at(keys):
     """The doubles whose order keys are ``keys``: the inverse of order_keys."""
     keys = np.asarray(keys, dtype=np.int64)
@@ -978,8 +1014,8 @@ class TestCutoffBands:
             lower, upper = int(tops.lower[0, j]), int(tops.upper[0, j])
             below = np.arange(max(lower - 256, 0), lower, dtype=np.uint64)
             above = np.arange(upper, min(upper + 256, 2**53), dtype=np.uint64)
-            assert np.all(p_from_z(SIM._word_z(shift, below), Sides.ONE_SIDED) > t[j])
-            assert np.all(p_from_z(SIM._word_z(shift, above), Sides.ONE_SIDED) <= t[j])
+            assert np.all(p_from_z(word_z(shift, below), Sides.ONE_SIDED) > t[j])
+            assert np.all(p_from_z(word_z(shift, above), Sides.ONE_SIDED) <= t[j])
         if shift == 12.0:
             assert tops.lower.max() == 0  # no top surely fails
         if shift == -12.0:
@@ -1026,8 +1062,63 @@ class TestBandCertainty:
             near = edge.astype(np.int64)[..., None] + offsets
             seen = (near >= 0) & (near < 2**53)
             words = np.clip(near, 0, 2**53 - 1).astype(np.uint64)
-            p = p_from_z(SIM._word_z(shift[:, None, None], words), Sides.ONE_SIDED)
+            p = p_from_z(word_z(shift[:, None, None], words), Sides.ONE_SIDED)
             assert np.all(certain(p, t[None, :, None]) | ~seen), (t, shift)
+
+
+def relative_error(computed, exact):
+    """The largest |computed - exact| / |exact| over paired floats and mpfs."""
+    return max(float(abs(mpmath.mpf(float(c)) - e) / abs(e)) for c, e in zip(computed, exact))
+
+
+class TestBandPremises:
+    """The error of each kernel the bands lean on, against mpmath at 40
+    digits, beside the margin that covers it. Measured with scipy 1.17.1:
+    p_from_z's relative error is 4.1e-15 for z below 5, 5.9e-14 for z in
+    10-20 and 2.6e-13 for z in 30-37.68, which is 3.4 times below 2**-40;
+    ndtri's |dz| / (1 + |z|) is at most 2.5e-16 and ndtr's relative error at
+    most 2.4e-13."""
+
+    @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
+    @pytest.mark.parametrize("lo, hi", [(-10, 0), (0, 5), (5, 10), (10, 20), (20, 30), (30, 37.5), (37.5, None)])
+    def test_p_from_z(self, lo, hi, sides):
+        # up to the z from which p_from_z is 0
+        z = np.random.default_rng(int(lo) + 100).uniform(lo, SIM._P_ZERO if hi is None else hi, 300)
+        with mpmath.workdps(40):
+            if sides is Sides.ONE_SIDED:
+                exact = [mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2 for x in z.tolist()]
+            else:
+                exact = [min(mpmath.erfc(abs(mpmath.mpf(x)) / mpmath.sqrt(2)), 1) for x in z.tolist()]
+            error = relative_error(p_from_z(z, sides), exact)
+        assert error <= SIM._P_REL_ERR, f"{error:.2e}: {SIM._P_REL_ERR / error:.1f}x headroom"
+
+    def test_ndtri(self):
+        rng = np.random.default_rng(7)
+        u = np.exp(rng.uniform(math.log(5e-324), 0.0, 1000))
+        u = np.concatenate([u, 1.0 - u[:300] / 2])
+        z = ndtri(u[u < 1.0])
+        with mpmath.workdps(40):
+            # one Newton step from z: the exact inverse's distance from z
+            error = max(float(abs((mpmath.ncdf(x) - mpmath.mpf(v)) / mpmath.npdf(x))) / (1 + abs(x))
+                        for x, v in zip(z.tolist(), u[u < 1.0].tolist()))
+        assert error <= SIM._P_REL_ERR, f"{error:.2e}: {SIM._P_REL_ERR / error:.0f}x headroom"
+
+    def test_ndtr(self):
+        # down to where ndtr's value is the smallest normal double
+        x = np.random.default_rng(8).uniform(-37.5, 9.0, 1000)
+        with mpmath.workdps(40):
+            error = relative_error(ndtr(x), [mpmath.ncdf(v) for v in x.tolist()])
+        assert error <= SIM._SCREEN_MARGIN, f"{error:.2e}: {SIM._SCREEN_MARGIN / error:.0f}x headroom"
+
+    @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
+    def test_p_from_z_is_0_from_the_cap(self, sides):
+        # the capped upper edge of t = 0, which no p-value but 0 reaches
+        cap = SIM._z_bands(np.array([0.0]), sides).upper[0]
+        above = double_at(order_keys(cap) + np.arange(256))
+        assert np.all(p_from_z(np.concatenate([above, [38.0, 40.0, 1e300, np.inf]]), sides) == 0)
+        # and the cap is within 1e-10 of the last nonzero p-value
+        below = double_at(order_keys(37.677) - np.arange(256))
+        assert np.all(p_from_z(np.concatenate([below, [cap - 1e-10]]), sides) > 0)
 
 
 class TestInsideBands:
@@ -1035,8 +1126,8 @@ class TestInsideBands:
     still equal the p-value route's, so the in-band fallback is exact. They
     are planted where the tile's statistics are made, in the tile's own
     memory: ``_screened_z`` writes ``scratch.stats``, ``word_block`` its
-    ``out``; the z route's joint fallback draws its replications again with
-    ``_z_block``, which hands back the planted rows of the seeds it gets."""
+    ``out``. Both fallbacks draw their replications again with ``_z_block``,
+    which hands back the planted rows of the seeds it gets."""
 
     @staticmethod
     def near(edges, rng, shape, reach=300):
@@ -1056,11 +1147,14 @@ class TestInsideBands:
             return reject(p, alpha, method)
 
         monkeypatch.setattr(SIM, "reject", counted)
+        monkeypatch.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z[seeds.astype(np.intp)])
         scratch = SIM._Scratch(plan, s, len(z), 1)
-        rejected, joint = SIM._decide(plan, s, np.arange(len(z), dtype=np.uint64), scratch)
+        counts = np.empty(len(z), dtype=np.uint8)
+        rejected, joint = SIM._decide(plan, s, np.arange(len(z), dtype=np.uint64), scratch, counts)
         assert np.shares_memory(rejected, scratch.rejected) and np.shares_memory(joint, scratch.joint)
         p = p_from_z(z, s.sides)
         assert np.array_equal(rejected.T, p <= s.alpha_joint)
+        assert np.array_equal(counts, (p <= s.alpha_joint).sum(axis=1))
         assert np.array_equal(joint, p_space_joint(p, s.alpha_joint, s.method))
         assert fallbacks and sum(fallbacks) < len(z)
 
@@ -1090,7 +1184,6 @@ class TestInsideBands:
             return x
 
         monkeypatch.setattr(SIM, "_screened_z", plant)
-        monkeypatch.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z[seeds.astype(np.intp)])
         self.check(s, plan, z, monkeypatch)
 
     @pytest.mark.parametrize("method", FWER_METHODS[:3], ids=lambda m: m.value)
@@ -1217,7 +1310,9 @@ class TestHochbergBracket:
             mp.setattr(SIM, "_step_up", step_up)
             mp.setattr(SIM, "_screened_z", screened_z)
             mp.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z[seeds.astype(np.intp)])
-            rejected, joint = SIM._decide(plan, s, np.arange(rows, dtype=np.uint64), SIM._Scratch(plan, s, rows, rows))
+            counts = np.empty(rows, dtype=np.uint8)
+            rejected, joint = SIM._decide(plan, s, np.arange(rows, dtype=np.uint64), SIM._Scratch(plan, s, rows, rows),
+                                          counts)
 
         p = p_from_z(z, s.sides)
         assert np.array_equal(rejected.T, p <= s.alpha_joint)
