@@ -38,7 +38,7 @@ _LAZY = {
     "Rationale": "families",
     "Recommendation": "families",
     "Scenario": "families",
-    "TestBattery": "families",
+    "TestBattery": "battery",
     "ValidationIssue": "families",
     "ValidationReport": "families",
     "classify_testing_mode": "families",

@@ -1,0 +1,223 @@
+"""Batteries of p-values: the :class:`TestBattery` type and its CSV reader.
+
+Battery files are CSV with the exact header ``id,p`` and one hypothesis per
+row. A text with no ``"`` is split at line breaks and commas; one with a
+quote is read by the csv module, which is imported only then, and a quoted
+cell may then span lines. Every check of an entry lives in
+:class:`TestBattery`; the reader names the file line of the entry at fault.
+
+This module imports numpy only when a battery is built, and neither the
+scenario types of :mod:`alphagate.families` nor the JSON reader of
+:mod:`alphagate.fileio`, so ``decide`` loads only what it runs.
+"""
+
+from __future__ import annotations
+
+import re
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from pathlib import Path
+
+from .errors import FileFormatError, InvalidBattery
+
+#: A tab or any character ``str.splitlines`` breaks at: none may sit in an id,
+#: so every id is one cell of a TSV row
+_ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+class TestBattery:
+    """An ordered set of (hypothesis id, p-value) pairs awaiting judgment.
+
+    A battery is held as two columns: ``ids``, a tuple of non-empty, distinct
+    strings free of tabs and line breaks, and ``p``, a read-only float64
+    array of p-values in [0, 1]. ``TestBattery(entries)`` takes (id, p)
+    pairs, each a tuple or list, and :meth:`from_columns` the two columns;
+    p may be given as numbers or numeric strings, and a p-value of -0 is
+    stored as 0. ``entries`` is built from the columns on each access.
+    """
+
+    __slots__ = ("ids", "p")
+
+    def __init__(self, entries: Iterable[tuple[str, object]] = ()) -> None:
+        entries = tuple(entries)
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise InvalidBattery(f"entry must be an (id, p-value) pair, got {entry!r}", index)
+        self._fill(tuple(hid for hid, _ in entries), [raw for _, raw in entries])
+
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], raw_p: Sequence[object]) -> TestBattery:
+        battery = cls.__new__(cls)
+        battery._fill(tuple(ids), raw_p)
+        return battery
+
+    def _fill(self, ids: tuple, raw_p: Sequence[object]) -> None:
+        # the one place a battery is checked: parse_battery_text relies on it
+        # and names the file line of the entry at fault
+        import numpy as np  # a battery is an array, so importing this module stays light
+
+        if len(ids) != len(raw_p):
+            raise InvalidBattery(f"{len(ids)} hypothesis ids but {len(raw_p)} p-values")
+        p = _checked_columns(ids, raw_p)
+        if p is None:  # some check failed: find the first entry at fault
+            p = np.array(_checked_entries(ids, raw_p), dtype=np.float64)
+        p += 0.0  # -0.0 lies in [0, 1] but would print as negative
+        p.flags.writeable = False
+        for name, value in (("ids", ids), ("p", p)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TestBattery is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return TestBattery.from_columns, (self.ids, self.p)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TestBattery):
+            return NotImplemented
+        return self.ids == other.ids and self.pvalues == other.pvalues
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.pvalues))
+
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.ids, self.p.tolist()))
+
+    @property
+    def pvalues(self) -> tuple[float, ...]:
+        return tuple(self.p.tolist())
+
+
+def _checked_columns(ids: tuple, raw_p: Sequence[object]):
+    """The p column as a float64 array if every check passes on the whole
+    columns at once, else None."""
+    import numpy as np
+
+    try:
+        unique = set(ids)
+        breaks = _ID_BREAKS.search("".join(ids))  # TypeError for an id that is no str
+        p = np.fromiter(map(float, raw_p), np.float64, len(raw_p))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if len(unique) != len(ids) or "" in unique or breaks:
+        return None
+    if len(p) and not (0.0 <= p.min() and p.max() <= 1.0):  # also false for nan
+        return None
+    return p
+
+
+def _checked_entries(ids: tuple, raw_p: Sequence[object]) -> list[float]:
+    """The p column, checked entry by entry; raises InvalidBattery naming the
+    first entry at fault."""
+    out = []
+    seen: set[str] = set()
+    for index, (hid, raw) in enumerate(zip(ids, raw_p)):
+        if not isinstance(hid, str) or not hid:
+            raise InvalidBattery(f"hypothesis id must be a non-empty string, got {hid!r}", index)
+        if _ID_BREAKS.search(hid):
+            raise InvalidBattery(f"hypothesis id {hid!r} holds a tab or a line break", index)
+        if hid in seen:
+            raise InvalidBattery(f"duplicate hypothesis id {hid!r}", index)
+        seen.add(hid)
+        try:
+            p = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidBattery(f"p-value for {hid!r} is not a number: {raw!r}", index) from None
+        if not 0.0 <= p <= 1.0:
+            raise InvalidBattery(f"p-value for {hid!r} must lie in [0, 1], got {p}", index)
+        out.append(p)
+    return out
+
+
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text without a leading byte order mark, which Excel
+    and Notepad write. The mark is dropped after decoding, so the offset of
+    a bad byte still counts it."""
+    try:
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: byte offset {exc.start}: {exc.reason}") from None
+
+
+def _battery(ids: Sequence[str], raw_p: Sequence[str], lines: Sequence[int], source: str) -> TestBattery:
+    """TestBattery checks the (id, p) pairs; ``lines[i]`` is the line of entry i."""
+    try:
+        return TestBattery.from_columns(ids, raw_p)
+    except InvalidBattery as exc:
+        raise FileFormatError(f"{source}:{lines[exc.index]}: {exc}") from None
+
+
+def _check_header(cells: list[str], source: str) -> None:
+    header = [cell.strip() for cell in cells]
+    if header != ["id", "p"]:
+        raise FileFormatError(f"{source}:1: battery header must be exactly 'id,p', got {','.join(header)!r}")
+
+
+def _battery_from_rows(rows: Iterator[tuple[int, list[str]]], source: str) -> TestBattery:
+    """The battery of ``rows``, each record's first line number and cells,
+    header first."""
+    first = next(rows, None)
+    if first is None:
+        raise FileFormatError(f"{source}:1: battery file is empty; expected header 'id,p'")
+    _check_header(first[1], source)
+    ids: list[str] = []
+    raw_p: list[str] = []
+    lines: list[int] = []
+    error: FileFormatError | None = None
+    try:
+        for lineno, row in rows:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            if len(row) != 2:
+                error = FileFormatError(f"{source}:{lineno}: expected two cells 'id,p', got {len(row)}")
+                break
+            ids.append(row[0].strip())
+            raw_p.append(row[1])
+            lines.append(lineno)
+    except FileFormatError as exc:  # a record the csv module cannot read
+        error = exc
+    if error is None and not ids:
+        raise FileFormatError(f"{source}: battery file holds no test rows")
+    battery = _battery(ids, raw_p, lines, source)  # a bad row above the error is reported first
+    if error is not None:
+        raise error
+    return battery
+
+
+def _csv_rows(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
+    """Records read by the csv module. Each physical line keeps a line end,
+    so a quoted cell that spans lines keeps its line break, and a record is
+    numbered by its first line."""
+    import csv  # only a text the quote-free split cannot take needs it
+
+    reader = csv.reader(line + "\n" for line in text.splitlines())
+    start = 1
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise FileFormatError(f"{source}:{start}: not valid CSV: {exc}") from None
+
+
+def parse_battery_text(text: str, source: str = "<battery>") -> TestBattery:
+    lines = text.splitlines()
+    rows = lines[1:]
+    if '"' not in text and rows and set(map(str.count, rows, repeat(","))) == {1}:
+        # every line after the header is one quote-free 'id,p' row
+        _check_header(lines[0].split(","), source)
+        cells = ",".join(rows).split(",")  # whole columns at once: no object per row
+        del lines, rows  # the lines are dead now; freeing them lowers decide's peak memory by a fifth
+        return _battery(list(map(str.strip, cells[0::2])), cells[1::2], range(2, len(cells) // 2 + 2), source)
+    return _battery_from_rows(_csv_rows(text, source), source)
+
+
+def load_battery_file(path: str | Path) -> TestBattery:
+    path = Path(path)
+    return parse_battery_text(_read_text(path), source=str(path))

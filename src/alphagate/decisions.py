@@ -30,14 +30,14 @@ changes which hypotheses get rejected, only the bookkeeping order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING
 
+from .battery import TestBattery
+from .enums import FWER_METHODS, AdjustmentMethod, TestingMode
 from .errors import InvalidBattery, InvalidMethod
-from .families import FWER_METHODS, AdjustmentMethod, TestBattery, TestingMode
 from .rates import bonferroni_adjust, sidak_adjust
 from .validators import real
 
@@ -51,7 +51,6 @@ class Verdict(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True, eq=False)
 class Decision:
     """Outcome of judging one battery under one testing mode.
 
@@ -59,15 +58,35 @@ class Decision:
     battery order. ``per_hypothesis`` and ``thresholds_used`` give the same
     by id, as dicts built on first access. ``joint`` is NOT_APPLICABLE
     exactly when the mode makes no joint claim. ``notes`` carries stable
-    advisory codes (documented in the README).
+    advisory codes (documented in the README). A decision is read-only;
+    two are equal when every field is, and it has no hash.
     """
 
-    mode: TestingMode
-    ids: tuple[str, ...]
-    rejected: np.ndarray
-    thresholds: np.ndarray
-    joint: Verdict
-    notes: tuple[str, ...] = ()
+    __match_args__ = ("mode", "ids", "rejected", "thresholds", "joint", "notes")
+
+    def __init__(
+        self,
+        mode: TestingMode,
+        ids: tuple[str, ...],
+        rejected: np.ndarray,
+        thresholds: np.ndarray,
+        joint: Verdict,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        # a plain class, not a dataclass, so that a cold ``decide`` process
+        # does not import dataclasses, nor inspect through it
+        for name, value in zip(self.__match_args__, (mode, ids, rejected, thresholds, joint, notes)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def _key(self) -> tuple:
         return self.mode, self.ids, self.rejected.tolist(), self.thresholds.tolist(), self.joint, self.notes

@@ -7,8 +7,8 @@ test significant) or a conjunction rule (all constituent tests significant).
 family. Only disjunction testing requires lowering the per-test alpha;
 conjunction and individual testing run each test at the unadjusted level.
 
-This module holds the value types for families, batteries of p-values,
-alpha configurations and simulation scenarios, plus two operations:
+This module holds the value types for families, alpha configurations and
+simulation scenarios, plus two operations:
 
 * :func:`validate_family` checks the declared structure of a family and
   warns when a disjunction family is not declared exchangeable.
@@ -18,18 +18,21 @@ alpha configurations and simulation scenarios, plus two operations:
 Family membership is always declared by the caller; nothing here tries to
 infer it from data, and exchangeability/independence are taken as the
 theoretical judgments they are.
+
+:class:`~alphagate.battery.TestBattery`, the battery of p-values, lives in
+:mod:`alphagate.battery` and is re-exported here, as are the names of
+:mod:`alphagate.enums`.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import re
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 
+from .battery import TestBattery  # noqa: F401  (re-exported)
 from .enums import FWER_METHODS, AdjustmentMethod, Sides, TestingMode
-from .errors import DomainError, InvalidBattery, InvalidScenario
+from .errors import DomainError, InvalidScenario
 from .validators import K_MAX, MAX_REPS, N_MAX, integer, is_bool, real
 
 
@@ -74,119 +77,6 @@ class FamilySpec:
     @property
     def k(self) -> int:
         return len(self.constituents)
-
-
-#: A tab or any character ``str.splitlines`` breaks at: none may sit in an id,
-#: so every id is one cell of a TSV row
-_ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
-
-
-class TestBattery:
-    """An ordered set of (hypothesis id, p-value) pairs awaiting judgment.
-
-    A battery is held as two columns: ``ids``, a tuple of non-empty, distinct
-    strings free of tabs and line breaks, and ``p``, a read-only float64
-    array of p-values in [0, 1]. ``TestBattery(entries)`` takes (id, p)
-    pairs, each a tuple or list, and :meth:`from_columns` the two columns;
-    p may be given as numbers or numeric strings, and a p-value of -0 is
-    stored as 0. ``entries`` is built from the columns on each access.
-    """
-
-    __slots__ = ("ids", "p")
-
-    def __init__(self, entries: Iterable[tuple[str, object]] = ()) -> None:
-        entries = tuple(entries)
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
-                raise InvalidBattery(f"entry must be an (id, p-value) pair, got {entry!r}", index)
-        self._fill(tuple(hid for hid, _ in entries), [raw for _, raw in entries])
-
-    @classmethod
-    def from_columns(cls, ids: Sequence[str], raw_p: Sequence[object]) -> TestBattery:
-        battery = cls.__new__(cls)
-        battery._fill(tuple(ids), raw_p)
-        return battery
-
-    def _fill(self, ids: tuple, raw_p: Sequence[object]) -> None:
-        # the one place a battery is checked: parse_battery_text relies on it
-        # and names the file line of the entry at fault
-        import numpy as np  # a battery is an array, so importing families stays light
-
-        if len(ids) != len(raw_p):
-            raise InvalidBattery(f"{len(ids)} hypothesis ids but {len(raw_p)} p-values")
-        p = _checked_columns(ids, raw_p)
-        if p is None:  # some check failed: find the first entry at fault
-            p = np.array(_checked_entries(ids, raw_p), dtype=np.float64)
-        p += 0.0  # -0.0 lies in [0, 1] but would print as negative
-        p.flags.writeable = False
-        for name, value in (("ids", ids), ("p", p)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TestBattery is immutable; cannot set {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through the checks
-        return TestBattery.from_columns, (self.ids, self.p)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TestBattery):
-            return NotImplemented
-        return self.ids == other.ids and self.pvalues == other.pvalues
-
-    def __hash__(self) -> int:
-        return hash((self.ids, self.pvalues))
-
-    @property
-    def entries(self) -> tuple[tuple[str, float], ...]:
-        return tuple(zip(self.ids, self.p.tolist()))
-
-    @property
-    def pvalues(self) -> tuple[float, ...]:
-        return tuple(self.p.tolist())
-
-
-def _checked_columns(ids: tuple, raw_p: Sequence[object]):
-    """The p column as a float64 array if every check passes on the whole
-    columns at once, else None."""
-    import numpy as np
-
-    try:
-        unique = set(ids)
-        breaks = _ID_BREAKS.search("".join(ids))  # TypeError for an id that is no str
-        p = np.fromiter(map(float, raw_p), np.float64, len(raw_p))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if len(unique) != len(ids) or "" in unique or breaks:
-        return None
-    if len(p) and not (0.0 <= p.min() and p.max() <= 1.0):  # also false for nan
-        return None
-    return p
-
-
-def _checked_entries(ids: tuple, raw_p: Sequence[object]) -> list[float]:
-    """The p column, checked entry by entry; raises InvalidBattery naming the
-    first entry at fault."""
-    out = []
-    seen: set[str] = set()
-    for index, (hid, raw) in enumerate(zip(ids, raw_p)):
-        if not isinstance(hid, str) or not hid:
-            raise InvalidBattery(f"hypothesis id must be a non-empty string, got {hid!r}", index)
-        if _ID_BREAKS.search(hid):
-            raise InvalidBattery(f"hypothesis id {hid!r} holds a tab or a line break", index)
-        if hid in seen:
-            raise InvalidBattery(f"duplicate hypothesis id {hid!r}", index)
-        seen.add(hid)
-        try:
-            p = float(raw)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidBattery(f"p-value for {hid!r} is not a number: {raw!r}", index) from None
-        if not 0.0 <= p <= 1.0:
-            raise InvalidBattery(f"p-value for {hid!r} must lie in [0, 1], got {p}", index)
-        out.append(p)
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,25 @@
-"""Input file parsing: scenario JSON documents and battery CSV files.
+"""Scenario and classification JSON documents: parsing and checking.
 
 A scenario document is a JSON object with top-level keys ``family`` and
 ``alpha`` (required) plus ``simulation`` and ``classification`` (optional).
 Unknown keys are rejected everywhere, and every validation failure names
-the offending key or row, anchored to a line of the source file.
+the offending key, anchored to a line of the source file.
 
-Battery files are CSV with the exact header ``id,p`` and one hypothesis per
-row. A text with no ``"`` is split at line breaks and commas; one with a
-quote is read by the csv module, and a quoted cell may then span lines.
+Battery CSV files are read by :mod:`alphagate.battery`, whose file reader
+this module shares, so reading a battery loads neither ``json`` nor the
+scenario types.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import re
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
-from .errors import FileFormatError, InvalidBattery
+from .battery import _read_text
+from .errors import FileFormatError
 from .families import (
     AdjustmentMethod,
     AlphaConfig,
@@ -30,7 +28,6 @@ from .families import (
     FamilySpec,
     Scenario,
     Sides,
-    TestBattery,
     TestingMode,
     validate_family,
 )
@@ -230,18 +227,6 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
     return ScenarioDoc(family=family, alpha=alpha, scenario=scenario, classification=classification)
 
 
-def _read_text(path: Path) -> str:
-    """The file's UTF-8 text without a leading byte order mark, which Excel
-    and Notepad write. The mark is dropped after decoding, so the offset of
-    a bad byte still counts it."""
-    try:
-        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: not UTF-8 text: byte offset {exc.start}: {exc.reason}") from None
-
-
 def load_scenario_file(path: str | Path) -> ScenarioDoc:
     path = Path(path)
     return parse_scenario_text(_read_text(path), source=str(path))
@@ -263,79 +248,3 @@ def parse_classification_text(text: str, source: str = "<classification>") -> Cl
 def load_classification_file(path: str | Path) -> ClassificationInput:
     path = Path(path)
     return parse_classification_text(_read_text(path), source=str(path))
-
-
-def _battery(ids: Sequence[str], raw_p: Sequence[str], lines: Sequence[int], source: str) -> TestBattery:
-    """TestBattery checks the (id, p) pairs; ``lines[i]`` is the line of entry i."""
-    try:
-        return TestBattery.from_columns(ids, raw_p)
-    except InvalidBattery as exc:
-        raise FileFormatError(f"{source}:{lines[exc.index]}: {exc}") from None
-
-
-def _check_header(cells: list[str], source: str) -> None:
-    header = [cell.strip() for cell in cells]
-    if header != ["id", "p"]:
-        raise FileFormatError(f"{source}:1: battery header must be exactly 'id,p', got {','.join(header)!r}")
-
-
-def _battery_from_rows(rows: Iterator[tuple[int, list[str]]], source: str) -> TestBattery:
-    """The battery of ``rows``, each record's first line number and cells,
-    header first."""
-    first = next(rows, None)
-    if first is None:
-        raise FileFormatError(f"{source}:1: battery file is empty; expected header 'id,p'")
-    _check_header(first[1], source)
-    ids: list[str] = []
-    raw_p: list[str] = []
-    lines: list[int] = []
-    error: FileFormatError | None = None
-    try:
-        for lineno, row in rows:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            if len(row) != 2:
-                error = FileFormatError(f"{source}:{lineno}: expected two cells 'id,p', got {len(row)}")
-                break
-            ids.append(row[0].strip())
-            raw_p.append(row[1])
-            lines.append(lineno)
-    except FileFormatError as exc:  # a record the csv module cannot read
-        error = exc
-    if error is None and not ids:
-        raise FileFormatError(f"{source}: battery file holds no test rows")
-    battery = _battery(ids, raw_p, lines, source)  # a bad row above the error is reported first
-    if error is not None:
-        raise error
-    return battery
-
-
-def _csv_rows(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
-    """Records read by the csv module. Each physical line keeps a line end,
-    so a quoted cell that spans lines keeps its line break, and a record is
-    numbered by its first line."""
-    reader = csv.reader(line + "\n" for line in text.splitlines())
-    start = 1
-    try:
-        for row in reader:
-            yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise FileFormatError(f"{source}:{start}: not valid CSV: {exc}") from None
-
-
-def parse_battery_text(text: str, source: str = "<battery>") -> TestBattery:
-    lines = text.splitlines()
-    rows = lines[1:]
-    if '"' not in text and rows and set(map(str.count, rows, repeat(","))) == {1}:
-        # every line after the header is one quote-free 'id,p' row
-        _check_header(lines[0].split(","), source)
-        cells = ",".join(rows).split(",")  # whole columns at once: no object per row
-        del lines, rows  # the lines are dead now; freeing them lowers decide's peak memory by a fifth
-        return _battery(list(map(str.strip, cells[0::2])), cells[1::2], range(2, len(cells) // 2 + 2), source)
-    return _battery_from_rows(_csv_rows(text, source), source)
-
-
-def load_battery_file(path: str | Path) -> TestBattery:
-    path = Path(path)
-    return parse_battery_text(_read_text(path), source=str(path))

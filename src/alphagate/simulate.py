@@ -454,7 +454,9 @@ class _Scratch:
     Views that are idle while a tile is judged hold its compact arrays: the
     screen's kept draws take their shared terms in ``stats``, and their test
     and replication indices and shifts in ``seed_bits`` and ``ratio``, which
-    the chunk needs only before its first tile and after its last. Hochberg
+    the chunk needs only before its first tile and after its last. Those two
+    hold the longer of a chunk and k, so that the kept draws of a tile of
+    one replication are gathered in one piece. Hochberg
     copies the replications its bracket leaves open to ``bits``, and once a
     tile is decided ``mask`` takes its rejections of true nulls.
 
@@ -467,12 +469,15 @@ class _Scratch:
         draws = _draws(scenario)  # k on the word route, whose design is independent
         stat_type = np.uint64 if plan.words else np.float64
         count_type = np.min_scalar_type(k)
+        # the screen gathers its kept draws in pieces of this length: at least
+        # k, so that a one-row tile, as at large k and few reps, is one piece
+        piece = max(chunk, k)
         parts = {
             "seeds": ((chunk,), np.uint64),
-            "seed_bits": ((chunk,), np.uint64),
+            "seed_bits": ((piece,), np.uint64),
             "r": ((chunk,), count_type),
             "v": ((chunk,), count_type),
-            "ratio": ((chunk,), np.float64),
+            "ratio": ((piece,), np.float64),
             "flags": ((chunk,), np.bool_),
             "counts": ((k,), np.min_scalar_type(tile)),
             "stats": ((draws, tile), stat_type),
@@ -556,7 +561,7 @@ def _screened_z(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Sc
 
     # z of the kept draws alone, by _assemble's operations on their own test's
     # shift and replication's shared term, gathered in pieces as long as the
-    # spare chunk views; their shared terms go where the picked words were
+    # spare views, at least k; their shared terms go where the picked words were
     shared = x.reshape(-1)
     step = scratch.ratio.size
     for lo in range(0, where.size, step):
@@ -731,7 +736,7 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
         fwer_events=total.fwer_events,
         mean_false_positives=total.v_sum / reps,
         fdr_hat=total.fdp_sum / reps,
-        per_test_rejection=tuple(float(c) / reps for c in total.per_test),
+        per_test_rejection=tuple((total.per_test / reps).tolist()),
         joint_reject_rate={
             TestingMode.INDIVIDUAL: total.any_reject / reps,
             TestingMode.DISJUNCTION: total.disjunction_rejects / reps,

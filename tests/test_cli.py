@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 import alphagate
 from alphagate import cli, simulate
+from alphagate.battery import parse_battery_text
 from alphagate.cli import main
 from alphagate.decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual, steps
 from alphagate.families import AdjustmentMethod, Scenario, TestingMode, classify_testing_mode
-from alphagate.fileio import load_classification_file, load_scenario_file, parse_battery_text
+from alphagate.fileio import load_classification_file, load_scenario_file
 from alphagate.rates import (
     bonferroni_adjust,
     conjunction_power,
@@ -709,6 +710,31 @@ class TestExitCodes:
     def test_help_exits_zero(self, run):
         code, _, _ = run(["--help"])
         assert code == 0
+
+
+class TestOneSubparser:
+    """The parser is built for the subcommand an argv names; it parses,
+    helps and fails as one built for every subcommand would."""
+
+    ARGV = [
+        [], ["--help"], ["--version"], ["bogus"], ["bogus", "rates"], ["-h", "rates"], ["-x", "rates"], ["-"],
+        ["--", "rates", "--alpha", "0.05", "--k", "3"], ["rates"], ["rates", "--alpha", "0.05", "--k", "3", "--bogus"],
+        ["rates", "--alpha", "0.05", "--k", "3", "adjust"], ["rates", "--alp", "0.05", "--k", "3"],
+        ["adjust", "--alpha", "0.05", "--k", "3", "--method", "holm"], ["power", "--alpha", "0.05", "--delta", "x"],
+        *([name, "--help"] for name in cli._COMMANDS),
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_as_a_parser_of_every_subcommand(self, run, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        one = run(argv)
+        subparser = cli._subparser
+
+        def every(command=None, prog="", **kwargs):
+            return subparser(prog.rpartition(" ")[2], prog=prog, **kwargs)
+
+        monkeypatch.setattr(cli, "_subparser", every)
+        assert run(argv) == one
 
 
 SRC = str(Path(alphagate.__file__).resolve().parents[1])

@@ -1,5 +1,8 @@
 """Decision rules: worked examples, boundary behaviour, and set-dominance laws."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from alphagate.decisions import (
     NOTE_FDR_NOT_FWER,
+    Decision,
     NOTE_JOINT_INFERENCE_ONLY,
     Verdict,
     apply_bh,
@@ -31,6 +35,25 @@ def numbered(pvalues):
 
 def rejected_ids(decision):
     return {hid for hid, v in decision.per_hypothesis.items() if v is Verdict.REJECT}
+
+
+class TestDecision:
+    def test_a_decision_is_a_read_only_unhashable_value(self):
+        decision = decide_disjunction(battery(("a", 0.01), ("b", 0.2)), 0.05, AdjustmentMethod.HOLM)
+        same = Decision(mode=decision.mode, ids=("a", "b"), rejected=np.array([True, False]),
+                        thresholds=np.array([0.025, 0.05]), joint=Verdict.REJECT, notes=decision.notes)
+        assert decision == same == copy.copy(decision) == pickle.loads(pickle.dumps(decision))
+        assert Decision(decision.mode, decision.ids, decision.rejected, decision.thresholds, decision.joint).notes == ()
+        assert decision != apply_bh(battery(("a", 0.01), ("b", 0.2)), 0.05)
+        assert repr(decision).startswith("Decision(mode=<TestingMode.DISJUNCTION: 'disjunction'>, ids=('a', 'b'), ")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(decision)
+        assert decision.per_hypothesis is decision.per_hypothesis  # built once
+        for name in ("joint", "per_hypothesis", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(decision, name, None)
+        with pytest.raises(AttributeError, match="cannot delete field 'joint'"):
+            del decision.joint
 
 
 class TestDecideIndividual:

@@ -11,13 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphagate import cli, fileio
+from alphagate.battery import _battery_from_rows, _csv_rows, load_battery_file, parse_battery_text
 from alphagate.errors import FileFormatError
 from alphagate.families import AdjustmentMethod, TestingMode
-from alphagate.fileio import (
-    parse_battery_text,
-    parse_classification_text,
-    parse_scenario_text,
-)
+from alphagate.fileio import parse_classification_text, parse_scenario_text
 from alphagate.simulate import Sides
 
 
@@ -509,7 +506,7 @@ class TestByteOrderMark:
     mark; every input file reads as if it had none."""
 
     FILES = {
-        "battery": (fileio.load_battery_file, "id,p\ngreen,0.030\nred,0.070\n"),
+        "battery": (load_battery_file, "id,p\ngreen,0.030\nred,0.070\n"),
         "scenario": (fileio.load_scenario_file, render(doc(classification=TestClassificationDocument.ANSWERS))),
         "classification": (fileio.load_classification_file, json.dumps(TestClassificationDocument.ANSWERS)),
     }
@@ -527,7 +524,7 @@ class TestByteOrderMark:
         path = tmp_path / "b.csv"
         path.write_bytes(b"\xef\xbb\xbfid,p\n\xff")
         with pytest.raises(FileFormatError, match=r"not UTF-8 text: byte offset 8: invalid start byte"):
-            fileio.load_battery_file(path)
+            load_battery_file(path)
 
 
 #: quote-free cells, chosen to reach every rule: spaces around cells,
@@ -568,7 +565,7 @@ def outcome(parse):
 def test_quote_free_text_parses_as_the_csv_module_reads_it(text, mode):
     assert '"' not in text
     fast = outcome(lambda: parse_battery_text(text, source="b.csv"))
-    assert fast == outcome(lambda: fileio._battery_from_rows(fileio._csv_rows(text, "b.csv"), "b.csv"))
+    assert fast == outcome(lambda: _battery_from_rows(_csv_rows(text, "b.csv"), "b.csv"))
     with tempfile.TemporaryDirectory() as tmp:
         battery = Path(tmp, "b.csv")
         battery.write_bytes(text.encode("utf-8"))

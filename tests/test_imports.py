@@ -62,13 +62,23 @@ COMMANDS = [
     (["rates", "--alpha", "0.05", "--k", "20"], [], ["rates"]),
     (["adjust", "--alpha", "0.05", "--k", "20", "--method", "sidak"], [], ["rates"]),
     (["table1", "--t", "20", "--h", "4", "--alpha", "0.05"], [], ["rates"]),
-    (["classify", "--input", "{scenario}"], [], ["families", "fileio"]),
+    (["classify", "--input", "{scenario}"], [], ["battery", "families", "fileio"]),
     (["decide", "--battery", "{battery}", "--mode", "disjunction", "--alpha", "0.05", "--method", "holm"], ["numpy"],
-     ["decisions", "families", "fileio", "rates"]),
+     ["battery", "decisions", "rates"]),
     (["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64", "--k", "3", "--conjunction"], [], ["normal", "rates"]),
     (["simulate", "--scenario", "{scenario}", "--threads", "1"], ["numpy", "scipy"],
-     ["decisions", "families", "fileio", "normal", "rates", "rng", "simulate"]),
+     ["battery", "decisions", "families", "fileio", "normal", "rates", "rng", "simulate"]),
 ]
+#: subcommand -> the standard-library modules it must not load: dataclasses,
+#: and inspect through it, cost a cold process milliseconds, and json is the
+#: scenario reader's. numpy imports inspect itself, so decide may load it.
+UNLOADED = {
+    "rates": ["dataclasses", "inspect", "json"],
+    "adjust": ["dataclasses", "inspect", "json"],
+    "table1": ["dataclasses", "inspect", "json"],
+    "power": ["dataclasses", "inspect", "json"],
+    "decide": ["dataclasses", "json"],
+}
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
@@ -76,6 +86,17 @@ COMMANDS = [
 def test_subcommands_load_only_what_they_call(inputs, argv, heavy, modules, fmt):
     argv = [arg.format(**inputs) for arg in argv] + ["--format", fmt, "--out", inputs["out"]]
     assert loaded_by(argv) == (heavy, sorted(CLI + modules))
+
+
+@pytest.mark.parametrize("argv", [pytest.param(case[0], id=case[0][0]) for case in COMMANDS if case[0][0] in UNLOADED])
+def test_arithmetic_and_decide_load_no_dataclasses_or_json(inputs, argv):
+    argv = [arg.format(**inputs) for arg in argv] + ["--format", "pretty", "--out", inputs["out"]]
+    unloaded = UNLOADED[argv[0]]
+    # modules the interpreter loaded at start-up do not count
+    assert fresh(
+        f"import sys\nbefore = set(sys.modules)\nfrom alphagate.cli import main\nassert main({argv!r}) == 0\n"
+        f"print([m for m in {unloaded!r} if m in sys.modules and m not in before])"
+    ) == "[]"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Closed-form error-rate math: frozen example values and analytic properties."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -289,3 +291,17 @@ class TestErrorRateReport:
             with pytest.raises(DomainError) as err:
                 build(t, h, alpha)
             assert str(err.value) == message
+
+    def test_report_is_a_read_only_value(self):
+        report = error_rate_report(20, 4, 0.05)
+        same = ErrorRateReport(t=20, h=4, alpha_per_test=0.05)
+        assert report == same and hash(report) == hash(same)
+        assert report != error_rate_report(20, 5, 0.05) and report != (20, 4, 0.05)
+        assert repr(report) == "ErrorRateReport(t=20, h=4, alpha_per_test=0.05)"
+        assert copy.copy(report) == pickle.loads(pickle.dumps(report)) == report
+        for name in ("t", "k", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(report, name, 1)
+        with pytest.raises(AttributeError, match="cannot delete field 't'"):
+            del report.t
+        assert (report.t, report.h, report.alpha_per_test) == (20, 4, 0.05)

@@ -952,6 +952,19 @@ class TestScreen:
         simulate(s, threads=2)
         assert s.reps < sum(drawn) <= 0.25 * s.k * s.reps + s.reps
 
+    def test_a_one_row_tile_assembles_its_kept_draws_at_once(self, monkeypatch):
+        # at reps 1 a chunk is one replication long; the kept draws' z were
+        # once gathered in pieces of that length, one _assemble call each
+        k = CHUNK_REPS + 3_616
+        s = scenario(k, design=Design.equicorrelated(0.25), sides=Sides.TWO_SIDED,
+                     method=AdjustmentMethod.HOCHBERG, reps=1)
+        assert SIM._plan(s).screen is not None
+        calls, assemble = [], SIM._assemble
+        monkeypatch.setattr(SIM, "_assemble", lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
+        monkeypatch.setattr(SIM, "_z_block", lambda *args: pytest.fail("no statistic should fall in a band"))
+        simulate(s)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "design, sides, alpha, deltas, screened",
         [(Design.equicorrelated(0.5), Sides.TWO_SIDED, 0.05, [0.0] * 20, True),

@@ -12,7 +12,9 @@ The generator covers every design (equicorrelated rho from 0 to 0.999),
 both sides and the four FWER methods; k from 1 to 200; alpha from 0.7 down
 to 5e-324; null, mixed, huge (+-1e300) and near-cutoff shifts, including
 shifts near 37.5 where erfc underflows; and reps from 1 to 17,000, one
-scenario in twenty past one chunk so that it ends in a partial one.
+scenario in twenty past one chunk so that it ends in a partial one. Another
+one in twenty has k past one chunk's length, up to ``DRAW_BUDGET / reps``,
+at reps 1 to 4, so that each of its tiles is one replication.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ def scenarios(count: int):
     from scipy.special import ndtri
 
     from alphagate.families import FWER_METHODS, Design, Scenario, Sides
+    from alphagate.simulate import CHUNK_REPS
 
     rng = np.random.default_rng(20211)
     for index in range(count):
@@ -44,12 +47,16 @@ def scenarios(count: int):
         method = FWER_METHODS[rng.integers(len(FWER_METHODS))]
         alpha = float(rng.choice(ALPHAS) if rng.random() < 0.7 else math.exp(rng.uniform(math.log(5e-324), math.log(0.7))))
 
-        if index % 20 == 0:  # past one chunk, ending in a partial one
-            reps = int(rng.integers(16_385, 17_001))
+        if index % 20 == 10:  # k past one chunk's length at a few reps
+            reps = int(rng.integers(1, 5))
+            k = int(math.exp(rng.uniform(math.log(CHUNK_REPS + 1), math.log(DRAW_BUDGET // reps))))
         else:
-            reps = int(math.exp(rng.uniform(0.0, math.log(17_000))))
-        k = int(math.exp(rng.uniform(0.0, math.log(200))))
-        k = max(1, min(k, DRAW_BUDGET // reps))
+            if index % 20 == 0:  # past one chunk, ending in a partial one
+                reps = int(rng.integers(16_385, 17_001))
+            else:
+                reps = int(math.exp(rng.uniform(0.0, math.log(17_000))))
+            k = int(math.exp(rng.uniform(0.0, math.log(200))))
+            k = max(1, min(k, DRAW_BUDGET // reps))
 
         # n = 2 makes each shift its delta
         cut = -float(ndtri(alpha if sides is Sides.ONE_SIDED else max(alpha / 2, 5e-324)))
