@@ -11,8 +11,10 @@ holds them to the installed scipy with ``==``.
 
 They exist so that ``rates.power_one_sided_z``, and with it the ``power``
 command, needs neither numpy nor scipy, and so that every scalar normal
-quantile, ``simulate.wilson_ci``'s too, comes from one place. The
-simulator's array kernels keep calling scipy. Only :mod:`math` is imported.
+quantile, ``simulate.wilson_ci``'s too, comes from one place. The array
+kernels of :mod:`alphagate.rng` run small arrays through them value by
+value, so that a simulation whose conversions are all small never loads
+scipy. Only :mod:`math` is imported.
 """
 
 from __future__ import annotations
@@ -172,8 +174,9 @@ def ndtri(y0: float) -> float:
         return -math.inf
     if y0 == 1.0:
         return math.inf
-    if not 0.0 < y0 < 1.0:
+    if y0 < 0.0 or y0 > 1.0:
         return math.nan
+    # as in Cephes, a nan runs on to the tail branch, which negates it
     negate = True
     y = y0
     if y > 1.0 - _EXP_M2:

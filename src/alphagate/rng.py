@@ -24,13 +24,22 @@ and to the words whose decision falls inside a band.
 :func:`word_block` takes an ``out`` array for its words and a uint64
 ``scratch`` array of the same shape for the mixing, each made anew when
 None, so that a caller can draw block after block into the same memory.
+
+:func:`ndtri`, :func:`ndtr` and :func:`erfc` are the array kernels of this
+module and of :mod:`alphagate.simulate`. An array of at most
+:data:`PORT_MAX` entries goes through :mod:`alphagate.normal`'s scalar ports
+and a larger one through scipy's ufunc, imported on its first call
+(:func:`load_scipy`), after which every array goes through scipy. Both give
+the same bits, so the choice changes only the time and memory a run takes:
+a run that converts only small arrays, as the simulator's word route does,
+never loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
+from . import normal
 from .validators import integer
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -47,6 +56,57 @@ _SHIFT31 = np.uint64(31)
 _SHIFT11 = np.uint64(11)
 _TWO_NEG53 = 2.0**-53
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+
+#: Arrays of at most this many entries go through alphagate.normal's scalar
+#: ports until scipy is loaded, larger ones through scipy. A port costs about
+#: 1.1 to 1.3 us per value on a 2-vCPU Xeon, so a conversion of this size
+#: costs at most about 0.1 ms, under 2% of a sim-indep call (6.6 ms), and only
+#: when a conversion is that large; importing scipy.special costs about
+#: 0.35 s and 26 MiB per process. 64 holds each conversion of the word
+#: route's plan (4 values, then 4 per distinct shift, up to 16 of them) and
+#: the redraw of one in-band replication at k up to 64.
+PORT_MAX = 64
+
+_scipy = None
+
+
+def load_scipy():
+    """scipy.special, imported on the first call; from then on every array
+    goes through it, whatever its size. Worker threads may race to the first
+    call: the import lock hands them all the one module."""
+    global _scipy
+    if _scipy is None:
+        import scipy.special
+
+        _scipy = scipy.special
+    return _scipy
+
+
+def _kernel(name: str):
+    """scipy.special's ``name`` as an array kernel: float64 in, an ndarray out
+    (``out`` when given), also for a 0-d input. Until scipy is loaded, up to
+    :data:`PORT_MAX` entries go through alphagate.normal's port of it, which
+    gives the same bits."""
+    port = getattr(normal, name)
+
+    def kernel(x, out=None) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        # given an out, a ufunc returns it: an ndarray, also where it is 0-d
+        if out is None:
+            out = np.empty(x.shape)
+        if x.size > PORT_MAX or _scipy is not None:
+            return getattr(load_scipy(), name)(x, out=out)
+        out[...] = np.fromiter(map(port, x.reshape(-1).tolist()), np.float64, x.size).reshape(x.shape)
+        return out
+
+    kernel.__name__ = kernel.__qualname__ = name
+    kernel.__doc__ = f"scipy.special.{name}; through alphagate.normal.{name} up to PORT_MAX entries."
+    return kernel
+
+
+ndtri = _kernel("ndtri")
+ndtr = _kernel("ndtr")
+erfc = _kernel("erfc")
 
 
 def mix64(state: int) -> int:

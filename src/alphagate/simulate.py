@@ -81,6 +81,13 @@ double. It is scattered into a tile that holds -inf everywhere else, below
 every band. On the dependent designs the screen spends two ndtr per
 distinct shift and replication, so a run uses it only where that and the
 draws it expects to keep come to a measured share of k (:func:`_screens`).
+
+ndtri, ndtr and erfc are :mod:`alphagate.rng`'s kernels, which give scipy's
+bits through :mod:`alphagate.normal`'s ports for small arrays and through
+scipy for large ones. The word route converts only its plan's few cutoffs
+and, rarely, the k draws of a replication inside a band, so on it scipy
+stays unloaded; the z route converts whole tiles, so its plan loads scipy
+and sends every conversion of the run there.
 """
 
 from __future__ import annotations
@@ -93,7 +100,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import erfc, ndtr, ndtri
 
 from . import normal
 from .decisions import reject, steps
@@ -101,7 +107,7 @@ from .errors import DomainError, InvalidScenario
 # the scenario types live in families, which needs no numpy; they stay
 # importable from here
 from .families import AdjustmentMethod, Design, Scenario, Sides, TestingMode  # noqa: F401
-from .rng import normal_block, normal_from_words, rep_seed_block, word_block
+from .rng import erfc, load_scipy, ndtr, ndtri, normal_block, normal_from_words, rep_seed_block, word_block
 from .validators import MAX_THREADS, N_MAX, integer, real
 
 _SQRT2 = math.sqrt(2.0)
@@ -413,6 +419,8 @@ def _plan(scenario: Scenario) -> _Plan:
     distinct, counts = _distinct(shift)
     words = scenario.design.kind == "independent" and scenario.sides is Sides.ONE_SIDED and not hochberg
     if not words:
+        # the z route converts whole tiles: every conversion goes through scipy
+        load_scipy()
         # every joint step is at most alpha, so the test band's lower edge
         # is the lowest of all: a statistic below it changes no decision
         screen = None
@@ -650,6 +658,15 @@ def _decide(
     return rejected, joint
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, which taskset or a container's cpuset may make smaller than the
+    machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     """Run the scenario and estimate its error rates.
 
@@ -662,8 +679,8 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     disjunction reading of the same results would conclude.
 
     ``threads`` (1 to :data:`MAX_THREADS`) bounds the worker threads, which
-    are also capped at the chunk count and the CPU count; the estimates
-    never depend on it.
+    are also capped at the chunk count and the CPUs the process may run on;
+    the estimates never depend on it.
     """
     if not isinstance(scenario, Scenario):
         raise InvalidScenario(f"expected a Scenario, got {type(scenario).__name__}")
@@ -676,7 +693,7 @@ def simulate(scenario: Scenario, *, threads: int = 1) -> Estimates:
     plan = _plan(scenario)
 
     n_chunks = (reps + CHUNK_REPS - 1) // CHUNK_REPS
-    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    workers = min(threads, n_chunks, _cpus())
     chunk_reps = min(CHUNK_REPS, reps)
     # workers that share the GIL judge twice the rows per call (see TILE_BYTES)
     tile_bytes = TILE_BYTES if workers == 1 else 2 * TILE_BYTES

@@ -1,5 +1,6 @@
 """Import weight: numpy, scipy and each alphagate submodule load only where
-they are called, and the package attribute ``simulate`` stays the function.
+they are called (scipy only for the simulator's large array conversions),
+and the package attribute ``simulate`` stays the function.
 Each case runs in a fresh interpreter, since this process has long imported
 everything."""
 
@@ -51,12 +52,22 @@ def inputs(tmp_path):
         "classification": {"statistical_claim": True, "joint_inference": True, "all_constituents_required": False,
                            "exchangeable": True, "family_theoretically_relevant": True},
     }), encoding="utf-8")
+    # the paper's headline case: k independent one-sided tests under Sidak,
+    # which the simulator decides on raw words
+    headline = tmp_path / "headline.json"
+    headline.write_text(json.dumps({
+        "family": {"joint_id": "j", "constituents": [f"t{i}" for i in range(20)], "mode": "disjunction",
+                   "exchangeable": True, "independent": True},
+        "alpha": {"alpha_joint": 0.05, "method": "sidak", "mode": "disjunction"},
+        "simulation": {"reps": 1000, "seed": 1, "design": "independent", "sides": "one_sided"},
+    }), encoding="utf-8")
     battery = tmp_path / "battery.csv"
     battery.write_text("id,p\na,0.01\nb,0.2\n", encoding="utf-8")
-    return {"scenario": str(scenario), "battery": str(battery), "out": str(tmp_path / "out.tsv")}
+    return {"scenario": str(scenario), "headline": str(headline), "battery": str(battery),
+            "out": str(tmp_path / "out.tsv")}
 
 
-#: argv (with {scenario}/{battery} filled in) -> the heavy libraries it loads,
+#: argv (with {scenario}/{headline}/{battery} filled in) -> the heavy libraries it loads,
 #: and the alphagate submodules it loads besides :data:`CLI`
 COMMANDS = [
     (["rates", "--alpha", "0.05", "--k", "20"], [], ["rates"]),
@@ -68,7 +79,15 @@ COMMANDS = [
     (["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64", "--k", "3", "--conjunction"], [], ["normal", "rates"]),
     (["simulate", "--scenario", "{scenario}", "--threads", "1"], ["numpy", "scipy"],
      ["battery", "decisions", "families", "fileio", "normal", "rates", "rng", "simulate"]),
+    (["simulate", "--scenario", "{headline}", "--threads", "1"], ["numpy"],
+     ["battery", "decisions", "families", "fileio", "normal", "rates", "rng", "simulate"]),
 ]
+
+
+def command_id(argv: list[str]) -> str:
+    return argv[0] + ("-headline" if "{headline}" in argv else "")
+
+
 #: subcommand -> the standard-library modules it must not load: dataclasses,
 #: and inspect through it, cost a cold process milliseconds, and json is the
 #: scenario reader's. numpy imports inspect itself, so decide may load it.
@@ -82,7 +101,7 @@ UNLOADED = {
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
-@pytest.mark.parametrize("argv, heavy, modules", [pytest.param(*case, id=case[0][0]) for case in COMMANDS])
+@pytest.mark.parametrize("argv, heavy, modules", [pytest.param(*case, id=command_id(case[0])) for case in COMMANDS])
 def test_subcommands_load_only_what_they_call(inputs, argv, heavy, modules, fmt):
     argv = [arg.format(**inputs) for arg in argv] + ["--format", fmt, "--out", inputs["out"]]
     assert loaded_by(argv) == (heavy, sorted(CLI + modules))
@@ -126,3 +145,19 @@ def test_power_function_loads_neither():
         "assert 0 < alphagate.power_one_sided_z(0.05, 0.5, 64) < 1\n"
         f"print([m for m in {HEAVY!r} if m in sys.modules])"
     ) == "[]"
+
+
+@pytest.mark.parametrize("module", ["alphagate.rng", "alphagate.simulate"])
+def test_simulator_modules_load_no_scipy(module):
+    assert loaded(f"import {module}")[0] == ["numpy"]
+
+
+def test_headline_simulation_loads_no_scipy():
+    # sim-indep's shape: k 20, all null, independent, one-sided, Sidak
+    heavy, _ = loaded(
+        "from alphagate.simulate import AdjustmentMethod, Design, Scenario, Sides, simulate\n"
+        "s = Scenario(k=20, null_pattern=(True,) * 20, deltas=(0.0,) * 20, n=2, design=Design.independent(),\n"
+        "             sides=Sides.ONE_SIDED, alpha_joint=0.05, method=AdjustmentMethod.SIDAK, reps=2**16, seed=1)\n"
+        "assert 0.6 < simulate(s).fwer_hat < 0.7"
+    )
+    assert heavy == ["numpy"]

@@ -1,12 +1,20 @@
-"""Counter-based seed derivation against a stateful SplitMix64 reference."""
+"""Counter-based seed derivation against a stateful SplitMix64 reference,
+and the array kernels against scipy's bits."""
+
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.special as sp
 from scipy.special import ndtri
 
+from alphagate import rng as RNG
 from alphagate.errors import DomainError
 from alphagate.rng import (
     GOLDEN_GAMMA,
+    PORT_MAX,
     derive_rep_seed,
     mix64,
     normal_block,
@@ -144,3 +152,79 @@ def test_all_ones_top_word_stays_below_one():
     assert u[1] == ((2**53 - 2) + 0.5) * 2.0**-53
     assert u[2] == 0.5 * 2.0**-53
     assert np.all(np.isfinite(ndtri(u)))
+
+
+# -- the array kernels: alphagate.normal's ports up to PORT_MAX entries, scipy beyond
+
+#: the branch edges of tests/test_normal.py, with both zeros, infinities and nans
+KERNEL_EDGES = [0.0, -0.0, 5e-324, 2.0**-1022, math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0, -1.0,
+                8.0, -8.0, 1.0 - 2.0**-53, math.inf, -math.inf, math.nan, -math.nan]
+KERNELS = ["ndtri", "ndtr", "erfc"]
+
+
+def kernel_inputs(size: int) -> np.ndarray:
+    """``size`` values: the edges, then uniforms and normals of either sign."""
+    gen = np.random.default_rng(size)
+    pool = KERNEL_EDGES + gen.random(size).tolist() + (8.0 * gen.standard_normal(size)).tolist()
+    return np.array(pool[:size])
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+@pytest.fixture
+def unloaded(monkeypatch):
+    """The kernels as in a process that has not loaded scipy through them."""
+    monkeypatch.setattr(RNG, "_scipy", None)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("size", [PORT_MAX, PORT_MAX + 1])
+def test_kernels_give_scipy_bits_on_both_sides_of_port_max(unloaded, name, size):
+    x = kernel_inputs(size)
+    got = getattr(RNG, name)(x)
+    assert type(got) is np.ndarray and same_bits(got, getattr(sp, name)(x))
+    # up to PORT_MAX entries the ports serve, and scipy stays unloaded
+    assert (RNG._scipy is None) is (size <= PORT_MAX)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("size", [1, PORT_MAX, PORT_MAX + 1])
+@pytest.mark.parametrize("loaded", [False, True])
+def test_kernels_write_a_strided_out_and_return_it(monkeypatch, name, size, loaded):
+    monkeypatch.setattr(RNG, "_scipy", sp if loaded else None)
+    x = kernel_inputs(size)
+    block = np.zeros((size, 2))
+    got = getattr(RNG, name)(x, out=block[:, 1])
+    assert got is not None and np.shares_memory(got, block[:, 1]) and got.strides == (16,)
+    assert same_bits(block[:, 1], getattr(sp, name)(x)) and not block[:, 0].any()
+    # in place, as normal_from_words converts its uniforms
+    want = getattr(sp, name)(x)
+    assert getattr(RNG, name)(x, out=x) is x and same_bits(x, want)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("loaded", [False, True])
+@pytest.mark.parametrize("value", [0.3, np.float64(-0.0), np.array(math.nan), np.array(1.0 - math.exp(-2.0))])
+def test_kernels_return_an_ndarray_for_a_0d_input(monkeypatch, name, loaded, value):
+    monkeypatch.setattr(RNG, "_scipy", sp if loaded else None)
+    got = getattr(RNG, name)(value)
+    assert type(got) is np.ndarray and got.shape == () and same_bits(got, getattr(sp, name)(value))
+
+
+def test_load_scipy_keeps_one_module(unloaded):
+    assert RNG.load_scipy() is sp and RNG._scipy is sp and RNG.load_scipy() is sp
+
+
+def test_threads_racing_to_the_first_scipy_call_share_one_module(unloaded):
+    # simulate's worker threads may make the first large conversion together
+    x = kernel_inputs(PORT_MAX + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(lambda _: RNG.ndtri(x), range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert RNG._scipy is sp and all(same_bits(got, sp.ndtri(x)) for got in results)

@@ -9,7 +9,6 @@ with per-replication runs of the decision functions.
 import dataclasses
 import importlib
 import math
-import os
 import tracemalloc
 import warnings
 
@@ -118,6 +117,16 @@ class TestPFromZ:
         out = p_from_z(-np.array([-1.0, 0.0, 1.0]), Sides.ONE_SIDED)
         assert out.shape == (3,)
         assert out[1] == 0.5
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
+    def test_a_scalar_gives_a_float_with_either_kernel(self, sides, loaded, monkeypatch):
+        monkeypatch.setattr(RNG, "_scipy", None)
+        if loaded:
+            RNG.load_scipy()
+        for z in (1.5, np.float64(-2.0), np.array(0.25)):
+            p = p_from_z(z, sides)
+            assert type(p) is float and p == p_from_z(np.array([z]), sides)[0]
 
 
 class TestWilsonCi:
@@ -513,11 +522,31 @@ class TestThreadBound:
         monkeypatch.setattr(SIM, "CHUNK_REPS", 64)
         s = scenario(3, reps=5 * 64)
         serial = simulate(s, threads=1)
+        # where the platform has no affinity mask, the machine's count caps them
+        monkeypatch.delattr(SIM.os, "sched_getaffinity", raising=False)
         for cpus, threads, workers in ((3, 1024, 3), (64, 1024, 5), (64, 2, 2), (None, 8, None)):
             monkeypatch.setattr(SIM.os, "cpu_count", lambda cpus=cpus: cpus)
             seen.clear()
             assert simulate(s, threads=threads) == serial
             assert seen == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("cpus, pooled", [({0}, False), ({0, 1}, True)])
+    def test_workers_capped_at_the_cpus_the_process_may_run_on(self, cpus, pooled, monkeypatch):
+        # under taskset -c 0 on a 2-CPU machine, cpu_count is 2 and the
+        # affinity mask holds one CPU: two workers would share it
+        pools = []
+
+        def pool(max_workers, pool_type=SIM.ThreadPoolExecutor):
+            pools.append(max_workers)
+            return pool_type(max_workers)
+
+        monkeypatch.setattr(SIM, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(SIM.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        monkeypatch.setattr(SIM.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(SIM, "CHUNK_REPS", 64)
+        s = scenario(3, reps=2 * 64)
+        assert simulate(s, threads=2) == simulate(s, threads=1)
+        assert pools == ([2] if pooled else [])
 
     def test_threads_above_bound_rejected(self):
         with pytest.raises(DomainError, match="1024"):
@@ -601,6 +630,34 @@ FWER_METHODS = [
 
 
 class TestThresholdRoute:
+    @pytest.mark.parametrize(
+        "design, sides, method, words",
+        [(Design.independent(), Sides.ONE_SIDED, AdjustmentMethod.SIDAK, True),
+         (Design.independent(), Sides.ONE_SIDED, AdjustmentMethod.HOLM, True),
+         (Design.independent(), Sides.TWO_SIDED, AdjustmentMethod.SIDAK, False),
+         (Design.independent(), Sides.ONE_SIDED, AdjustmentMethod.HOCHBERG, False),
+         (Design.equicorrelated(0.5), Sides.ONE_SIDED, AdjustmentMethod.BONFERRONI, False)],
+    )
+    def test_only_the_z_route_loads_scipy(self, design, sides, method, words, monkeypatch):
+        # the word route's plan converts 8 values, within the ports' reach; the
+        # z route converts whole tiles, so its plan sends them all to scipy
+        monkeypatch.setattr(RNG, "_scipy", None)
+        assert SIM._plan(scenario(20, design=design, sides=sides, method=method)).words is words
+        assert (RNG._scipy is None) is words
+
+    @pytest.mark.parametrize(
+        "deltas", [[0.0] * 20, [0.0] * 10 + [0.2, 0.5, 1.0, 2.5, -0.3] * 2, [0.1 * i for i in range(16)]]
+    )
+    @pytest.mark.parametrize("method", [AdjustmentMethod.SIDAK, AdjustmentMethod.HOLM])
+    def test_the_word_route_gives_the_same_estimates_without_scipy(self, deltas, method, monkeypatch):
+        # at most 16 distinct shifts: the plan's conversions stay with the ports
+        s = scenario(len(deltas), nulls=[d == 0.0 for d in deltas], deltas=deltas, method=method, reps=40_000)
+        monkeypatch.setattr(RNG, "_scipy", None)
+        ported = simulate(s)
+        assert RNG._scipy is None
+        RNG.load_scipy()
+        assert ported == simulate(s)
+
     @pytest.mark.parametrize("method", FWER_METHODS, ids=lambda m: m.value)
     @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
     @pytest.mark.parametrize("design", list(DESIGNS), ids=str)
@@ -790,7 +847,7 @@ class TestScratchReuse:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SIM, "CHUNK_REPS", chunk)
             mp.setattr(SIM, "TILE_BYTES", tile_bytes(tile_rows, s.k, workers))
-            mp.setattr(SIM.os, "cpu_count", lambda: 3)
+            mp.setattr(SIM, "_cpus", lambda: 3)
             got, want = simulate(s, threads=threads), p_space_simulate(s)
         # repr also tells a numpy scalar from the Python number it equals
         assert repr(dataclasses.replace(got, elapsed=0.0)) == repr(want)
@@ -813,14 +870,14 @@ class TestScratchReuse:
         monkeypatch.setattr(SIM, "_decide", recorded)
         monkeypatch.setattr(SIM, "CHUNK_REPS", 64)
         # 40-row tiles at k = 5
-        monkeypatch.setattr(SIM, "TILE_BYTES", tile_bytes(40, 5, min(threads, 4, os.cpu_count() or 1)))
+        monkeypatch.setattr(SIM, "TILE_BYTES", tile_bytes(40, 5, min(threads, 4, SIM._cpus())))
         mixed = [0.0, 0.0, 0.3, 0.3, -0.2]
         s = scenario(5, nulls=[d == 0.0 for d in mixed], deltas=mixed, reps=4 * 64,
                      sides=Sides.ONE_SIDED if route == "words" else Sides.TWO_SIDED)
         assert SIM._plan(s).words is (route == "words")
         simulate(s, threads=threads)
         # a pool thread that finds no chunk left makes none
-        assert 1 <= len(made) <= min(threads, os.cpu_count() or 1)
+        assert 1 <= len(made) <= min(threads, SIM._cpus())
         assert len(decided) == 8  # two tiles in each of four chunks
         for rejected, joint in decided:
             owner = [scratch for scratch in made if np.shares_memory(rejected, scratch.block)]
@@ -841,7 +898,7 @@ class TestScratchReuse:
         monkeypatch.setattr(SIM, "_decide", recorded)
         monkeypatch.setattr(SIM, "CHUNK_REPS", 200)
         monkeypatch.setattr(SIM, "TILE_BYTES", 40 * 8 * 6)  # 40-row tiles at k = 5 and one worker
-        monkeypatch.setattr(SIM.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(SIM, "_cpus", lambda: 3)
         mixed = [0.0, 0.0, 0.3, 0.3, -0.2]
         s = scenario(5, nulls=[d == 0.0 for d in mixed], deltas=mixed, reps=3 * 200 + 57, seed=5,
                      sides=Sides.ONE_SIDED if route == "words" else Sides.TWO_SIDED)
