@@ -17,6 +17,7 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import FileFormatError, InvalidBattery
 
@@ -54,13 +55,11 @@ class TestBattery:
     def _fill(self, ids: tuple, raw_p: Sequence[object]) -> None:
         # the one place a battery is checked: parse_battery_text relies on it
         # and names the file line of the entry at fault
-        import numpy as np  # a battery is an array, so importing this module stays light
-
         if len(ids) != len(raw_p):
             raise InvalidBattery(f"{len(ids)} hypothesis ids but {len(raw_p)} p-values")
         p = _checked_columns(ids, raw_p)
-        if p is None:  # some check failed: find the first entry at fault
-            p = np.array(_checked_entries(ids, raw_p), dtype=np.float64)
+        if p is None:  # some check failed: name the first entry at fault
+            _raise_first_fault(ids, raw_p)
         p += 0.0  # -0.0 lies in [0, 1] but would print as negative
         p.flags.writeable = False
         for name, value in (("ids", ids), ("p", p)):
@@ -95,7 +94,7 @@ class TestBattery:
 def _checked_columns(ids: tuple, raw_p: Sequence[object]):
     """The p column as a float64 array if every check passes on the whole
     columns at once, else None."""
-    import numpy as np
+    import numpy as np  # a battery is an array, so importing this module stays light
 
     try:
         unique = set(ids)
@@ -110,10 +109,10 @@ def _checked_columns(ids: tuple, raw_p: Sequence[object]):
     return p
 
 
-def _checked_entries(ids: tuple, raw_p: Sequence[object]) -> list[float]:
-    """The p column, checked entry by entry; raises InvalidBattery naming the
-    first entry at fault."""
-    out = []
+def _raise_first_fault(ids: tuple, raw_p: Sequence[object]) -> NoReturn:
+    """Raise InvalidBattery naming the first entry at fault, for columns that
+    :func:`_checked_columns` refused: it checks the same rules with the same
+    ``float`` and set semantics, so some entry fails here."""
     seen: set[str] = set()
     for index, (hid, raw) in enumerate(zip(ids, raw_p)):
         if not isinstance(hid, str) or not hid:
@@ -129,8 +128,6 @@ def _checked_entries(ids: tuple, raw_p: Sequence[object]) -> list[float]:
             raise InvalidBattery(f"p-value for {hid!r} is not a number: {raw!r}", index) from None
         if not 0.0 <= p <= 1.0:
             raise InvalidBattery(f"p-value for {hid!r} must lie in [0, 1], got {p}", index)
-        out.append(p)
-    return out
 
 
 def _read_text(path: Path) -> str:

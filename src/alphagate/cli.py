@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"alphagate: error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # defensive: a fault of the program, not of its input
         print(f"alphagate: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     try:
@@ -438,7 +438,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"alphagate: error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive: every command renders while it writes
+    except Exception as exc:  # defensive: every command renders while it writes
         print(f"alphagate: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

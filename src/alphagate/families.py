@@ -301,6 +301,27 @@ def validate_family(spec: FamilySpec) -> ValidationReport:
     return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
 
 
+#: The text of each rationale code :func:`classify_testing_mode` gives, in
+#: the order of its rule cascade
+_RATIONALE = {
+    "no-statistical-claim": "the conclusion is not tied to a specific p-value and alpha level, so no alpha "
+        "policy applies",
+    "individual-decisions": "each hypothesis is decided by its own single test, so the per-test alpha stays "
+        "unadjusted regardless of how many tests run side by side",
+    "heap-of-hypotheses": "the declared family has no theoretical or practical relevance as a joint "
+        "hypothesis; a joint inference over it would answer a question nobody is asking",
+    "downgraded-to-individual": "recommending individual testing of the constituents instead; override "
+        "deliberately if the joint hypothesis really is of interest",
+    "conjunction-all-required": "the joint claim needs every constituent test to succeed, which leaves a "
+        "single opportunity to reject the joint null; the per-test alpha equals the joint alpha with no "
+        "adjustment",
+    "disjunction-any-suffices": "any single significant constituent rejects the joint null, so each test is "
+        "an extra opportunity for a false joint rejection; lower the per-test alpha to hold the joint alpha",
+    "not-exchangeable": "constituents are not declared exchangeable; disjunction testing assumes any "
+        "constituent rejection licenses the joint inference equally",
+}
+
+
 def classify_testing_mode(answers: ClassificationInput) -> Recommendation:
     """Deterministic rule cascade from study questions to a testing mode.
 
@@ -311,69 +332,15 @@ def classify_testing_mode(answers: ClassificationInput) -> Recommendation:
     succeed, unadjusted) or disjunction (any success suffices, adjust alpha).
     """
     if not answers.statistical_claim:
-        return Recommendation(
-            mode=None,
-            rationale=(
-                Rationale(
-                    "no-statistical-claim",
-                    "the conclusion is not tied to a specific p-value and alpha level, so "
-                    "no alpha policy applies",
-                ),
-            ),
-        )
-    if not answers.joint_inference:
-        return Recommendation(
-            mode=TestingMode.INDIVIDUAL,
-            rationale=(
-                Rationale(
-                    "individual-decisions",
-                    "each hypothesis is decided by its own single test, so the per-test "
-                    "alpha stays unadjusted regardless of how many tests run side by side",
-                ),
-            ),
-        )
-    if not answers.family_theoretically_relevant:
-        return Recommendation(
-            mode=TestingMode.INDIVIDUAL,
-            rationale=(
-                Rationale(
-                    "heap-of-hypotheses",
-                    "the declared family has no theoretical or practical relevance as a joint "
-                    "hypothesis; a joint inference over it would answer a question nobody is asking",
-                ),
-                Rationale(
-                    "downgraded-to-individual",
-                    "recommending individual testing of the constituents instead; override "
-                    "deliberately if the joint hypothesis really is of interest",
-                ),
-            ),
-        )
-    if answers.all_constituents_required:
-        return Recommendation(
-            mode=TestingMode.CONJUNCTION,
-            rationale=(
-                Rationale(
-                    "conjunction-all-required",
-                    "the joint claim needs every constituent test to succeed, which leaves a "
-                    "single opportunity to reject the joint null; the per-test alpha equals the "
-                    "joint alpha with no adjustment",
-                ),
-            ),
-        )
-    rationale = [
-        Rationale(
-            "disjunction-any-suffices",
-            "any single significant constituent rejects the joint null, so each test is an "
-            "extra opportunity for a false joint rejection; lower the per-test alpha to hold "
-            "the joint alpha",
-        )
-    ]
-    if not answers.exchangeable:
-        rationale.append(
-            Rationale(
-                "not-exchangeable",
-                "constituents are not declared exchangeable; disjunction testing assumes any "
-                "constituent rejection licenses the joint inference equally",
-            )
-        )
-    return Recommendation(mode=TestingMode.DISJUNCTION, rationale=tuple(rationale))
+        mode, codes = None, ["no-statistical-claim"]
+    elif not answers.joint_inference:
+        mode, codes = TestingMode.INDIVIDUAL, ["individual-decisions"]
+    elif not answers.family_theoretically_relevant:
+        mode, codes = TestingMode.INDIVIDUAL, ["heap-of-hypotheses", "downgraded-to-individual"]
+    elif answers.all_constituents_required:
+        mode, codes = TestingMode.CONJUNCTION, ["conjunction-all-required"]
+    else:
+        mode, codes = TestingMode.DISJUNCTION, ["disjunction-any-suffices"]
+        if not answers.exchangeable:
+            codes.append("not-exchangeable")
+    return Recommendation(mode, [Rationale(code, _RATIONALE[code]) for code in codes])

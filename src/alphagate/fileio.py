@@ -216,8 +216,12 @@ def _load_json_object(text: str, source: str) -> dict:
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
-    loc = _Locator(text, source)
-    doc = _section(_load_json_object(text, source), "", _DOCUMENT, ("family", "alpha"), loc)
+    return _scenario_doc(_load_json_object(text, source), _Locator(text, source))
+
+
+def _scenario_doc(obj: dict, loc: _Locator) -> ScenarioDoc:
+    """The scenario document of ``obj``, the loaded JSON of ``loc``'s text."""
+    doc = _section(obj, "", _DOCUMENT, ("family", "alpha"), loc)
     family = _parse_family(doc["family"], loc)
     alpha = _parse_alpha(doc["alpha"], family, loc)
     scenario = _parse_simulation(doc["simulation"], family, alpha, loc) if "simulation" in doc else None
@@ -238,7 +242,7 @@ def parse_classification_text(text: str, source: str = "<classification>") -> Cl
     loc = _Locator(text, source)
     doc = _load_json_object(text, source)
     if "family" in doc or "alpha" in doc or "classification" in doc:
-        parsed = parse_scenario_text(text, source)
+        parsed = _scenario_doc(doc, loc)
         if parsed.classification is None:
             raise FileFormatError(f"{source}: document has no classification section")
         return parsed.classification

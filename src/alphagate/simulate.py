@@ -151,7 +151,7 @@ def p_from_z(z, sides: Sides):
     if sides is Sides.ONE_SIDED:
         result = 0.5 * erfc(z_arr / _SQRT2)
     else:
-        result = np.minimum(erfc(np.abs(z_arr) / _SQRT2), 1.0)
+        result = erfc(np.abs(z_arr) / _SQRT2)  # at most 1, since |z| >= 0
     return float(result) if np.isscalar(z) or np.ndim(z) == 0 else result
 
 

@@ -245,6 +245,37 @@ class TestDecideCommand:
         assert "internal error: MemoryError: no room" in err
         assert target.read_bytes() == b"earlier results\n"
 
+    def test_os_error_of_a_command_exits_3(self, run, monkeypatch):
+        def fail(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "load_battery_file", fail)
+        code, out, err = run(["decide", "--battery", "b.csv", "--mode", "individual", "--alpha", "0.05"])
+        assert (code, out, err) == (3, "", "alphagate: error: [Errno 13] Permission denied: 'b.csv'\n")
+
+    def test_out_naming_a_directory_exits_3(self, run, tmp_path):
+        code, out, err = run(["rates", "--alpha", "0.05", "--k", "2", "--out", str(tmp_path)])
+        assert (code, out) == (3, "")
+        assert err.startswith("alphagate: error: [Errno ") and str(tmp_path) in err
+
+    def test_failure_while_writing_exits_3(self, run, monkeypatch):
+        class Full:
+            def writelines(self, lines):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code, _, err = run(["rates", "--alpha", "0.05", "--k", "2"])
+        assert (code, err) == (3, "alphagate: error: [Errno 28] No space left on device\n")
+
+    def test_render_failure_while_writing_is_an_internal_error(self, run, monkeypatch):
+        # a TSV table renders each block as it is written
+        def fail(*_):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(cli, "_cells", fail)
+        code, out, err = run(["rates", "--alpha", "0.05", "--k", "2"])
+        assert (code, out, err) == (3, "metric\tvalue\n", "alphagate: internal error: MemoryError: no room\n")
+
 
 def reference_cell(value, precision):
     """The per-cell rule of the renderer: fixed-point, except nonzero

@@ -56,6 +56,17 @@ class TestDecision:
             del decision.joint
 
 
+@pytest.mark.parametrize("judge", [
+    lambda entries: decide_individual(entries, 0.05),
+    lambda entries: decide_disjunction(entries, 0.05, AdjustmentMethod.HOLM),
+    lambda entries: decide_conjunction(entries, 0.05),
+    lambda entries: apply_bh(entries, 0.05),
+], ids=["individual", "disjunction", "conjunction", "bh"])
+def test_procedures_refuse_a_non_battery(judge):
+    with pytest.raises(InvalidBattery, match="^expected a TestBattery, got tuple$"):
+        judge((("a", 0.01), ("b", 0.2)))
+
+
 class TestDecideIndividual:
     def test_significant_green(self):
         decision = decide_individual(battery(("green", 0.030)), 0.05)

@@ -1,6 +1,7 @@
 """Family validation and the when-to-adjust classification cascade."""
 
 import copy
+import hashlib
 import itertools
 import math
 import pickle
@@ -125,6 +126,47 @@ def _answers(**kwargs):
     return ClassificationInput(**defaults)
 
 
+ANSWER_NAMES = ("statistical_claim", "joint_inference", "all_constituents_required", "exchangeable",
+                "family_theoretically_relevant")
+
+#: Every answer pattern, as 0/1 in the order of ANSWER_NAMES, with the mode
+#: (- for none) and the rationale codes it is classified to
+ANSWER_PATTERNS = """
+00000 -           no-statistical-claim
+00001 -           no-statistical-claim
+00010 -           no-statistical-claim
+00011 -           no-statistical-claim
+00100 -           no-statistical-claim
+00101 -           no-statistical-claim
+00110 -           no-statistical-claim
+00111 -           no-statistical-claim
+01000 -           no-statistical-claim
+01001 -           no-statistical-claim
+01010 -           no-statistical-claim
+01011 -           no-statistical-claim
+01100 -           no-statistical-claim
+01101 -           no-statistical-claim
+01110 -           no-statistical-claim
+01111 -           no-statistical-claim
+10000 individual  individual-decisions
+10001 individual  individual-decisions
+10010 individual  individual-decisions
+10011 individual  individual-decisions
+10100 individual  individual-decisions
+10101 individual  individual-decisions
+10110 individual  individual-decisions
+10111 individual  individual-decisions
+11000 individual  heap-of-hypotheses downgraded-to-individual
+11001 disjunction disjunction-any-suffices not-exchangeable
+11010 individual  heap-of-hypotheses downgraded-to-individual
+11011 disjunction disjunction-any-suffices
+11100 individual  heap-of-hypotheses downgraded-to-individual
+11101 conjunction conjunction-all-required
+11110 individual  heap-of-hypotheses downgraded-to-individual
+11111 conjunction conjunction-all-required
+"""
+
+
 class TestClassifyTestingMode:
     def test_per_colour_individual(self):
         """20 per-colour inferences, no joint claim: individual, unadjusted."""
@@ -175,6 +217,22 @@ class TestClassifyTestingMode:
             # only a relevant joint claim that any one constituent can carry adjusts
             claim, joint, all_required, _, relevant = bits
             assert rec.adjust_alpha == (claim and joint and relevant and not all_required)
+
+    def test_mode_and_codes_of_every_answer_pattern(self):
+        rows = ANSWER_PATTERNS.split("\n")[1:-1]
+        patterns = ["".join(map(str, bits)) for bits in itertools.product((0, 1), repeat=5)]
+        assert [row.split()[0] for row in rows] == patterns
+        for row in rows:
+            bits, mode, *codes = row.split()
+            rec = classify_testing_mode(ClassificationInput(**dict(zip(ANSWER_NAMES, (bit == "1" for bit in bits)))))
+            assert (rec.mode.value if rec.mode else "-", [r.code for r in rec.rationale]) == (mode, codes), bits
+
+    def test_rationale_texts_of_every_answer_pattern(self):
+        # pins every rationale text, byte for byte, in the order given
+        recs = [classify_testing_mode(ClassificationInput(**dict(zip(ANSWER_NAMES, bits))))
+                for bits in itertools.product((False, True), repeat=5)]
+        digest = hashlib.sha256(repr(recs).encode()).hexdigest()
+        assert digest == "59cdbaa4579082edb056dfc7309012d07a6ee174135f888e8f13f024833a9f9e"
 
     def test_adjust_alpha_follows_the_mode(self):
         for mode in (None, *TestingMode):
@@ -288,6 +346,11 @@ class TestTestBattery:
         for battery in (TestBattery((("a", raw), ("b", 0.5))), TestBattery.from_columns(["a", "b"], [raw, "0.5"])):
             assert math.copysign(1.0, battery.p[0]) == 1.0
             assert battery.entries == (("a", 0.0), ("b", 0.5))
+
+    def test_equality_with_another_type_is_left_to_it(self):
+        battery = TestBattery((("a", 0.1),))
+        assert battery.__eq__((("a", 0.1),)) is NotImplemented
+        assert battery != (("a", 0.1),) and battery != battery.entries
 
     def test_columns_and_entries_agree(self):
         battery = TestBattery.from_columns(["b", "a"], ["0.2", 0.1])

@@ -126,6 +126,12 @@ def test_package_simulate_is_the_function(prelude):
     assert fresh(f"{prelude}\nfrom alphagate import simulate\nprint(type(simulate).__name__)") == "function"
 
 
+def test_dir_lists_every_public_name():
+    names = dir(alphagate)
+    assert names == sorted(names)
+    assert set(alphagate.__all__) <= set(names) and "__version__" in names
+
+
 def test_star_import_binds_all_names():
     count = fresh(
         "from alphagate import *\nimport alphagate\n"

@@ -211,6 +211,13 @@ class TestSampleStatistics:
 
 
 class TestScenarioValidation:
+    def test_simulator_entry_points_refuse_a_non_scenario(self):
+        fields = dataclasses.asdict(scenario(2))
+        with pytest.raises(InvalidScenario, match="^expected a Scenario, got dict$"):
+            simulate(fields)
+        with pytest.raises(InvalidScenario, match="^expected a Scenario, got dict$"):
+            sample_statistics(fields, 0)
+
     def test_delta_must_vanish_on_true_nulls(self):
         with pytest.raises(InvalidScenario):
             scenario(2, nulls=[True, False], deltas=[0.5, 0.5])
