@@ -6,9 +6,13 @@ quote is read by the csv module, which is imported only then, and a quoted
 cell may then span lines. Every check of an entry lives in
 :class:`TestBattery`; the reader names the file line of the entry at fault.
 
-This module imports numpy only when a battery is built, and neither the
-scenario types of :mod:`alphagate.families` nor the JSON reader of
-:mod:`alphagate.fileio`, so ``decide`` loads only what it runs.
+A battery of at most :data:`SMALL_ROWS` rows holds its p-values as a list
+of floats, and :mod:`alphagate.decisions` and ``decide`` judge and render
+it in plain Python; a larger one holds a float64 array. So this module
+imports numpy only for a larger battery, or on the first access of a small
+one's ``p``, and never the scenario types of :mod:`alphagate.families` or
+the JSON reader of :mod:`alphagate.fileio`: ``decide`` loads only what it
+runs.
 """
 
 from __future__ import annotations
@@ -17,9 +21,23 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import FileFormatError, InvalidBattery
+from .validators import is_bool
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: A battery of at most this many rows is checked, judged and rendered in
+#: plain Python, and a larger one with numpy; both routes give the same
+#: bits. With numpy already loaded, an in-process ``decide`` costs the same
+#: on both at about 160-220 rows (2-vCPU Xeon, median over 61 alternating
+#: rounds of the four modes in both formats: Python 0.88 vs numpy 0.91 ms at
+#: 128 rows, 1.06-1.09 vs 1.04-1.11 ms at 192, 1.19 vs 1.13 ms at 256, 3.00
+#: vs 2.46 ms at 1,000), so at this size no in-process caller loses, and a
+#: cold ``decide`` on a smaller battery never pays numpy's import.
+SMALL_ROWS = 192
 
 #: A tab or any character ``str.splitlines`` breaks at: none may sit in an id,
 #: so every id is one cell of a TSV row
@@ -33,11 +51,15 @@ class TestBattery:
     strings free of tabs and line breaks, and ``p``, a read-only float64
     array of p-values in [0, 1]. ``TestBattery(entries)`` takes (id, p)
     pairs, each a tuple or list, and :meth:`from_columns` the two columns;
-    p may be given as numbers or numeric strings, and a p-value of -0 is
-    stored as 0. ``entries`` is built from the columns on each access.
+    p may be given as numbers or numeric strings, but not as bools, and a
+    p-value of -0 is stored as 0. ``entries`` is built from the columns on
+    each access. A battery of at most :data:`SMALL_ROWS` rows builds ``p``
+    on its first access, which may import numpy.
     """
 
-    __slots__ = ("ids", "p")
+    #: ``_column`` is the p column as the battery was built: a list of floats
+    #: for at most SMALL_ROWS rows, else ``p`` itself; ``_p`` caches ``p``
+    __slots__ = ("ids", "_column", "_p")
 
     def __init__(self, entries: Iterable[tuple[str, object]] = ()) -> None:
         entries = tuple(entries)
@@ -60,16 +82,14 @@ class TestBattery:
         p = _checked_columns(ids, raw_p)
         if p is None:  # some check failed: name the first entry at fault
             _raise_first_fault(ids, raw_p)
-        p += 0.0  # -0.0 lies in [0, 1] but would print as negative
-        p.flags.writeable = False
-        for name, value in (("ids", ids), ("p", p)):
+        for name, value in (("ids", ids), ("_column", p), ("_p", None if isinstance(p, list) else p)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"TestBattery is immutable; cannot set {name!r}")
 
     def __reduce__(self):  # copy and pickle rebuild through the checks
-        return TestBattery.from_columns, (self.ids, self.p)
+        return TestBattery.from_columns, (self.ids, self.pvalues)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -83,29 +103,68 @@ class TestBattery:
         return hash((self.ids, self.pvalues))
 
     @property
+    def p(self) -> np.ndarray:
+        if self._p is None:  # a small battery builds its array on first access
+            object.__setattr__(self, "_p", as_array(self._column, "float64"))
+        return self._p
+
+    @property
     def entries(self) -> tuple[tuple[str, float], ...]:
-        return tuple(zip(self.ids, self.p.tolist()))
+        return tuple(zip(self.ids, as_list(self._column)))
 
     @property
     def pvalues(self) -> tuple[float, ...]:
-        return tuple(self.p.tolist())
+        return tuple(as_list(self._column))
+
+
+def as_list(column) -> list:
+    """A column as a list of Python values: a small battery's columns are
+    lists already, and a larger one's arrays are converted."""
+    return column if isinstance(column, list) else column.tolist()
+
+
+def as_array(column, dtype: str):
+    """A column as an array: a list becomes a new read-only array of
+    ``dtype``, and an array is returned as it is."""
+    if not isinstance(column, list):
+        return column
+    import numpy as np  # only an array needs it, so a small battery never loads it
+
+    array = np.array(column, dtype)
+    array.flags.writeable = False
+    return array
 
 
 def _checked_columns(ids: tuple, raw_p: Sequence[object]):
-    """The p column as a float64 array if every check passes on the whole
-    columns at once, else None."""
-    import numpy as np  # a battery is an array, so importing this module stays light
-
+    """The p column, with -0.0 stored as 0.0, if every check passes on the
+    whole columns at once, else None: a list of floats for at most
+    :data:`SMALL_ROWS` rows, else a read-only float64 array."""
+    small = len(raw_p) <= SMALL_ROWS
     try:
         unique = set(ids)
         breaks = _ID_BREAKS.search("".join(ids))  # TypeError for an id that is no str
-        p = np.fromiter(map(float, raw_p), np.float64, len(raw_p))
+        if small:
+            p = [float(raw) + 0.0 for raw in raw_p]  # -0.0 lies in [0, 1] but would print as negative
+        else:
+            import numpy as np
+
+            p = np.fromiter(map(float, raw_p), np.float64, len(raw_p))
+            p += 0.0
     except (TypeError, ValueError, OverflowError):
         return None
     if len(unique) != len(ids) or "" in unique or breaks:
         return None
-    if len(p) and not (0.0 <= p.min() and p.max() <= 1.0):  # also false for nan
+    if small:
+        in_range = all(0.0 <= x <= 1.0 for x in p)  # false for nan
+        edges = [i for i, x in enumerate(p) if x == 0.0 or x == 1.0]
+    else:
+        in_range = not len(p) or (0.0 <= p.min() and p.max() <= 1.0)
+        edges = np.flatnonzero((p == 0.0) | (p == 1.0)).tolist()
+    # float() takes a bool as 0.0 or 1.0, so only those entries can be one
+    if not in_range or any(is_bool(raw_p[i]) for i in edges):
         return None
+    if not small:
+        p.flags.writeable = False
     return p
 
 
@@ -123,6 +182,8 @@ def _raise_first_fault(ids: tuple, raw_p: Sequence[object]) -> NoReturn:
             raise InvalidBattery(f"duplicate hypothesis id {hid!r}", index)
         seen.add(hid)
         try:
+            if is_bool(raw):  # a bool is no real, though float() takes it
+                raise TypeError
             p = float(raw)
         except (TypeError, ValueError, OverflowError):
             raise InvalidBattery(f"p-value for {hid!r} is not a number: {raw!r}", index) from None

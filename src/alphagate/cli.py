@@ -16,9 +16,11 @@ notation so tiny thresholds stay legible.
 
 Each command imports its callees when it runs; importing this module loads
 only what the parser needs. So numpy and scipy load only where a subcommand
-calls them: ``decide`` loads numpy, ``simulate`` both; the others, ``power``
-included, load neither. ``decide`` reads its battery through
-:mod:`alphagate.battery`, and loads neither the scenario types nor ``json``.
+calls them: ``decide`` loads numpy for a battery of more than
+:data:`~alphagate.battery.SMALL_ROWS` rows, whose columns are arrays, and
+``simulate`` both; the others, ``power`` included, load neither. ``decide``
+reads its battery through :mod:`alphagate.battery`, and loads neither the
+scenario types nor ``json``.
 The parser is built for the subcommand an argv names: every subcommand is
 listed, with its help line, but only that one gets a parser and arguments.
 """
@@ -119,7 +121,10 @@ def _cells(column, precision: int, pretty: bool):
         if (column.view("u8") == column.view("u8")[0]).all():  # by bits: -0.0 is not 0.0
             return _real_cells(column[:1], precision, pretty)[0]
         return _real_cells(column, precision, pretty) if pretty else column
-    formatted = iter(_real_cells([v for v in column if isinstance(v, float)], precision, pretty))
+    reals = [v for v in column if isinstance(v, float)]
+    if len(reals) == len(column):  # decide's columns of a small battery
+        return _real_cells(reals, precision, pretty)
+    formatted = iter(_real_cells(reals, precision, pretty))
     return [next(formatted) if isinstance(v, float) else ("true" if v else "false") if isinstance(v, bool) else str(v)
             for v in column]
 
@@ -233,8 +238,9 @@ def _cmd_power(args) -> Iterator[str]:
 def _cmd_decide(args) -> Iterator[str]:
     if args.method is not None and args.mode != "disjunction":
         raise DomainError(f"--method only applies to --mode disjunction, not {args.mode!r}")
-    # resolved before the battery loads numpy: imported after it, decisions
-    # and rates raise a small decide's peak RSS by about 0.4 MiB
+    # resolved before a large battery loads numpy: imported after it,
+    # decisions and rates raise a 1,000-row decide's peak RSS by about 0.35
+    # MiB (a battery on the plain-Python route loads no numpy)
     load, procedure = _callee("load_battery_file"), _callee(_PROCEDURES[args.mode])
     battery = load(args.battery)
     notes_extra: list[str] = []
@@ -249,13 +255,17 @@ def _cmd_decide(args) -> Iterator[str]:
     else:
         decision = procedure(battery, args.alpha)
 
-    ids, p, thresholds, rejected = decision.ids, battery.p, decision.thresholds, decision.rejected
+    from .battery import as_list
+
+    # the columns as the battery's route holds them: lists for a small
+    # battery, which _table renders without numpy, else arrays
+    ids, p, thresholds, rejected = decision.ids, battery._column, decision._thresholds, decision._rejected
     verdicts = ("retain", "reject")
 
     def blocks() -> Iterator[list]:
         for lo in range(0, len(ids), BLOCK_ROWS):
             hi = lo + BLOCK_ROWS
-            judged = tuple(map(verdicts.__getitem__, rejected[lo:hi].tolist()))
+            judged = tuple(map(verdicts.__getitem__, as_list(rejected[lo:hi])))
             yield ["test", ids[lo:hi], p[lo:hi], thresholds[lo:hi], judged]
         yield ["joint", "", "", "", (decision.joint.value,)]
 

@@ -20,8 +20,11 @@ conjunction testing), the Bonferroni or Sidak level, ``alpha / (k - i + 1)``
 (Holm and Hochberg) or ``i * q / m`` (Benjamini-Hochberg, whose last
 step is exactly q). :func:`reject` meets a batch of batteries with those
 thresholds: single-step, step-down (Holm: reject up to the first failure)
-or step-up (Hochberg and BH: reject up to the last pass). The rules above judge a one-row batch; the simulator
-takes its joint thresholds from the same :func:`steps`.
+or step-up (Hochberg and BH: reject up to the last pass). The rules above
+judge a battery of more than :data:`~alphagate.battery.SMALL_ROWS` rows as
+a one-row batch, and a smaller one by the same steps in plain Python, with
+the same thresholds bit for bit, so that judging it never imports numpy;
+the simulator takes its joint thresholds from the same :func:`steps`.
 
 Throughout, a test is significant when ``p <= threshold`` (rejection at
 equality). Ties in p are ordered stably by battery position, which never
@@ -35,7 +38,7 @@ from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .battery import TestBattery
+from .battery import TestBattery, as_array, as_list
 from .enums import FWER_METHODS, AdjustmentMethod, TestingMode
 from .errors import InvalidBattery, InvalidMethod
 from .rates import bonferroni_adjust, sidak_adjust
@@ -59,7 +62,10 @@ class Decision:
     by id, as dicts built on first access. ``joint`` is NOT_APPLICABLE
     exactly when the mode makes no joint claim. ``notes`` carries stable
     advisory codes (documented in the README). A decision is read-only;
-    two are equal when every field is, and it has no hash.
+    two are equal when every field is, and it has no hash. A decision on a
+    battery of at most :data:`~alphagate.battery.SMALL_ROWS` rows holds its
+    two columns as lists and builds each read-only array on its first
+    access, which may import numpy.
     """
 
     __match_args__ = ("mode", "ids", "rejected", "thresholds", "joint", "notes")
@@ -75,7 +81,8 @@ class Decision:
     ) -> None:
         # a plain class, not a dataclass, so that a cold ``decide`` process
         # does not import dataclasses, nor inspect through it
-        for name, value in zip(self.__match_args__, (mode, ids, rejected, thresholds, joint, notes)):
+        fields = ("mode", "ids", "_rejected", "_thresholds", "joint", "notes")
+        for name, value in zip(fields, (mode, ids, rejected, thresholds, joint, notes)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -89,19 +96,30 @@ class Decision:
         return f"{type(self).__qualname__}({fields})"
 
     def _key(self) -> tuple:
-        return self.mode, self.ids, self.rejected.tolist(), self.thresholds.tolist(), self.joint, self.notes
+        return self.mode, self.ids, as_list(self._rejected), as_list(self._thresholds), self.joint, self.notes
 
     def __eq__(self, other) -> bool:
         return self._key() == other._key() if isinstance(other, Decision) else NotImplemented
 
+    def __reduce__(self):  # copy and pickle hold lists, whichever route judged the battery
+        return type(self), self._key()
+
+    @cached_property
+    def rejected(self) -> np.ndarray:
+        return as_array(self._rejected, "bool")
+
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        return as_array(self._thresholds, "float64")
+
     @cached_property
     def per_hypothesis(self) -> dict[str, Verdict]:
         verdicts = (Verdict.RETAIN, Verdict.REJECT)
-        return dict(zip(self.ids, map(verdicts.__getitem__, self.rejected.tolist())))
+        return dict(zip(self.ids, map(verdicts.__getitem__, as_list(self._rejected))))
 
     @cached_property
     def thresholds_used(self) -> dict[str, float]:
-        return dict(zip(self.ids, self.thresholds.tolist()))
+        return dict(zip(self.ids, as_list(self._thresholds)))
 
 
 #: Advisory note attached to every disjunction decision: constituent-level
@@ -112,9 +130,22 @@ NOTE_FDR_NOT_FWER = "fdr-control-not-fwer"
 _SINGLE_STEP = (AdjustmentMethod.NONE, AdjustmentMethod.BONFERRONI, AdjustmentMethod.SIDAK)
 
 
+def _level(method: AdjustmentMethod, alpha: float, k: int) -> float:
+    """The one threshold of a single-step method."""
+    if method is AdjustmentMethod.BONFERRONI:
+        return bonferroni_adjust(alpha, k)
+    if method is AdjustmentMethod.SIDAK:
+        return sidak_adjust(alpha, k)
+    if method is not AdjustmentMethod.NONE:
+        raise InvalidMethod(f"unknown adjustment method {method!r}")
+    return alpha
+
+
 def steps(method: AdjustmentMethod, alpha: float, k: int) -> np.ndarray:
     """Threshold that the i-th smallest of k p-values faces, i = 1..k."""
-    import numpy as np  # only the kernel needs numpy, so importing decisions stays light
+    # the simulator and batteries of more than SMALL_ROWS rows need numpy;
+    # importing decisions, and judging a smaller battery, stays light
+    import numpy as np
 
     if method is AdjustmentMethod.HOLM or method is AdjustmentMethod.HOCHBERG:
         return alpha / np.arange(k, 0, -1, dtype=np.float64)
@@ -124,13 +155,7 @@ def steps(method: AdjustmentMethod, alpha: float, k: int) -> np.ndarray:
         # would let Hochberg reject a battery that BH retains
         t[-1] = alpha
         return t
-    if method is AdjustmentMethod.BONFERRONI:
-        alpha = bonferroni_adjust(alpha, k)
-    elif method is AdjustmentMethod.SIDAK:
-        alpha = sidak_adjust(alpha, k)
-    elif method is not AdjustmentMethod.NONE:
-        raise InvalidMethod(f"unknown adjustment method {method!r}")
-    return np.full(k, alpha)
+    return np.full(k, _level(method, alpha, k))
 
 
 def reject(p: np.ndarray, alpha: float, method: AdjustmentMethod) -> tuple[np.ndarray, np.ndarray]:
@@ -155,17 +180,41 @@ def reject(p: np.ndarray, alpha: float, method: AdjustmentMethod) -> tuple[np.nd
     return rejected, thresholds
 
 
-def _judge(
-    battery: TestBattery, alpha: float, name: str, method: AdjustmentMethod
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rejections and thresholds, in battery order, of one battery."""
+def _judge(battery: TestBattery, alpha: float, name: str, method: AdjustmentMethod) -> tuple:
+    """Rejections and thresholds, in battery order, of one battery: lists
+    for a battery that holds its p column as a list, else read-only arrays."""
     if not isinstance(battery, TestBattery):
         raise InvalidBattery(f"expected a TestBattery, got {type(battery).__name__}")
     if len(battery) == 0:
         raise InvalidBattery("battery holds no tests")
     alpha = real(alpha, name, 0, 1)
-    rejected, thresholds = (column[0] for column in reject(battery.p[None, :], alpha, method))
+    p = battery._column
+    if isinstance(p, list):
+        return _reject_list(p, alpha, method)
+    rejected, thresholds = (column[0] for column in reject(p[None, :], alpha, method))
     rejected.flags.writeable = thresholds.flags.writeable = False
+    return rejected, thresholds
+
+
+def _reject_list(p: list[float], alpha: float, method: AdjustmentMethod) -> tuple[list[bool], list[float]]:
+    """:func:`reject` of one battery given as a list, in plain Python: the
+    thresholds of :func:`steps`, bit for bit, and its stable order."""
+    k = len(p)
+    if method in _SINGLE_STEP:
+        level = _level(method, alpha, k)
+        return [x <= level for x in p], [level] * k
+    if method is AdjustmentMethod.BENJAMINI_HOCHBERG:
+        t = [(i * alpha) / k for i in range(1, k)] + [alpha]
+    else:  # Holm, Hochberg
+        t = [alpha / float(k - i) for i in range(k)]
+    order = sorted(range(k), key=p.__getitem__)  # stable: ties keep battery order
+    if method is AdjustmentMethod.HOLM:  # step down: every rank before the first failure
+        n = next((rank for rank, (i, s) in enumerate(zip(order, t)) if p[i] > s), k)
+    else:  # step up: every rank up to the last pass
+        n = next((rank + 1 for rank in range(k - 1, -1, -1) if p[order[rank]] <= t[rank]), 0)
+    rejected, thresholds = [False] * k, [0.0] * k
+    for rank, i in enumerate(order):
+        rejected[i], thresholds[i] = rank < n, t[rank]
     return rejected, thresholds
 
 
@@ -197,7 +246,7 @@ def decide_disjunction(
             f"({', '.join(m.value for m in FWER_METHODS)}), got {getattr(method, 'value', method)!r}"
         )
     rejected, thresholds = _judge(battery, alpha_joint, "alpha_joint", method)
-    triggered = ",".join(compress(battery.ids, rejected.tolist()))
+    triggered = ",".join(compress(battery.ids, as_list(rejected)))
     notes = (NOTE_JOINT_INFERENCE_ONLY,) + ((f"triggered-by={triggered}",) if triggered else ())
     joint = Verdict.REJECT if triggered else Verdict.RETAIN
     return Decision(TestingMode.DISJUNCTION, battery.ids, rejected, thresholds, joint, notes)
@@ -212,7 +261,7 @@ def decide_conjunction(battery: TestBattery, alpha_joint: float) -> Decision:
     is not on offer either).
     """
     rejected, thresholds = _judge(battery, alpha_joint, "alpha_joint", AdjustmentMethod.NONE)
-    joint = Verdict.REJECT if rejected.all() else Verdict.RETAIN
+    joint = Verdict.RETAIN if False in rejected else Verdict.REJECT
     return Decision(TestingMode.CONJUNCTION, battery.ids, rejected, thresholds, joint)
 
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import alphagate
+from alphagate import battery as battery_module
 from alphagate import cli, simulate
 from alphagate.battery import parse_battery_text
 from alphagate.cli import main
@@ -391,6 +392,29 @@ class TestDecideRender:
             assert lines[-1] == "note   triggered-by=" + ",".join(f"h{i:03d}" for i in range(rejected))
             lengths.append({len(line) for line in lines if line.startswith("test")})
         assert lengths[0] == lengths[1] and len(lengths[0]) == 1
+
+
+class TestDecideRoutes:
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    @pytest.mark.parametrize("precision", [0, 6, 17])
+    def test_stdout_is_the_same_on_both_routes(self, run, tmp_path, monkeypatch, precision, fmt):
+        # batteries about the route limit, whose rows hold every method's
+        # steps, the edges of the per-cell rule and ties
+        small_rows = battery_module.SMALL_ROWS
+        rng = np.random.default_rng(precision)
+        for k in (1, 3, small_rows, small_rows + 1):
+            values = np.concatenate([EDGE_VALUES, *(steps(m, 0.05, k) for m in AdjustmentMethod), rng.random(k)])
+            path = tmp_path / f"b{k}.csv"
+            path.write_text("id,p\n" + "".join(f"t{i},{v!r}\n" for i, v in enumerate(rng.choice(values, k).tolist())),
+                            encoding="utf-8")
+            for args, _, _ in DECIDE_MODES:
+                argv = ["decide", "--battery", str(path), "--alpha", "0.05", "--precision", str(precision),
+                        "--format", fmt, *args]
+                outs = []
+                for limit in (10**9, 0):
+                    monkeypatch.setattr(battery_module, "SMALL_ROWS", limit)
+                    outs.append(run(argv))
+                assert outs[0] == outs[1] and outs[0][0] == 0, (k, args)
 
 
 def reference_rows(argv):

@@ -1,6 +1,7 @@
 """Decision rules: worked examples, boundary behaviour, and set-dominance laws."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -20,6 +21,7 @@ from alphagate.decisions import (
     reject,
     steps,
 )
+from alphagate import battery as battery_module
 from alphagate.errors import DomainError, InvalidBattery, InvalidMethod
 from alphagate.families import AdjustmentMethod, TestBattery
 from alphagate.rates import bonferroni_adjust, sidak_adjust
@@ -291,6 +293,32 @@ class TestProcedureDominance:
 M = AdjustmentMethod
 
 
+def rules(b, alpha):
+    """(decision, the method its thresholds follow) of every mode/method of ``decide``."""
+    return [
+        (decide_individual(b, alpha), M.NONE),
+        (decide_conjunction(b, alpha), M.NONE),
+        (apply_bh(b, alpha), M.BENJAMINI_HOCHBERG),
+    ] + [(decide_disjunction(b, alpha, method), method) for method in (M.BONFERRONI, M.SIDAK, M.HOLM, M.HOCHBERG)]
+
+
+def assert_rules_equal_reference(b, alpha):
+    for decision, method in rules(b, alpha):
+        rejected, thresholds = reference(list(b.pvalues), alpha, method)
+        hits = [hid for hid, r in zip(b.ids, rejected) if r]
+        assert list(decision.per_hypothesis) == list(b.ids)
+        assert rejected_ids(decision) == set(hits)
+        assert list(decision.thresholds_used.values()) == thresholds
+        assert all(type(t) is float for t in decision.thresholds_used.values())
+        if decision.mode.value == "disjunction":
+            assert (decision.joint is Verdict.REJECT) == bool(hits)
+            assert decision.notes == (NOTE_JOINT_INFERENCE_ONLY,) + (
+                (f"triggered-by={','.join(hits)}",) if hits else ()
+            )
+        elif decision.mode.value == "conjunction":
+            assert (decision.joint is Verdict.REJECT) == all(rejected)
+
+
 def reference(pvalues, alpha, method):
     """(rejected, thresholds) in battery order, by explicit loops over the
     stably sorted p-values."""
@@ -386,28 +414,11 @@ class TestKernel:
     @EXAMPLES
     @given(batteries())
     def test_decide_rules_equal_reference(self, battery):
-        """Every mode/method of ``decide``: verdicts, thresholds, joint and notes."""
+        """Every mode/method of ``decide``: verdicts, thresholds, joint and
+        notes. k <= 24 here, so this reaches only the plain-Python route;
+        :class:`TestRoutes` takes both."""
         p, alpha = battery
-        b = numbered(p[0].tolist())
-        rules = [
-            (decide_individual(b, alpha), M.NONE),
-            (decide_conjunction(b, alpha), M.NONE),
-            (apply_bh(b, alpha), M.BENJAMINI_HOCHBERG),
-        ] + [(decide_disjunction(b, alpha, method), method) for method in (M.BONFERRONI, M.SIDAK, M.HOLM, M.HOCHBERG)]
-        for decision, method in rules:
-            rejected, thresholds = reference(list(b.pvalues), alpha, method)
-            hits = [hid for hid, r in zip(b.ids, rejected) if r]
-            assert list(decision.per_hypothesis) == list(b.ids)
-            assert rejected_ids(decision) == set(hits)
-            assert list(decision.thresholds_used.values()) == thresholds
-            assert all(type(t) is float for t in decision.thresholds_used.values())
-            if decision.mode.value == "disjunction":
-                assert (decision.joint is Verdict.REJECT) == bool(hits)
-                assert decision.notes == (NOTE_JOINT_INFERENCE_ONLY,) + (
-                    (f"triggered-by={','.join(hits)}",) if hits else ()
-                )
-            elif decision.mode.value == "conjunction":
-                assert (decision.joint is Verdict.REJECT) == all(rejected)
+        assert_rules_equal_reference(numbered(p[0].tolist()), alpha)
 
     def test_steps_sequences(self):
         assert steps(M.NONE, 0.05, 3).tolist() == [0.05] * 3
@@ -422,3 +433,69 @@ class TestKernel:
         assert steps(M.BENJAMINI_HOCHBERG, q, 3).tolist() == [1 * q / 3, 2 * q / 3, q]
         with pytest.raises(InvalidMethod):
             steps("holm", 0.05, 3)
+
+
+# -- the plain-Python and the numpy route ---------------------------------------
+
+N = battery_module.SMALL_ROWS
+#: battery sizes on both sides of the route limit, and a few small ones
+SIZES = [1, 2, 3, 7, N - 1, N, N + 1]
+#: the q whose last BH step k * q / k rounds below q at k = 3
+LAST_STEP_Q = 0.365580679783838
+ALPHAS = [0.05, LAST_STEP_Q, 1e-300]
+#: route -> the SMALL_ROWS that takes every battery here to it
+ROUTES = {"list": 10**9, "array": 0}
+
+
+def edge_pvalues(k, alpha, seed):
+    """k p-values: uniform draws, draws near the thresholds, values exactly on
+    some method's step, 0, 1, -0.0 and subnormals, and ties among them."""
+    rng = np.random.default_rng(seed)
+    on_steps = np.concatenate([steps(method, alpha, k) for method in M] + [[0.0, -0.0, 1.0, 5e-324, 2.2e-308]])
+    cells = [
+        rng.uniform(size=k),
+        rng.uniform(0.0, min(1.0, 2.0 * alpha), size=k),
+        rng.choice(on_steps, size=k),
+        rng.choice(rng.choice(on_steps, size=3), size=k),
+    ]
+    return np.choose(rng.integers(0, len(cells), size=k), cells).tolist()
+
+
+def route_batteries():
+    """(size, alpha, p-values) of every case, the last-step BH case among them."""
+    cases = [(k, alpha, edge_pvalues(k, alpha, seed)) for seed, (k, alpha) in
+             enumerate((k, alpha) for k in SIZES for alpha in ALPHAS)]
+    cases += [(3, LAST_STEP_Q, [0.0, 0.0, LAST_STEP_Q]), (N + 1, LAST_STEP_Q, [0.0] * N + [LAST_STEP_Q])]
+    return [pytest.param(*case, id=f"k{case[0]}-alpha{case[1]:g}-{i}") for i, case in enumerate(cases)]
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("k, alpha, pvalues", route_batteries())
+    def test_decide_rules_equal_reference(self, k, alpha, pvalues):
+        b = numbered(pvalues)
+        assert isinstance(b._column, list) == (k <= N)
+        assert_rules_equal_reference(b, alpha)
+
+    @pytest.mark.parametrize("k, alpha, pvalues", route_batteries())
+    def test_routes_agree(self, monkeypatch, k, alpha, pvalues):
+        judged = {}
+        for route, limit in ROUTES.items():
+            monkeypatch.setattr(battery_module, "SMALL_ROWS", limit)
+            b = numbered(pvalues)
+            assert isinstance(b._column, list) == (route == "list")
+            judged[route] = b, [decision for decision, _ in rules(b, alpha)]
+        (small, small_decisions), (large, large_decisions) = judged.values()
+        assert small == large and hash(small) == hash(large) and small.entries == large.entries
+        assert pickle.dumps(small) == pickle.dumps(large)
+        for one, other in zip(small_decisions, large_decisions):
+            assert one == other and pickle.dumps(one) == pickle.dumps(other)
+            assert list(one.per_hypothesis.items()) == list(other.per_hypothesis.items())
+            assert list(one.thresholds_used.items()) == list(other.thresholds_used.items())
+            assert repr(one) == repr(other)
+        for b, decisions in judged.values():
+            assert b.p.dtype == np.float64 and not b.p.flags.writeable and b.p is b.p
+            assert b.p.tolist() == list(b.pvalues) and all(math.copysign(1.0, x) == 1.0 for x in b.pvalues)
+            for decision in decisions:
+                assert decision.rejected.dtype == np.bool_ and decision.thresholds.dtype == np.float64
+                assert not decision.rejected.flags.writeable and not decision.thresholds.flags.writeable
+                assert decision.rejected is decision.rejected

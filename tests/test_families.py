@@ -7,8 +7,10 @@ import math
 import pickle
 import re
 
+import numpy as np
 import pytest
 
+from alphagate import battery as battery_module
 from alphagate.families import (
     AdjustmentMethod,
     AlphaConfig,
@@ -330,6 +332,20 @@ class TestTestBattery:
         with pytest.raises(InvalidBattery, match=f"p-value for 'x' is not a number: {re.escape(repr(raw))}") as err:
             TestBattery((("a", "0.5"), ("x", raw)))
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("small_rows", [battery_module.SMALL_ROWS, 0], ids=["list", "array"])
+    @pytest.mark.parametrize("raw", [True, False, np.True_, np.False_], ids=["true", "false", "np-true", "np-false"])
+    def test_bool_p_value_names_entry(self, monkeypatch, small_rows, raw):
+        # float() takes a bool as 1.0 or 0.0, but a bool is no real; 0, 1 and
+        # their strings stay p-values
+        monkeypatch.setattr(battery_module, "SMALL_ROWS", small_rows)
+        message = f"p-value for 'x' is not a number: {re.escape(repr(raw))}"
+        for build in (lambda: TestBattery((("a", 0), ("b", "1"), ("x", raw), ("c", 1.0))),
+                      lambda: TestBattery.from_columns(["a", "b", "x", "c"], [0, "1", raw, 1.0])):
+            with pytest.raises(InvalidBattery, match=message) as err:
+                build()
+            assert err.value.index == 2
+        assert TestBattery((("a", 0), ("b", "1"), ("c", 1.0))).pvalues == (0.0, 1.0, 1.0)
 
     def test_checks_run_in_entry_order(self):
         # a duplicate is reported before its own bad p, and a bad p before a

@@ -1,5 +1,6 @@
 """Import weight: numpy, scipy and each alphagate submodule load only where
-they are called (scipy only for the simulator's large array conversions),
+they are called (numpy only for batteries of more than ``SMALL_ROWS`` rows
+and the simulator, scipy only for the simulator's large array conversions),
 and the package attribute ``simulate`` stays the function.
 Each case runs in a fresh interpreter, since this process has long imported
 everything."""
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import alphagate
+from alphagate.battery import SMALL_ROWS
 
 SRC = str(Path(alphagate.__file__).resolve().parents[1])
 HEAVY = ("numpy", "scipy")
@@ -63,18 +65,24 @@ def inputs(tmp_path):
     }), encoding="utf-8")
     battery = tmp_path / "battery.csv"
     battery.write_text("id,p\na,0.01\nb,0.2\n", encoding="utf-8")
-    return {"scenario": str(scenario), "headline": str(headline), "battery": str(battery),
+    # one row past the plain-Python route
+    large = tmp_path / "large.csv"
+    large.write_text("id,p\n" + "".join(f"h{i},{i / (SMALL_ROWS + 1)!r}\n" for i in range(SMALL_ROWS + 1)),
+                     encoding="utf-8")
+    return {"scenario": str(scenario), "headline": str(headline), "battery": str(battery), "large": str(large),
             "out": str(tmp_path / "out.tsv")}
 
 
-#: argv (with {scenario}/{headline}/{battery} filled in) -> the heavy libraries it loads,
-#: and the alphagate submodules it loads besides :data:`CLI`
+#: argv (with {scenario}/{headline}/{battery}/{large} filled in) -> the heavy libraries
+#: it loads, and the alphagate submodules it loads besides :data:`CLI`
 COMMANDS = [
     (["rates", "--alpha", "0.05", "--k", "20"], [], ["rates"]),
     (["adjust", "--alpha", "0.05", "--k", "20", "--method", "sidak"], [], ["rates"]),
     (["table1", "--t", "20", "--h", "4", "--alpha", "0.05"], [], ["rates"]),
     (["classify", "--input", "{scenario}"], [], ["battery", "families", "fileio"]),
-    (["decide", "--battery", "{battery}", "--mode", "disjunction", "--alpha", "0.05", "--method", "holm"], ["numpy"],
+    (["decide", "--battery", "{battery}", "--mode", "disjunction", "--alpha", "0.05", "--method", "holm"], [],
+     ["battery", "decisions", "rates"]),
+    (["decide", "--battery", "{large}", "--mode", "disjunction", "--alpha", "0.05", "--method", "holm"], ["numpy"],
      ["battery", "decisions", "rates"]),
     (["power", "--alpha", "0.05", "--delta", "0.5", "--n", "64", "--k", "3", "--conjunction"], [], ["normal", "rates"]),
     (["simulate", "--scenario", "{scenario}", "--threads", "1"], ["numpy", "scipy"],
@@ -85,18 +93,20 @@ COMMANDS = [
 
 
 def command_id(argv: list[str]) -> str:
-    return argv[0] + ("-headline" if "{headline}" in argv else "")
+    return argv[0] + ("-headline" if "{headline}" in argv else "-large" if "{large}" in argv else "")
 
 
-#: subcommand -> the standard-library modules it must not load: dataclasses,
+#: command id -> the standard-library modules it must not load: dataclasses,
 #: and inspect through it, cost a cold process milliseconds, and json is the
-#: scenario reader's. numpy imports inspect itself, so decide may load it.
+#: scenario reader's. numpy imports inspect itself, so decide on a large
+#: battery may load it.
 UNLOADED = {
     "rates": ["dataclasses", "inspect", "json"],
     "adjust": ["dataclasses", "inspect", "json"],
     "table1": ["dataclasses", "inspect", "json"],
     "power": ["dataclasses", "inspect", "json"],
-    "decide": ["dataclasses", "json"],
+    "decide": ["dataclasses", "inspect", "json"],
+    "decide-large": ["dataclasses", "json"],
 }
 
 
@@ -107,10 +117,11 @@ def test_subcommands_load_only_what_they_call(inputs, argv, heavy, modules, fmt)
     assert loaded_by(argv) == (heavy, sorted(CLI + modules))
 
 
-@pytest.mark.parametrize("argv", [pytest.param(case[0], id=case[0][0]) for case in COMMANDS if case[0][0] in UNLOADED])
+@pytest.mark.parametrize("argv", [pytest.param(case[0], id=command_id(case[0])) for case in COMMANDS
+                                  if command_id(case[0]) in UNLOADED])
 def test_arithmetic_and_decide_load_no_dataclasses_or_json(inputs, argv):
+    unloaded = UNLOADED[command_id(argv)]
     argv = [arg.format(**inputs) for arg in argv] + ["--format", "pretty", "--out", inputs["out"]]
-    unloaded = UNLOADED[argv[0]]
     # modules the interpreter loaded at start-up do not count
     assert fresh(
         f"import sys\nbefore = set(sys.modules)\nfrom alphagate.cli import main\nassert main({argv!r}) == 0\n"
