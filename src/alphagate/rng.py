@@ -12,6 +12,11 @@ addressed by a counter, so parallel scheduling can never change results.
 Reference sequence from seed 0 (first outputs):
 ``e220a8397b1dcdaf 6e789e6aa1b965f4 06c45d188009454f``.
 
+The mix ends with ``z ^= z >> 31``, which leaves the top 31 bits of z as
+they are. :func:`_premixed_block` stops before that step, so its states hold
+the top 31 bits of :func:`word_block`'s words (``>> 33``) for a caller that
+needs no more of them, as the simulator's word route does.
+
 Uniforms take the top 53 bits of a mixed word plus a half-ulp offset; the
 one word whose top bits are all ones would round to exactly 1.0 and is
 capped at the largest double below 1, so uniforms lie strictly inside
@@ -129,15 +134,24 @@ def derive_rep_seed(seed: int, rep: int) -> int:
     return mix64(seed + (rep + 1) * GOLDEN_GAMMA)
 
 
-def _mix64_array(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Mix a uint64 array into ``out`` (a new array when None) and return it;
-    ``state`` serves as the scratch of the shifts and is overwritten."""
+def _premix64_array(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The SplitMix64 mix of a uint64 array up to its last xorshift, into
+    ``out`` (a new array when None); ``state`` serves as the scratch of the
+    shifts and is overwritten. The last step, ``z ^= z >> 31``, leaves the
+    top 31 bits as they are, so these are already those of the words."""
     z = np.right_shift(state, _SHIFT30, out=out)
     z ^= state
     z *= _U64_MULT1
     np.right_shift(z, _SHIFT27, out=state)
     z ^= state
     z *= _U64_MULT2
+    return z
+
+
+def _mix64_array(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mix a uint64 array into ``out`` (a new array when None) and return it;
+    ``state`` serves as the scratch of the shifts and is overwritten."""
+    z = _premix64_array(state, out)
     np.right_shift(z, _SHIFT31, out=state)
     z ^= state
     return z
@@ -148,10 +162,8 @@ def rep_seed_block(seed: int, start: int, count: int, out=None, scratch=None) ->
 
     ``out`` receives the seeds and ``scratch``, a uint64 array of the same
     length, is overwritten; each is a new array when None."""
-    state = np.empty(count, dtype=np.uint64) if scratch is None else scratch
-    state.fill(_U64_GAMMA)
-    # the running sums are (rep - start + 1) * gamma, modulo 2**64 like the states
-    np.cumsum(state, out=state)
+    # (rep - start + 1) * gamma, modulo 2**64 like the states
+    state = np.multiply(np.arange(1, count + 1, dtype=np.uint64), _U64_GAMMA, out=scratch)
     state += np.uint64((seed + start * GOLDEN_GAMMA) & _MASK64)
     return _mix64_array(state, out)
 
@@ -163,9 +175,20 @@ def word_block(seeds: np.ndarray, draws: int, out=None, scratch=None) -> np.ndar
     ``out`` receives the words and ``scratch``, a uint64 array of the same
     shape, is overwritten; each is a new array when None. Either may be the
     transpose of a (draws, len(seeds)) array."""
+    return _mix64_array(_states(seeds, draws, scratch), out)
+
+
+def _states(seeds: np.ndarray, draws: int, out=None) -> np.ndarray:
+    """The unmixed states of :func:`word_block`'s words, in ``out`` (a new
+    array when None)."""
     counters = np.arange(1, draws + 1, dtype=np.uint64) * _U64_GAMMA
-    state = np.add(np.asarray(seeds, dtype=np.uint64)[:, None], counters, out=scratch)
-    return _mix64_array(state, out)
+    return np.add(np.asarray(seeds, dtype=np.uint64)[:, None], counters, out=out)
+
+
+def _premixed_block(seeds: np.ndarray, draws: int, out=None, scratch=None) -> np.ndarray:
+    """:func:`word_block`'s words before their last xorshift, with the same
+    ``out`` and ``scratch``: each word's top 31 bits, ``>> 33``."""
+    return _premix64_array(_states(seeds, draws, scratch), out)
 
 
 def uniform_from_words(words: np.ndarray, out=None) -> np.ndarray:

@@ -62,7 +62,12 @@ between are sorted and compared with the reversed cutoff vector. Under the
 independent design with one-sided tests and a single-step rule, z = shift +
 ndtri(u(word)) only grows with the top 53 bits of the word, so the screen's
 conversion (below) turns each band into word tops per distinct shift, and
-the chunks compare raw SplitMix64 words: no ndtri either.
+the chunks compare SplitMix64 words: no ndtri either. They compare each
+word's top 31 bits, which its state holds before the mix's last xorshift
+(:mod:`alphagate.rng`), so that step is skipped. Each band on word tops
+[L, U) widens to [L >> 22, ceil(U / 2**22)) on those bits, 2**31 standing
+for never; a draw that ties an edge goes to the fallback, about once in
+2**30 draws per band.
 
 On every other run (the z route) a screen spares ndtri the draws that
 cannot matter. Every joint threshold is at most alpha, so a statistic below
@@ -107,7 +112,17 @@ from .errors import DomainError, InvalidScenario
 # the scenario types live in families, which needs no numpy; they stay
 # importable from here
 from .families import AdjustmentMethod, Design, Scenario, Sides, TestingMode  # noqa: F401
-from .rng import erfc, load_scipy, ndtr, ndtri, normal_block, normal_from_words, rep_seed_block, word_block
+from .rng import (
+    _premixed_block,
+    erfc,
+    load_scipy,
+    ndtr,
+    ndtri,
+    normal_block,
+    normal_from_words,
+    rep_seed_block,
+    word_block,
+)
 from .validators import MAX_THREADS, N_MAX, integer, real
 
 _SQRT2 = math.sqrt(2.0)
@@ -253,6 +268,11 @@ _P_ZERO = math.sqrt(2.0 * math.log(np.finfo(np.float64).max))
 #: A uniform is made of the top 53 bits of a word.
 _WORD_DROP = np.uint64(11)
 _TOPS = 1 << 53
+#: The word route judges the top 31 bits of each word, which its state
+#: before the last xorshift of the mix already holds: a state's bits from
+#: bit 33 on, a word top's from bit 22 on.
+_STATE_DROP = np.uint64(33)
+_TOP_DROP = 22
 #: Relative margin of every conversion of a z edge into word tops, in z and
 #: in the uniform: far above the error of ndtr, ndtri and the rounding of z's
 #: assembly.
@@ -383,8 +403,10 @@ def _screens(scenario: Scenario, distinct: np.ndarray, counts: np.ndarray, cut: 
 
 @dataclass(frozen=True)
 class _Plan:
-    """How one run decides. With ``words`` the statistics are the word tops
-    of the draws; otherwise they are z (|z| when two-sided). Either way a
+    """How one run decides. With ``words`` the statistics are the top 31
+    bits of the draws' words, read off their states before the mix's last
+    xorshift, and the bands are on those bits; otherwise the statistics are
+    z (|z| when two-sided). Either way a
     tile holds them test-major, (k, rows). ``test`` bands each test's
     decision at alpha. ``joint`` bands the disjunction: a scalar band meets
     each replication's maximum, a (k, 1) column of bands, one per test,
@@ -436,8 +458,12 @@ def _plan(scenario: Scenario) -> _Plan:
     # every test has the same cutoffs, or a column of them per test
     column = 0 if distinct.size == 1 else np.searchsorted(distinct, shift)[:, None]
     tops = _word_bands(distinct, z.lower[:2], z.upper[:2])
-    test = _Band(tops.lower[column, 0], tops.upper[column, 0])
-    joint = _Band(tops.lower[column, 1], tops.upper[column, 1])
+    # a word top's 31-bit head: the lower edge rounds down and the upper one
+    # up, so each band only widens, and 2**31 stands for never
+    lower = (tops.lower >> _TOP_DROP).astype(np.uint32)
+    upper = ((tops.upper + (1 << _TOP_DROP) - 1) >> _TOP_DROP).astype(np.uint32)
+    test = _Band(lower[column, 0], upper[column, 0])
+    joint = _Band(lower[column, 1], upper[column, 1])
     return _Plan(words, hochberg, shift, test, joint, None)
 
 
@@ -449,8 +475,10 @@ class _Scratch:
     allocates nothing of that size.
 
     The tile views are test-major: (draws, tile) for the statistics ``stats``
-    (uint64 words on the word route, float64 z on the z route) and the
-    uint64 working memory ``bits`` (the z route's words), (k, tile) for the
+    (float64 z on the z route, the uint64 states before the mix's last
+    xorshift on the word route) and the uint64 working memory ``bits`` (the
+    z route's words; on the word route the mixing's scratch, then in its
+    head the statistics, the states' uint32 top 31 bits), (k, tile) for the
     booleans ``rejected`` and ``mask``.
     ``top``, of the statistics' type, ``maybe``, ``joint`` and, for
     Hochberg, ``cut`` (the bracket's retain cut) hold one value per
@@ -475,7 +503,7 @@ class _Scratch:
     def __init__(self, plan: _Plan, scenario: Scenario, tile: int, chunk: int):
         k = scenario.k
         draws = _draws(scenario)  # k on the word route, whose design is independent
-        stat_type = np.uint64 if plan.words else np.float64
+        stat_type = np.uint32 if plan.words else np.float64
         count_type = np.min_scalar_type(k)
         # the screen gathers its kept draws in pieces of this length: at least
         # k, so that a one-row tile, as at large k and few reps, is one piece
@@ -488,7 +516,7 @@ class _Scratch:
             "ratio": ((piece,), np.float64),
             "flags": ((chunk,), np.bool_),
             "counts": ((k,), np.min_scalar_type(tile)),
-            "stats": ((draws, tile), stat_type),
+            "stats": ((draws, tile), np.uint64 if plan.words else np.float64),
             "bits": ((draws, tile), np.uint64),
             "rejected": ((k, tile), np.bool_),
             "mask": ((k, tile), np.bool_),
@@ -613,9 +641,13 @@ def _decide(
     k, sides, alpha = scenario.k, scenario.sides, scenario.alpha_joint
     rows = len(seeds)
     if plan.words:
-        # word_block fills (rows, k); its transposes make the tile test-major
-        x = word_block(seeds, k, _head(scratch.stats, rows).T, _head(scratch.bits, rows).T).T
-        np.right_shift(x, _WORD_DROP, out=x)
+        # the top 31 bits of each word, from its state before the mix's last
+        # xorshift; _premixed_block fills (rows, k), and its transposes make
+        # the tile test-major. As uint32 they take half the memory traffic of
+        # every compare and maximum below
+        state = _premixed_block(seeds, k, _head(scratch.stats, rows).T, _head(scratch.bits, rows).T).T
+        x = _carve(scratch.bits.view(np.uint32), state.shape)
+        np.right_shift(state, _STATE_DROP, out=x, casting="unsafe")
     else:
         x = _screened_z(plan, scenario, seeds, scratch)
 

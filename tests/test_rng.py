@@ -90,6 +90,44 @@ def test_vectorized_block_matches_scalar():
         assert int(block[offset]) == derive_rep_seed(987654321, 100 + offset)
 
 
+def test_block_matches_scalar_across_the_wrap():
+    # seed + rep * gamma passes 2**64 many times over from start 2**40 on
+    seed, start = 2**64 - 1, 2**40
+    out, scratch = np.empty(64, dtype=np.uint64), np.empty(64, dtype=np.uint64)
+    block = rep_seed_block(seed, start, 64, out, scratch)
+    assert block is out
+    assert block.tolist() == [derive_rep_seed(seed, start + offset) for offset in range(64)]
+    assert rep_seed_block(seed, start, 0).size == 0
+
+
+def finish(states):
+    """The last xorshift of the mix, z ^ (z >> 31)."""
+    return states ^ (states >> np.uint64(31))
+
+
+def test_the_mix_before_its_last_xorshift_holds_the_top_31_bits_of_the_words():
+    states = np.concatenate([
+        np.random.default_rng(13).integers(0, 2**64, size=10_000, dtype=np.uint64),
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+    ])
+    words = RNG._mix64_array(states.copy())
+    premixed = RNG._premix64_array(states.copy())
+    assert words.tolist() == [mix64(int(state)) for state in states]
+    assert np.array_equal(finish(premixed), words)
+    assert np.array_equal(premixed >> np.uint64(33), words >> np.uint64(33))
+
+
+def test_premixed_block_finishes_to_the_reference_words():
+    premixed = RNG._premixed_block(np.array([0], dtype=np.uint64), 3)[0]
+    assert finish(premixed).tolist() == PUBLISHED_FROM_SEED_0
+    assert (premixed >> np.uint64(33)).tolist() == [word >> 33 for word in PUBLISHED_FROM_SEED_0]
+    seeds = rep_seed_block(17, 0, 50)
+    out, scratch = np.empty((6, 50), dtype=np.uint64), np.empty((6, 50), dtype=np.uint64)
+    premixed = RNG._premixed_block(seeds, 6, out.T, scratch.T)
+    assert np.shares_memory(premixed, out)
+    assert np.array_equal(finish(premixed), word_block(seeds, 6))
+
+
 def test_mix64_wraps_to_64_bits():
     assert 0 <= mix64(2**64 + 5) < 2**64
     assert mix64(2**64 + 5) == mix64(5)

@@ -757,6 +757,20 @@ class TestThresholdRoute:
         assert rows and np.all(in_band[rows])
         assert 0 < sum(stats) <= s.k * len(rows) and len(rows) <= 2 * np.count_nonzero(in_band) < s.reps
 
+    def test_the_benchmark_shape_redraws_a_handful_of_replications(self, monkeypatch):
+        # k = 20 true nulls, one-sided Sidak at 0.05, 2**16 replications: a
+        # statistic ties a 31-bit edge about once in 2**30 draws per band, so
+        # a run redraws about 0.003 replications. An edge rounded the wrong
+        # way would send whole tiles to _z_block: right, but slow
+        redrawn, z_block = [], SIM._z_block
+        monkeypatch.setattr(SIM, "_z_block",
+                            lambda sc, seeds, shift: redrawn.append(len(seeds)) or z_block(sc, seeds, shift))
+        for seed in (1, 2, 3):
+            s = scenario(20, n=2, reps=2**16, seed=seed)
+            assert SIM._plan(s).words
+            simulate(s)
+        assert sum(redrawn) <= 3
+
     def test_equals_p_value_route_at_full_chunks(self):
         reps = CHUNK_REPS + 1001
         mixed = [0.0] * 6 + [0.4] * 7 + [-0.2] * 7
@@ -1198,13 +1212,19 @@ class TestBandPremises:
         assert np.all(p_from_z(np.concatenate([below, [cap - 1e-10]]), sides) > 0)
 
 
+def unmix_last(words):
+    """The states before the mix's last xorshift, z ^ (z >> 31), that give
+    ``words``: the xorshift undone."""
+    return words ^ (words >> np.uint64(31)) ^ (words >> np.uint64(62))
+
+
 class TestInsideBands:
     """Statistics planted inside and around every band: the decisions must
     still equal the p-value route's, so the in-band fallback is exact. They
     are planted where the tile's statistics are made, in the tile's own
-    memory: ``_screened_z`` writes ``scratch.stats``, ``word_block`` its
-    ``out``. Both fallbacks draw their replications again with ``_z_block``,
-    which hands back the planted rows of the seeds it gets."""
+    memory: ``_screened_z`` writes ``scratch.stats``, ``_premixed_block``
+    its ``out``. Both fallbacks draw their replications again with
+    ``_z_block``, which hands back the planted rows of the seeds it gets."""
 
     @staticmethod
     def near(edges, rng, shape, reach=300):
@@ -1214,17 +1234,16 @@ class TestInsideBands:
         return edges[pick] + offsets
 
     @staticmethod
-    def check(s, plan, z, monkeypatch):
-        """Decide one tile of len(z) replications; the joint fallback, which
-        judges a whole replication on its p-values, must run."""
-        fallbacks = []
+    def decide(s, plan, z, monkeypatch):
+        """Decide one tile of len(z) replications, whose redraws give the rows
+        of ``z``; the decisions and the redrawn rows, one array per call."""
+        redrawn = []
 
-        def counted(p, alpha, method):
-            fallbacks.append(len(p))
-            return reject(p, alpha, method)
+        def z_block(scenario, seeds, shift):
+            redrawn.append(seeds.astype(np.intp))
+            return z[redrawn[-1]]
 
-        monkeypatch.setattr(SIM, "reject", counted)
-        monkeypatch.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z[seeds.astype(np.intp)])
+        monkeypatch.setattr(SIM, "_z_block", z_block)
         scratch = SIM._Scratch(plan, s, len(z), 1)
         counts = np.empty(len(z), dtype=np.uint8)
         rejected, joint = SIM._decide(plan, s, np.arange(len(z), dtype=np.uint64), scratch, counts)
@@ -1232,8 +1251,24 @@ class TestInsideBands:
         p = p_from_z(z, s.sides)
         assert np.array_equal(rejected.T, p <= s.alpha_joint)
         assert np.array_equal(counts, (p <= s.alpha_joint).sum(axis=1))
-        assert np.array_equal(joint, p_space_joint(p, s.alpha_joint, s.method))
+        return rejected, joint, redrawn
+
+    @classmethod
+    def check(cls, s, plan, z, monkeypatch):
+        """Decide one tile of len(z) replications; the joint fallback, which
+        judges a whole replication on its p-values, must run. The redrawn
+        rows, one array per call."""
+        fallbacks = []
+
+        def counted(p, alpha, method):
+            fallbacks.append(len(p))
+            return reject(p, alpha, method)
+
+        monkeypatch.setattr(SIM, "reject", counted)
+        _, joint, redrawn = cls.decide(s, plan, z, monkeypatch)
+        assert np.array_equal(joint, p_space_joint(p_from_z(z, s.sides), s.alpha_joint, s.method))
         assert fallbacks and sum(fallbacks) < len(z)
+        return redrawn
 
     @pytest.mark.parametrize("method", FWER_METHODS, ids=lambda m: m.value)
     @pytest.mark.parametrize("sides", list(Sides), ids=lambda s: s.value)
@@ -1278,23 +1313,75 @@ class TestInsideBands:
         assert plan.words
         # a scalar band when every shift is equal, else a column of them per test
         assert np.ndim(plan.joint.upper) == (0 if len(set(deltas)) == 1 else 2)
+        # the plan's edges on the top 31 bits of a word, where 2**31 is never
         edges = np.stack([np.broadcast_to(b, (k, 1))[:, 0] for b in (
-            plan.test.lower, plan.test.upper, plan.joint.lower, plan.joint.upper)])
+            plan.test.lower, plan.test.upper, plan.joint.lower, plan.joint.upper)]).astype(np.int64)
+        if deltas[-1] == -3.0:
+            assert edges.min() == 0 and edges.max() == 2**31
+
+        # words whose 53-bit tops lie near the bands on word tops the edges round
+        z_bands = SIM._z_bands(np.array([s.alpha_joint, SIM.steps(method, s.alpha_joint, k)[0]]), s.sides)
+        bands = SIM._word_bands(plan.shift, z_bands.lower, z_bands.upper)
+        fine = np.stack([bands.lower[:, 0], bands.upper[:, 0], bands.lower[:, 1], bands.upper[:, 1]])
         pick = rng.integers(0, 4, size=(3000, k))
-        tops = edges[pick, np.arange(k)].astype(np.int64) + rng.integers(-300, 300, size=(3000, k))
+        tops = fine[pick, np.arange(k)].astype(np.int64) + rng.integers(-300, 300, size=(3000, k))
         tops = np.clip(tops, 0, 2**53 - 1).astype(np.uint64)
         words = (tops << np.uint64(11)) | rng.integers(0, 2048, size=tops.shape, dtype=np.uint64)
-        inside = (tops >= edges[0]) & (tops < edges[1])
+        inside = (tops >= fine[0]) & (tops < fine[1])
         assert inside.any()
+        # and states whose top 31 bits are at every edge, and a step to either side
+        pick = rng.integers(0, 4, size=(1200, k))
+        heads = edges[pick, np.arange(k)] + rng.integers(-1, 2, size=pick.shape)
+        heads = np.clip(heads, 0, 2**31 - 1).astype(np.uint64)
+        tied = (heads << np.uint64(33)) | rng.integers(0, 2**33, size=heads.shape, dtype=np.uint64)
+        states = np.concatenate([unmix_last(words), tied])
+        words = states ^ (states >> np.uint64(31))
+        assert np.array_equal(unmix_last(words), states)
         z = plan.shift + ndtri(uniform_from_words(words.copy()))
 
         def plant(seeds, draws, out, scratch):
             # out is the (rows, k) transpose of the test-major tile
-            np.copyto(out, words)
+            np.copyto(out, states)
             return out
 
-        monkeypatch.setattr(SIM, "word_block", plant)
-        self.check(s, plan, z, monkeypatch)
+        monkeypatch.setattr(SIM, "_premixed_block", plant)
+        redrawn = self.check(s, plan, z, monkeypatch)
+
+        # exactly the replications with a statistic in a band are redrawn,
+        # and a tie with an edge is in its band
+        head = (states >> np.uint64(33)).astype(np.int64)
+        in_test = ((head >= edges[0]) & (head < edges[1])).any(axis=1)
+        # the joint band holds a replication that reaches some test's lower edge and no upper one
+        in_joint = (head >= edges[2]).any(axis=1) & ~(head >= edges[3]).any(axis=1)
+        ties = ((head == edges[0]) & (edges[0] < edges[1])).any(axis=1)
+        assert ties[3000:].any() and not np.any(ties & ~in_test)
+        assert np.array_equal(np.unique(np.concatenate(redrawn)), np.flatnonzero(in_test | in_joint))
+
+    @pytest.mark.parametrize("route", ["words", "z"])
+    def test_a_redrawn_p_value_at_alpha_rejects(self, route, monkeypatch):
+        # alpha is exactly the p-value of one redrawn statistic z0, which
+        # p_from_z(z0) <= alpha rejects and p_from_z(z0) < alpha would not
+        k, rows, rng = 3, 8, np.random.default_rng(10)
+        words = rng.integers(0, 2**64, size=(rows, k), dtype=np.uint64)
+        words[3, 1] = np.uint64((int(0.975 * 2**53) << 11) | 0x3A5)
+        z = ndtri(uniform_from_words(words.copy()))
+        if route == "words":
+            sides, design = Sides.ONE_SIDED, Design.independent()
+        else:
+            sides, design = Sides.TWO_SIDED, Design.equicorrelated(0.3)
+            z[3, 1] = -z[3, 1]  # the tile holds |z0|, the redraw z0 itself
+        alpha = p_from_z(float(z[3, 1]), sides)
+        s = scenario(k, alpha=alpha, design=design, sides=sides, method=AdjustmentMethod.BONFERRONI)
+        plan = SIM._plan(s)
+        assert plan.words is (route == "words")
+        if plan.words:
+            states = unmix_last(words)
+            monkeypatch.setattr(SIM, "_premixed_block", lambda seeds, draws, out, scratch: np.copyto(out, states) or out)
+        else:
+            monkeypatch.setattr(SIM, "_screened_z",
+                                lambda plan, scenario, seeds, scratch: np.abs(z.T, out=SIM._head(scratch.stats, rows)[-k:]))
+        rejected, _, redrawn = self.decide(s, plan, z, monkeypatch)
+        assert rejected[1, 3] and 3 in redrawn[0]
 
 
 @st.composite
