@@ -1,10 +1,12 @@
 """Batteries of p-values: the :class:`TestBattery` type and its CSV reader.
 
 Battery files are CSV with the exact header ``id,p`` and one hypothesis per
-row. A text with no ``"`` is split at line breaks and commas; one with a
-quote is read by the csv module, which is imported only then, and a quoted
-cell may then span lines. Every check of an entry lives in
-:class:`TestBattery`; the reader names the file line of the entry at fault.
+row. A text with no ``"`` whose every line after the header holds one
+comma, a shape that one byte pass over those lines checks, is split at
+line breaks and commas; any other text is read by the csv module, which
+is imported only then, and a quoted cell may then span lines. Every check
+of an entry lives in :class:`TestBattery`; the reader names the file line
+of the entry at fault.
 
 A battery of at most :data:`SMALL_ROWS` rows holds its p-values as a list
 of floats, and :mod:`alphagate.decisions` and ``decide`` judge and render
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -42,6 +43,8 @@ SMALL_ROWS = 192
 #: A tab or any character ``str.splitlines`` breaks at: none may sit in an id,
 #: so every id is one cell of a TSV row
 _ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+#: every byte but ',' and '\n', which the quote-free reader's shape check deletes
+_NOT_SHAPE = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 class TestBattery:
@@ -266,12 +269,17 @@ def _csv_rows(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
 
 def parse_battery_text(text: str, source: str = "<battery>") -> TestBattery:
     lines = text.splitlines()
-    rows = lines[1:]
-    if '"' not in text and rows and set(map(str.count, rows, repeat(","))) == {1}:
-        # every line after the header is one quote-free 'id,p' row
+    body = "\n".join(lines[1:]) if '"' not in text else ""
+    # one byte pass checks that every line after the header holds one comma:
+    # UTF-8 writes ',' and '\n' only for those characters, so the bytes left
+    # after deleting all others must be one ',' per line, '\n' between lines
+    shape = b",\n" * (len(lines) - 2) + b","
+    if body and body.encode("utf-8", "surrogatepass").translate(None, _NOT_SHAPE) == shape:
         _check_header(lines[0].split(","), source)
-        cells = ",".join(rows).split(",")  # whole columns at once: no object per row
-        del lines, rows  # the lines are dead now; freeing them lowers decide's peak memory by a fifth
+        del lines  # freeing the lines before the columns are built lowers decide's peak memory
+        body = body.replace("\n", ",")
+        cells = body.split(",")  # whole columns at once: no object per row
+        del body
         return _battery(list(map(str.strip, cells[0::2])), cells[1::2], range(2, len(cells) // 2 + 2), source)
     return _battery_from_rows(_csv_rows(text, source), source)
 

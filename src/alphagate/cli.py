@@ -23,6 +23,8 @@ reads its battery through :mod:`alphagate.battery`, and loads neither the
 scenario types nor ``json``.
 The parser is built for the subcommand an argv names: every subcommand is
 listed, with its help line, but only that one gets a parser and arguments.
+Each such parser is built once per process and reused by later in-process
+calls of :func:`main`.
 """
 
 from __future__ import annotations
@@ -114,19 +116,37 @@ def _real_cells(values, precision: int, pretty: bool) -> list[str]:
 
 
 def _cells(column, precision: int, pretty: bool):
-    """A float64 array as the cell of its one double if it holds one, else as
-    it is in TSV and as its cells in pretty; a list of values as its cells: a
-    real by :func:`_real_cells`, a bool as true or false, else by ``str()``."""
+    """A float64 array as the cell of its one double if it holds one; else, in
+    TSV, a float64 array or a list of floats as it is, for the row templates;
+    else a tuple of its cells: a real by :func:`_real_cells`, a bool as true
+    or false, else by ``str()``."""
     if not isinstance(column, list):
         if (column.view("u8") == column.view("u8")[0]).all():  # by bits: -0.0 is not 0.0
             return _real_cells(column[:1], precision, pretty)[0]
-        return _real_cells(column, precision, pretty) if pretty else column
+        return tuple(_real_cells(column, precision, pretty)) if pretty else column
     reals = [v for v in column if isinstance(v, float)]
     if len(reals) == len(column):  # decide's columns of a small battery
-        return _real_cells(reals, precision, pretty)
+        return tuple(_real_cells(reals, precision, pretty)) if pretty else column
     formatted = iter(_real_cells(reals, precision, pretty))
-    return [next(formatted) if isinstance(v, float) else ("true" if v else "false") if isinstance(v, bool) else str(v)
-            for v in column]
+    return tuple(next(formatted) if isinstance(v, float) else ("true" if v else "false") if isinstance(v, bool)
+                 else str(v) for v in column)
+
+
+class _Choice:
+    """A column of one of two labels per row, ``labels[flag]`` for bool
+    ``flags`` (an array or a list), which the row templates spell out."""
+
+    def __init__(self, labels: tuple[str, str], flags) -> None:
+        self.labels, self.flags = labels, flags
+
+
+def _fold(codes, flags):
+    """``2 * codes + flags`` row by row, so that a row's flags, read as a
+    binary number, index its template; a block's reals and choices are all
+    arrays or all lists."""
+    if codes is None:
+        return flags
+    return [2 * code + flag for code, flag in zip(codes, flags)] if isinstance(flags, list) else 2 * codes + flags
 
 
 def _rows(*rows: list) -> list[list]:
@@ -140,40 +160,54 @@ def _table(header: list[str], blocks: Callable[[], Iterable[list]], args, notes:
 
     A block is a list of columns, one per header cell: a str is one cell
     repeated down the block, a tuple holds str cells that print as they
-    are, and a float64 array or a list of values goes through
-    :func:`_cells`. No cell holds a tab or a line break. Pretty column
+    are, a :class:`_Choice` one of two labels per row, and a float64 array
+    or a list of values goes through :func:`_cells`; some column is neither
+    a str nor a choice. No cell holds a tab or a line break. Pretty column
     widths are sized here, before any file is opened, by a first call of
     ``blocks()``; the notes do not size them, so a long note runs past its
     column. Each block is formatted as it is taken, by one ``%`` pass over
-    row templates: a str column adds its cell to them, any other ``%s``,
-    and a TSV float64 array fixed-point or scientific notation."""
+    row templates: a str column adds its cell to every template, a choice
+    column one template per label, TSV reals (a float64 array or a list of
+    floats) one per notation, fixed-point or scientific, and a tuple
+    ``%s``."""
     pretty = args.format == "pretty"
 
     def cells(block: list) -> tuple[int, list]:
-        rows = len(next(column for column in block if not isinstance(column, str)))
-        return rows, [c if isinstance(c, (str, tuple)) else _cells(c, args.precision, pretty) for c in block]
+        rows = len(next(column for column in block if not isinstance(column, (str, _Choice))))
+        return rows, [c if isinstance(c, (str, tuple, _Choice)) else _cells(c, args.precision, pretty) for c in block]
 
     fields, sep, reals = ["%s"] * len(header), "\t", [f"%.{args.precision}f", f"%.{args.precision}e"]
     if pretty:
         widths = list(map(len, header))
         for rows, columns in map(cells, blocks()):
-            if rows:
-                widths = [max(w, len(c) if isinstance(c, str) else max(map(len, c))) for w, c in zip(widths, columns)]
+            if rows:  # a choice column is as wide as its longer label
+                widths = [max(w, len(c) if isinstance(c, str) else max(map(len, getattr(c, "labels", c))))
+                          for w, c in zip(widths, columns)]
         fields, sep = [f"%-{w}s" for w in widths], "  "
 
     def text(rows: int, columns: list) -> str:
-        templates, varying, codes = [""], [], 0
+        templates, varying, codes = [""], [], None
         for c, f in zip(columns, fields):
-            if not isinstance(c, (str, tuple, list)):  # a row's tiny flags, read as a binary number, index its template
-                codes, c, f = 2 * codes + ((c != 0.0) & (abs(c) < SCI_BELOW)), c.tolist(), reals
-            specs = [(f % c).replace("%", "%%")] if isinstance(c, str) else f if f is reals else [f]
+            if isinstance(c, _Choice):
+                codes, specs = _fold(codes, c.flags), [(f % label).replace("%", "%%") for label in c.labels]
+            elif isinstance(c, str):
+                specs = [(f % c).replace("%", "%%")]
+            else:
+                if isinstance(c, list):  # TSV reals: a row's tiny flag picks the notation
+                    codes, f = _fold(codes, [x != 0.0 and abs(x) < SCI_BELOW for x in c]), reals
+                elif not isinstance(c, tuple):  # array methods keep numpy out of this module's imports
+                    codes, c, f = _fold(codes, (c != 0.0) & (abs(c) < SCI_BELOW)), c.tolist(), reals
+                specs = f if f is reals else [f]
+                varying.append(c)
             templates = [t + sep + spec for t in templates for spec in specs]
-            varying += [] if isinstance(c, str) else [c]
         values = [None] * (rows * len(varying))
         for j, column in enumerate(varying):
             values[j :: len(varying)] = column
         templates = [t[len(sep) :] + "\n" for t in templates]
-        out = ("".join(map(templates.__getitem__, codes.tolist())) if len(templates) > 1 else templates[0] * rows) % tuple(values)
+        if codes is None:
+            out = templates[0] * rows % tuple(values)
+        else:
+            out = "".join(map(templates.__getitem__, codes if isinstance(codes, list) else codes.tolist())) % tuple(values)
         return "\n".join(map(str.rstrip, out.split("\n"))) if pretty else out
 
     def write() -> Iterator[str]:
@@ -255,8 +289,6 @@ def _cmd_decide(args) -> Iterator[str]:
     else:
         decision = procedure(battery, args.alpha)
 
-    from .battery import as_list
-
     # the columns as the battery's route holds them: lists for a small
     # battery, which _table renders without numpy, else arrays
     ids, p, thresholds, rejected = decision.ids, battery._column, decision._thresholds, decision._rejected
@@ -265,8 +297,7 @@ def _cmd_decide(args) -> Iterator[str]:
     def blocks() -> Iterator[list]:
         for lo in range(0, len(ids), BLOCK_ROWS):
             hi = lo + BLOCK_ROWS
-            judged = tuple(map(verdicts.__getitem__, as_list(rejected[lo:hi])))
-            yield ["test", ids[lo:hi], p[lo:hi], thresholds[lo:hi], judged]
+            yield ["test", ids[lo:hi], p[lo:hi], thresholds[lo:hi], _Choice(verdicts, rejected[lo:hi])]
         yield ["joint", "", "", "", (decision.joint.value,)]
 
     notes = ["note", (*decision.notes, *notes_extra), "", "", ""]
@@ -419,11 +450,21 @@ def _build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
+#: subcommand an argv names, or None -> (the ``_subparser`` its parser was built with, the parser)
+_PARSERS: dict[str | None, tuple[Callable, _Parser]] = {}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the subcommand is the first argument that names one: no top-level
     # option takes a value, and a positional ahead of it is refused first
-    parser = _build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    # built once per process, as argparse keeps no parsed value in a parser,
+    # and again for a wrapper set on _subparser
+    built = _PARSERS.get(command)
+    if built is None or built[0] is not _subparser:
+        built = _PARSERS[command] = (_subparser, _build_parser(command))
+    parser = built[1]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

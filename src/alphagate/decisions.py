@@ -28,7 +28,11 @@ the simulator takes its joint thresholds from the same :func:`steps`.
 
 Throughout, a test is significant when ``p <= threshold`` (rejection at
 equality). Ties in p are ordered stably by battery position, which never
-changes which hypotheses get rejected, only the bookkeeping order.
+changes which hypotheses get rejected, only which of the tied hypotheses
+reports which step's threshold. :func:`reject` sorts each row with numpy's
+default (unstable) sort and keeps that order when the sorted row is strictly
+increasing, since such a row has one sorting order; only a row with a tie or
+a NaN is sorted again, stably.
 """
 
 from __future__ import annotations
@@ -167,8 +171,15 @@ def reject(p: np.ndarray, alpha: float, method: AdjustmentMethod) -> tuple[np.nd
     t = steps(method, alpha, p.shape[1])
     if method in _SINGLE_STEP:
         return p <= t, np.broadcast_to(t, p.shape)
-    order = np.argsort(p, axis=1, kind="stable")  # ties keep battery order
-    passes = np.take_along_axis(p, order, axis=1) <= t
+    order = np.argsort(p, axis=1)
+    ranked = np.take_along_axis(p, order, axis=1)
+    # a strictly increasing row has one sorting order, the stable one, so only
+    # a row with a tie or a NaN is sorted again, stably: ties keep battery order
+    tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(p[tied], axis=1, kind="stable")
+        ranked[tied] = np.take_along_axis(p[tied], order[tied], axis=1)
+    passes = ranked <= t
     if method is AdjustmentMethod.HOLM:  # step down: every rank before the first failure
         passes = np.logical_and.accumulate(passes, axis=1)
     else:  # step up: every rank up to the last pass

@@ -517,6 +517,27 @@ class TestRowTemplates:
         expected = reference_table(header, [["x%d", i, *row, "50%"] for i, row in zip(ids, rows)], precision, fmt)
         assert written(header, blocks, precision, fmt) == expected
 
+    @pytest.mark.parametrize("kind", ["array", "list"])
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    @pytest.mark.parametrize("precision", [0, 6, 17])
+    @settings(max_examples=60)
+    @given(rows=st.lists(st.tuples(REALS, st.booleans(), REALS), min_size=1, max_size=3 * BLOCK))
+    @example(rows=[(1.0, False, 5e-310), (5e-310, True, 1.0), (0.3, True, 0.7), (2.5e-6, False, 2.5e-6)])
+    def test_a_choice_column_between_real_columns(self, precision, fmt, kind, rows):
+        # the choice column's flag sits between the two tiny flags in a row's
+        # template code; its labels are of one width, and one holds a '%'
+        a, flags, b = (np.array(column) if kind == "array" else list(column) for column in zip(*rows))
+        labels = ("no%", "yes")
+
+        def blocks():
+            for lo in range(0, len(rows), BLOCK):
+                window = slice(lo, lo + BLOCK)
+                yield ["x", a[window], cli._Choice(labels, flags[window]), b[window]]
+
+        header = ["row", "a", "flag", "b"]
+        expected = reference_table(header, [["x", x, labels[f], y] for x, f, y in rows], precision, fmt)
+        assert written(header, blocks, precision, fmt) == expected
+
 
 #: the decide modes whose threshold is one value for every test
 SINGLE_STEP_MODES = [mode for mode in DECIDE_MODES if not {"bh", "holm", "hochberg"} & set(mode[0])]
@@ -790,6 +811,37 @@ class TestOneSubparser:
 
         monkeypatch.setattr(cli, "_subparser", every)
         assert run(argv) == one
+        # the parser cached by the first run is not reused: it was built with another _subparser
+        assert cli._PARSERS[next((arg for arg in argv if arg in cli._COMMANDS), None)][0] is every
+
+
+class TestParserReuse:
+    def test_a_second_call_builds_no_parser_and_keeps_no_parsed_value(self, run, tmp_path, monkeypatch):
+        battery = tmp_path / "b.csv"
+        battery.write_text("id,p\nt1,0.012\nt2,0.0031\nt3,0.04\n", encoding="utf-8")
+        holm = ["decide", "--battery", str(battery), "--alpha", "0.05", "--mode", "disjunction", "--method", "holm"]
+        calls = [holm, holm[:-2], ["rates", "--alpha", "0.05", "--k", "3"], holm[:-2], ["--version"]]
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSERS", {})
+            fresh.append(run(argv))
+        assert "method-defaulted=bonferroni" in fresh[1][1] and "method-defaulted" not in fresh[0][1]
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        outputs = []
+        for argv in calls:
+            outputs.append(run(argv))
+            outputs.append(run(argv))
+        # one top-level parser per subcommand an argv names (or none), and one subparser for it
+        assert built == ["alphagate", "alphagate decide", "alphagate", "alphagate rates", "alphagate"]
+        assert outputs[::2] == outputs[1::2] == fresh
 
 
 SRC = str(Path(alphagate.__file__).resolve().parents[1])

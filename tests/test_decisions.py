@@ -499,3 +499,106 @@ class TestRoutes:
                 assert decision.rejected.dtype == np.bool_ and decision.thresholds.dtype == np.float64
                 assert not decision.rejected.flags.writeable and not decision.thresholds.flags.writeable
                 assert decision.rejected is decision.rejected
+
+
+# -- the tie-free sort -------------------------------------------------------------
+
+#: battery sizes from just above the route limit to 5,000
+SORT_SIZES = [N + 1, 1_000, 5_000]
+STEP_METHODS = (M.HOLM, M.HOCHBERG, M.BENJAMINI_HOCHBERG)
+
+
+def stable_reject(p, alpha, method):
+    """:func:`reject` with every row sorted by numpy's stable sort."""
+    t = steps(method, alpha, p.shape[1])
+    if method in (M.NONE, M.BONFERRONI, M.SIDAK):
+        return p <= t, np.broadcast_to(t, p.shape)
+    order = np.argsort(p, axis=1, kind="stable")
+    passes = np.take_along_axis(p, order, axis=1) <= t
+    if method is M.HOLM:
+        passes = np.logical_and.accumulate(passes, axis=1)
+    else:
+        passes = np.logical_or.accumulate(passes[:, ::-1], axis=1)[:, ::-1]
+    rejected, thresholds = np.empty_like(passes), np.empty_like(p)
+    np.put_along_axis(rejected, order, passes, axis=1)
+    np.put_along_axis(thresholds, order, np.broadcast_to(t, p.shape), axis=1)
+    return rejected, thresholds
+
+
+def distinct_pvalues(k, seed):
+    """k distinct p-values in random order: uniform draws, one in ten
+    log-uniform on [1e-12, 1e-4] (so every step method rejects some), and a
+    few distinct subnormals."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(size=k)
+    signal = rng.random(k) < 0.1
+    values[signal] = 10.0 ** rng.uniform(-12.0, -4.0, int(signal.sum()))
+    values[:5] = 5e-324 * np.arange(1, 6)
+    values = np.unique(values)
+    assert len(values) == k
+    return rng.permutation(values)
+
+
+def sort_cases():
+    """(name, alpha, p-values) at each size: distinct values, one tie
+    planted at the first rank, at the last rank and across each step
+    method's rejection boundary, all-equal values, runs of 0 and 1, and tied
+    subnormals."""
+    cases = []
+    for seed, k in enumerate(SORT_SIZES):
+        alpha = 0.05
+        p = distinct_pvalues(k, seed)
+        rng = np.random.default_rng([seed, 1])
+        order = np.argsort(p, kind="stable")
+        cases.append(("distinct", alpha, p))
+        for name, rank in (("first", 0), ("last", k - 1)):
+            tied = p.copy()
+            tied[order[rng.integers(1, k - 1)]] = p[order[rank]]
+            cases.append((f"tie-at-{name}-rank", alpha, tied))
+        for method in STEP_METHODS:
+            n = int(stable_reject(p[None, :], alpha, method)[0].sum())  # rejected ranks 0..n-1
+            assert 0 < n < k
+            # the first retained rank takes the last rejected one's value, or the reverse
+            for to, source, label in ((n, n - 1, "retained"), (n - 1, n, "rejected")):
+                tied = p.copy()
+                tied[order[to]] = p[order[source]]
+                cases.append((f"tie-at-{method.value}-boundary-{label}", alpha, tied))
+        cases.append(("all-equal", alpha, np.full(k, 0.03)))
+        runs = p.copy()
+        runs[: k // 4], runs[k // 4 : k // 2] = 0.0, 1.0
+        cases.append(("runs-of-0-and-1", alpha, rng.permutation(runs)))
+        subnormal = p.copy()
+        subnormal[rng.choice(k, size=k // 3, replace=False)] = rng.choice([5e-324, 1e-310, 2.2e-308], size=k // 3)
+        cases.append(("tied-subnormals", alpha, subnormal))
+    return [pytest.param(alpha, p, id=f"k{len(p)}-{name}") for name, alpha, p in cases]
+
+
+class TestTieFreeSort:
+    """:func:`reject` keeps numpy's default sort only for a row without ties
+    or NaN; every battery here judges as a stable sort judges it."""
+
+    @pytest.mark.parametrize("alpha, p", sort_cases())
+    def test_reject_equals_the_stable_sort(self, alpha, p):
+        for method in M:
+            rejected, thresholds = reject(p[None, :], alpha, method)
+            want_rejected, want_thresholds = stable_reject(p[None, :], alpha, method)
+            assert np.array_equal(rejected, want_rejected) and np.array_equal(thresholds, want_thresholds), method
+
+    @pytest.mark.parametrize("alpha, p", sort_cases())
+    def test_decide_rules_equal_reference(self, alpha, p):
+        b = numbered(p.tolist())
+        assert not isinstance(b._column, list)
+        assert_rules_equal_reference(b, alpha)
+
+    @pytest.mark.parametrize("k", SORT_SIZES)
+    def test_nan_rows_and_tie_free_rows_in_one_batch(self, k):
+        # a batch whose tied rows (NaN among them) sit between tie-free ones:
+        # only those rows are sorted again
+        rng = np.random.default_rng(k)
+        p = np.stack([distinct_pvalues(k, k + row) for row in range(4)])
+        p[1, rng.choice(k, size=k // 10, replace=False)] = np.nan
+        p[2, rng.choice(k, size=k // 2, replace=False)] = 0.0
+        for method in M:
+            rejected, thresholds = reject(p, 0.05, method)
+            want_rejected, want_thresholds = stable_reject(p, 0.05, method)
+            assert np.array_equal(rejected, want_rejected) and np.array_equal(thresholds, want_thresholds), method

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphagate import cli, fileio
@@ -571,6 +571,45 @@ def test_quote_free_text_parses_as_the_csv_module_reads_it(text, mode):
         battery.write_bytes(text.encode("utf-8"))
         code = cli.main(["decide", "--battery", str(battery), "--alpha", "0.05", "--mode", *mode, "--out", str(Path(tmp, "out.tsv"))])
     assert code == (2 if isinstance(fast, str) else 0)
+
+
+#: line breaks str.splitlines splits at, CRLF among them
+BREAKS = ["\n", "\r\n", "\r", "\x85", "\u2028"]
+#: id characters: non-ASCII, a tab, a space and lone surrogates
+SHAPE_CHARS = "ab1é\tÿ中\U0001f600 \ud800\udfff"
+
+
+@st.composite
+def shaped_texts(draw):
+    """A quote-free battery text for the shape check: a header alone or
+    followed by lines of zero, one or two commas and blank lines, whose ids
+    hold non-ASCII characters, tabs and lone surrogates, each line ended by
+    any line break the reader splits at, the last one maybe by none."""
+    hid = st.text(st.sampled_from(SHAPE_CHARS), min_size=1, max_size=3)
+    p = st.floats(0.0, 1.0).map(repr) | st.sampled_from(["0", "1", "nan", "", "x"])
+    good = st.tuples(hid, p).map(",".join)
+    row = good | good | st.just("") | st.lists(hid | p, min_size=1, max_size=3).map(",".join)
+    lines = [draw(st.sampled_from(["id,p", "id,p", " id , p ", "id", "id,p,"]))] + draw(st.lists(row, max_size=8))
+    ends = [draw(st.sampled_from(BREAKS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=400)
+@given(shaped_texts())
+@example("id,p\na\nb,0.5,c\n")  # a 0-comma and a 2-comma line: one comma per line in all
+@example("id,p\nb,0.5,c\na\n")
+@example("id,p\r\na,0.5\x85b\u2028c,0.25\rd,0.1,0.2")
+@example("id,p\n")  # a header alone
+@example("id,p")
+@example("id,p\n\n")
+@example("id,p\n\ud800,0.5\nb\udfff,0.25\n")  # lone surrogates
+@example("id,p\n\ud800\n\udfff,0.5,\n")
+def test_shape_check_reads_as_the_csv_module(text):
+    assert '"' not in text
+    fast = outcome(lambda: parse_battery_text(text, source="b.csv"))
+    assert fast == outcome(lambda: _battery_from_rows(_csv_rows(text, "b.csv"), "b.csv"))
 
 
 def run_cli(argv, name, text):

@@ -1,12 +1,13 @@
-"""Print one SHA-256 over ``decide``'s output on generated batteries.
+"""Print two SHA-256 digests over ``decide``'s output on generated batteries.
 
     python3 tools/decide_digest.py SRC [COUNT]
 
 SRC is the directory that holds the ``alphagate`` package (``src`` in a
-checkout) and COUNT the number of batteries (default 200). The batteries
-come from a fixed generator, so two trees whose ``decide`` prints the same
-bytes print the same digest. Each battery is judged by an in-process
-``cli.main(["decide", ...])`` in every mode (individual, conjunction, bh,
+checkout) and COUNT the number of batteries of the first line (default
+200); the second line covers COUNT // 5 tie-free batteries, at least one.
+The batteries come from fixed generators, so two trees whose ``decide``
+prints the same bytes print the same digests. Each battery is judged by an
+in-process ``cli.main(["decide", ...])`` in every mode (individual, conjunction, bh,
 and disjunction with the default method and with each of the four FWER
 methods), in tsv and pretty, at precisions 0, 6 and 17; the digest covers
 each call's exit code, stdout and stderr.
@@ -21,6 +22,15 @@ one battery in eight quotes its cells, and one in ten holds a row at fault
 the error and the line it names are compared too. Alpha is 0.05, 0.01,
 1e-6, 0.5, 0.999 or 0.365580679783838, where BH's last step at k = 3 is q
 itself and not 3 * q / 3.
+
+A fifth of those rows come from three tie values, so every battery of the
+first line holds ties. The second line's batteries hold 193 to 5,000 rows,
+log-uniform, just above the 192 where ``decide`` moves to numpy, whose
+p-values are all distinct: uniform draws, draws from 1e-12 to 1e-4,
+values on the steps, 0 or 1 at most once each and subnormals, written in
+the same text forms; one in eight quotes its cells. Only such a battery
+keeps the order of numpy's default sort, which the first line never
+reaches.
 """
 
 from __future__ import annotations
@@ -91,9 +101,51 @@ def battery_text(rng: random.Random, index: int) -> tuple[str, float]:
             ids[row] = ""
         else:
             p[row] = fault
-    quoted = index % 8 == 3
-    rows = [(f'"{i}"', f'"{v}"') if quoted else (i, v) for i, v in zip(ids, p)]
-    return "id,p\n" + "".join(f"{i},{v}\n" for i, v in rows), alpha
+    return file_text(ids, p, index % 8 == 3), alpha
+
+
+def file_text(ids: list[str], cells: list[str], quoted: bool) -> str:
+    """A battery file of the id and p cells, each cell quoted or none."""
+    rows = [(f'"{i}"', f'"{v}"') if quoted else (i, v) for i, v in zip(ids, cells)]
+    return "id,p\n" + "".join(f"{i},{v}\n" for i, v in rows)
+
+
+def tie_free_text(rng: random.Random, index: int) -> tuple[str, float]:
+    """One tie-free battery file's text and the alpha to judge it at."""
+    k = int(math.exp(rng.uniform(math.log(193), math.log(5000))))
+    alpha = rng.choice(ALPHAS)
+    on_steps = steps(alpha, k) + [0.0, 1.0] + [5e-324 * rng.randint(1, 2**40) for _ in range(8)]
+    values: dict[float, None] = {}  # distinct values in the order drawn
+    while len(values) < k:
+        kind = rng.random()
+        if kind < 0.5:
+            value = rng.random()
+        elif kind < 0.8:
+            value = math.exp(rng.uniform(math.log(1e-12), math.log(1e-4)))
+        else:
+            value = rng.choice(on_steps)
+        values.setdefault(value)
+    ids = [f"h{i:0{rng.randint(1, 5)}d}" for i in range(k)]
+    return file_text(ids, [cell(rng, v) for v in values], index % 8 == 3), alpha
+
+
+def digest(texts) -> str:
+    """The SHA-256 over every ``decide`` call on the (text, alpha) pairs of ``texts``."""
+    from alphagate.cli import main as cli_main
+
+    sha = hashlib.sha256()
+    for text, alpha in texts:
+        with open("battery.csv", "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for mode in MODES:
+            for fmt in ("tsv", "pretty"):
+                for precision in ("0", "6", "17"):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli_main(["decide", "--battery", "battery.csv", "--alpha", repr(alpha),
+                                         "--format", fmt, "--precision", precision, *mode])
+                    sha.update(f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode())
+    return sha.hexdigest()
 
 
 def main(argv: list[str]) -> int:
@@ -103,26 +155,16 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.abspath(argv[1]))
     count = int(argv[2]) if len(argv) == 3 else 200
 
-    from alphagate.cli import main as cli_main
-
-    digest = hashlib.sha256()
-    rng = random.Random(20211)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # messages name the battery by this relative path
-        for index in range(count):
-            text, alpha = battery_text(rng, index)
-            with open("battery.csv", "w", encoding="utf-8") as handle:
-                handle.write(text)
-            for mode in MODES:
-                for fmt in ("tsv", "pretty"):
-                    for precision in ("0", "6", "17"):
-                        out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = cli_main(["decide", "--battery", "battery.csv", "--alpha", repr(alpha),
-                                             "--format", fmt, "--precision", precision, *mode])
-                        digest.update(f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode())
-    print(f"{count} batteries in {len(MODES)} modes, 2 formats, 3 precisions: sha256 {digest.hexdigest()}")
+        rng = random.Random(20211)
+        first = digest(battery_text(rng, index) for index in range(count))
+        print(f"{count} batteries in {len(MODES)} modes, 2 formats, 3 precisions: sha256 {first}")
+        tie_free = max(1, count // 5)
+        rng = random.Random(20212)
+        second = digest(tie_free_text(rng, index) for index in range(tie_free))
+        print(f"{tie_free} tie-free batteries of 193 to 5,000 rows, same calls: sha256 {second}")
     print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
