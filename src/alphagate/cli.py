@@ -98,15 +98,21 @@ def _precision(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_PRECISION}], got {text!r}") from None
 
 
+def _tiny(values):
+    """Which values of a float64 array (as a bool array) or of a list of
+    floats (as a list) are nonzero magnitudes below :data:`SCI_BELOW`, the
+    ones printed in scientific notation."""
+    if isinstance(values, list):
+        return [x != 0.0 and abs(x) < SCI_BELOW for x in values]
+    return (values != 0.0) & (abs(values) < SCI_BELOW)  # array methods keep numpy out of this module's imports
+
+
 def _real_cells(values, precision: int, pretty: bool) -> list[str]:
     """The cells of a float64 array, or of a list of floats, formatted in one
-    ``%`` pass in which each value picks its spec: fixed-point, except nonzero
-    magnitudes below :data:`SCI_BELOW` in scientific notation, and in pretty
-    output a 3-significant-digit rounding after each."""
-    if isinstance(values, list):
-        floats, tiny = values, [x != 0.0 and abs(x) < SCI_BELOW for x in values]
-    else:  # array methods keep numpy out of this module's imports
-        floats, tiny = values.tolist(), ((values != 0.0) & (abs(values) < SCI_BELOW)).tolist()
+    ``%`` pass in which each value picks its spec: fixed-point, except
+    :func:`_tiny` values in scientific notation, and in pretty output a
+    3-significant-digit rounding after each."""
+    floats, tiny = (values, _tiny(values)) if isinstance(values, list) else (values.tolist(), _tiny(values).tolist())
     specs = [f"%.{precision}{kind}" + (" (~%.3g)\n" if pretty else "\n") for kind in "fe"]
     fields = [None] * ((1 + pretty) * len(floats))  # in pretty each real fills two fields
     fields[:: 1 + pretty] = fields[pretty :: 1 + pretty] = floats
@@ -193,10 +199,8 @@ def _table(header: list[str], blocks: Callable[[], Iterable[list]], args, notes:
             elif isinstance(c, str):
                 specs = [(f % c).replace("%", "%%")]
             else:
-                if isinstance(c, list):  # TSV reals: a row's tiny flag picks the notation
-                    codes, f = _fold(codes, [x != 0.0 and abs(x) < SCI_BELOW for x in c]), reals
-                elif not isinstance(c, tuple):  # array methods keep numpy out of this module's imports
-                    codes, c, f = _fold(codes, (c != 0.0) & (abs(c) < SCI_BELOW)), c.tolist(), reals
+                if not isinstance(c, tuple):  # TSV reals: a row's tiny flag picks the notation
+                    codes, c, f = _fold(codes, _tiny(c)), c if isinstance(c, list) else c.tolist(), reals
                 specs = f if f is reals else [f]
                 varying.append(c)
             templates = [t + sep + spec for t in templates for spec in specs]
@@ -450,8 +454,8 @@ def _build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
-#: subcommand an argv names, or None -> (the ``_subparser`` its parser was built with, the parser)
-_PARSERS: dict[str | None, tuple[Callable, _Parser]] = {}
+#: subcommand an argv names, or None -> its parser
+_PARSERS: dict[str | None, _Parser] = {}
 
 
 def main(argv=None) -> int:
@@ -459,12 +463,8 @@ def main(argv=None) -> int:
     # the subcommand is the first argument that names one: no top-level
     # option takes a value, and a positional ahead of it is refused first
     command = next((arg for arg in argv if arg in _COMMANDS), None)
-    # built once per process, as argparse keeps no parsed value in a parser,
-    # and again for a wrapper set on _subparser
-    built = _PARSERS.get(command)
-    if built is None or built[0] is not _subparser:
-        built = _PARSERS[command] = (_subparser, _build_parser(command))
-    parser = built[1]
+    # built once per process, as argparse keeps no parsed value in a parser
+    parser = _PARSERS.get(command) or _PARSERS.setdefault(command, _build_parser(command))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

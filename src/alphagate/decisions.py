@@ -31,8 +31,10 @@ equality). Ties in p are ordered stably by battery position, which never
 changes which hypotheses get rejected, only which of the tied hypotheses
 reports which step's threshold. :func:`reject` sorts each row with numpy's
 default (unstable) sort and keeps that order when the sorted row is strictly
-increasing, since such a row has one sorting order; only a row with a tie or
-a NaN is sorted again, stably.
+increasing, since such a row has one sorting order. A batch with a tie or a
+NaN gets the stable order from a second sort, of integer keys (run of equal
+values, battery position) that have no ties, which costs less than numpy's
+stable sort of a long row.
 """
 
 from __future__ import annotations
@@ -171,14 +173,20 @@ def reject(p: np.ndarray, alpha: float, method: AdjustmentMethod) -> tuple[np.nd
     t = steps(method, alpha, p.shape[1])
     if method in _SINGLE_STEP:
         return p <= t, np.broadcast_to(t, p.shape)
+    k = p.shape[1]
     order = np.argsort(p, axis=1)
     ranked = np.take_along_axis(p, order, axis=1)
-    # a strictly increasing row has one sorting order, the stable one, so only
-    # a row with a tie or a NaN is sorted again, stably: ties keep battery order
-    tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(p[tied], axis=1, kind="stable")
-        ranked[tied] = np.take_along_axis(p[tied], order[tied], axis=1)
+    # a strictly increasing row has one sorting order, the stable one; else
+    # ties keep battery order: each place is keyed by its run of equal values
+    # (NaNs sort last, as one run), numbered across rows, then by battery
+    # position, and the keys, which have no ties, are sorted as values. A run
+    # holds equal values, so ranked stays as it is.
+    if not (ranked[:, 1:] > ranked[:, :-1]).all():
+        starts = np.ones(p.shape, dtype=bool)
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+        starts[:, 1:] &= ~np.isnan(ranked[:, :-1])
+        runs = np.cumsum(starts).reshape(p.shape) * k  # keys below rows * k * k fit int64
+        order = np.sort((runs + order).ravel()).reshape(p.shape) - runs
     passes = ranked <= t
     if method is AdjustmentMethod.HOLM:  # step down: every rank before the first failure
         passes = np.logical_and.accumulate(passes, axis=1)

@@ -542,8 +542,8 @@ def distinct_pvalues(k, seed):
 def sort_cases():
     """(name, alpha, p-values) at each size: distinct values, one tie
     planted at the first rank, at the last rank and across each step
-    method's rejection boundary, all-equal values, runs of 0 and 1, and tied
-    subnormals."""
+    method's rejection boundary, all-equal values, runs of 0 and 1, tied
+    subnormals, values rounded to 3 decimals, and signed zeros."""
     cases = []
     for seed, k in enumerate(SORT_SIZES):
         alpha = 0.05
@@ -570,12 +570,17 @@ def sort_cases():
         subnormal = p.copy()
         subnormal[rng.choice(k, size=k // 3, replace=False)] = rng.choice([5e-324, 1e-310, 2.2e-308], size=k // 3)
         cases.append(("tied-subnormals", alpha, subnormal))
+        cases.append(("3-decimals", alpha, np.round(p, 3)))
+        zeros = p.copy()
+        zeros[rng.choice(k, size=k // 5, replace=False)] = rng.choice([0.0, -0.0], size=k // 5)
+        cases.append(("signed-zeros", alpha, zeros))
     return [pytest.param(alpha, p, id=f"k{len(p)}-{name}") for name, alpha, p in cases]
 
 
 class TestTieFreeSort:
-    """:func:`reject` keeps numpy's default sort only for a row without ties
-    or NaN; every battery here judges as a stable sort judges it."""
+    """:func:`reject` keeps numpy's default sort only for a batch without
+    ties or NaN, and keys a tied one's places again; every battery here
+    judges as a stable sort judges it."""
 
     @pytest.mark.parametrize("alpha, p", sort_cases())
     def test_reject_equals_the_stable_sort(self, alpha, p):
@@ -593,11 +598,12 @@ class TestTieFreeSort:
     @pytest.mark.parametrize("k", SORT_SIZES)
     def test_nan_rows_and_tie_free_rows_in_one_batch(self, k):
         # a batch whose tied rows (NaN among them) sit between tie-free ones:
-        # only those rows are sorted again
+        # the runs of equal values are numbered across rows
         rng = np.random.default_rng(k)
-        p = np.stack([distinct_pvalues(k, k + row) for row in range(4)])
+        p = np.stack([distinct_pvalues(k, k + row) for row in range(5)])
         p[1, rng.choice(k, size=k // 10, replace=False)] = np.nan
         p[2, rng.choice(k, size=k // 2, replace=False)] = 0.0
+        p[3] = np.round(p[3], 2)
         for method in M:
             rejected, thresholds = reject(p, 0.05, method)
             want_rejected, want_thresholds = stable_reject(p, 0.05, method)
