@@ -79,12 +79,32 @@ interval of word tops inside which z (|z| when two-sided) stays below it.
 The interval is narrowed by 2**-30 relative in z and in the uniform, far
 more than the error of ndtr and ndtri and the rounding of z, and rounded
 inward, by :func:`_word_tops`, which also makes the word route's bands.
-Only the words outside it go through ndtri, and their z is assembled in a
-compact array, each with its own test's shift and its replication's shared
-term, by the same IEEE operations as :func:`_z_block`'s, so it is the same
-double. It is scattered into a tile that holds -inf everywhere else, below
-every band. On the dependent designs the screen spends two ndtr per
-distinct shift and replication, so a run uses it only where that and the
+
+Where each shift's tests form a few runs or phases (:func:`_segments`), a
+tile never makes the z of most of its kept draws. It judges each test at
+alpha on its word's 31-bit head, word >> 33, against four edges per
+replication and distinct shift from the same conversion: the screened
+interval rounded inward, and, from the upper edge of the band at alpha
+moved outward, an interval outside which the test surely rejects, rounded
+outward. A head outside both is certain; one that ties an edge or falls
+between them, typically a few to a few dozen heads, sends its replication
+to the fallback below, about once in 2**27 draws per side. The count K
+comes from these verdicts. Within a segment z only grows with the word, so
+a replication's largest z is one of its segments' extremes': the largest
+word, and the smallest when two-sided. Only the extremes outside the screened interval go through
+ndtri, and a replication with none gets -inf. ndtri is monotone only to
+within an ulp, so that maximum may be an ulp below the largest z; that can
+move it into a band or into Hochberg's sort, both exact, but never across a
+band, which is 2**-40 relative wide. The replications Hochberg sorts make
+the z of their own kept draws, so the sort sees the columns a whole tile
+would hold. Elsewhere, as with a shift per test, a tile is judged whole:
+the words outside the screened interval go through ndtri and their z is
+scattered into a tile that holds -inf everywhere else, below every band.
+Either way the kept z are assembled in a compact array, each with its own
+test's shift and its replication's shared term, by the same IEEE
+operations as :func:`_z_block`'s, so each is the same double. On the
+dependent designs the screen spends two ndtr per distinct shift and
+replication, four with heads, so a run uses it only where that and the
 draws it expects to keep come to a measured share of k (:func:`_screens`).
 
 ndtri, ndtr and erfc are :mod:`alphagate.rng`'s kernels, which give scipy's
@@ -103,6 +123,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -290,9 +311,25 @@ _NO_COMMON = np.zeros(1)
 #: shapes (k 2 to 200, one to k distinct shifts, alpha 1e-4 to 0.7), the
 #: screened run's time over the unscreened one's crosses 1 at about 0.7 of
 #: k on the dependent designs and 0.56 on the independent one. That was
-#: before screened tiles assembled only their kept draws, which made them
-#: cheaper; the crossover waits to be timed again on an unscreened workload.
+#: before screened tiles assembled only their kept draws, and before tiles
+#: with few segments judged their tests on heads and spent no ndtri on most
+#: kept draws: both made screened runs cheaper, so the budget is now
+#: conservative. The crossover waits to be timed again on an unscreened
+#: workload (ROADMAP item 1).
 _SCREEN_BUDGET = 0.6
+#: Where a screened tile judges each test on its word's head and makes z
+#: only for the extremes of each run or phase of one shift's tests (see
+#: :func:`_segments`): k must be at least _SEGMENT_COST times the extremes
+#: per replication, one per segment and side, plus the two ndtr per distinct
+#: shift that the second pair of head edges adds on the dependent designs,
+#: and the segments at most _SEGMENTS_MAX, as each costs a few numpy calls
+#: per tile. Elsewhere, as with a shift per test, a tile is judged whole.
+#: Set with tools/route_timing.py at one thread on a 2-vCPU Xeon: at 8,
+#: two-sided Hochberg on four interleaved shifts at k 200 on the dependent
+#: designs took 1.04 to 1.07 of the time judged whole, and at 16 no shape
+#: of its grid is measurably slower.
+_SEGMENT_COST = 16
+_SEGMENTS_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -354,23 +391,65 @@ class _Screen:
     shifts, or is the single index 0. With c the replication's
     :func:`_common` term, a G strictly between ``edges[1, j] + slope * c``
     and ``edges[0, j] + slope * c`` gives a test of shift j a z (|z| when
-    two-sided) below the cut, by a margin far above the rounding of z and of
-    these edges. ``edges`` has shape (2, distinct shifts, 1)."""
+    two-sided) below the band at alpha, by a margin far above the rounding
+    of z and of these edges. ``edges`` has shape (2, distinct shifts, 1).
+
+    With ``segments`` (see :func:`_segments`), each a slice of tests and
+    the index of their shift, tiles judge each test on its word's head, and
+    ``edges`` has shape (2, 2 * distinct shifts, 1): its second half holds
+    for each shift the pair from the band's upper edge, a G below
+    ``edges[0]`` or above ``edges[1]`` of which surely rejects. ``ends``
+    gives the shift of each row of a tile's extremes: each segment's
+    largest word, then, when two-sided, each one's smallest."""
 
     edges: np.ndarray
     column: np.ndarray
     slope: float
+    segments: tuple[tuple[slice, int], ...] | None = None
+    ends: np.ndarray | None = None
 
 
-def _screen_for(scenario: Scenario, shift: np.ndarray, distinct: np.ndarray, cut: float) -> _Screen:
-    """The screen below ``cut`` for tests of the given shifts, whose distinct
-    values, ascending, are ``distinct``."""
-    design = scenario.design
-    margin = _SCREEN_MARGIN * (1.0 + abs(cut) + np.abs(distinct) + _NORMAL_MAX)
-    floor = -cut + margin if scenario.sides is Sides.TWO_SIDED else np.full(distinct.size, -np.inf)
+def _segments(column: np.ndarray, k: int, limit: int) -> tuple[tuple[slice, int], ...] | None:
+    """The tests of each distinct shift as slices, given each test's shift
+    index ``column``: one per run of adjacent tests of a shift, or, where the
+    shifts repeat with a period, one per phase; None where that is more than
+    ``limit`` slices."""
+    column = np.broadcast_to(column, (k,))
+    starts = np.flatnonzero(column[1:] != column[:-1]) + 1
+    if starts.size < limit:
+        ends = [*starts.tolist(), k]
+        return tuple((slice(first, last), int(column[first])) for first, last in zip([0, *ends[:-1]], ends))
+    if limit > 0:
+        # the first repeat of the first test's shift, as in 0 1 2 0 1 2 ...
+        period = int(np.argmax(column[1:] == column[0])) + 1
+        if period <= limit and np.array_equal(column[period:], column[:-period]):
+            return tuple((slice(phase, k, period), int(column[phase])) for phase in range(period))
+    return None
+
+
+def _screen_for(scenario: Scenario, shift: np.ndarray, distinct: np.ndarray, band: _Band) -> _Screen:
+    """The screen below ``band.lower`` for tests of the given shifts, whose
+    distinct values, ascending, are ``distinct``; with segments, also the
+    pair that surely rejects from ``band.upper`` on."""
+    design, two_sided = scenario.design, scenario.sides is Sides.TWO_SIDED
+    column = np.searchsorted(distinct, shift) if distinct.size > 1 else np.zeros(1, dtype=np.intp)
+    # a tile keeps one extreme word per segment and side, and their z, in the
+    # memory of its (k, rows) statistics: a _SEGMENT_COST of 2 or more leaves
+    # room for them
+    sides, extra = 2 if two_sided else 1, 0 if design.kind == "independent" else 2 * distinct.size
+    segments = _segments(column, scenario.k, min(_SEGMENTS_MAX, (scenario.k // _SEGMENT_COST - extra) // sides))
+    never = np.full(distinct.size, -np.inf)
+    pairs = []
+    for z, outward in ((band.lower, -1.0), (band.upper, 1.0))[: 1 if segments is None else 2]:
+        # each edge moved away from the band by a margin: a z below the lower
+        # edge has G between the first pair, one at or above the upper edge
+        # G outside the second
+        edge = z + outward * _SCREEN_MARGIN * (1.0 + abs(z) + np.abs(distinct) + _NORMAL_MAX)
+        pair = [edge, -edge if two_sided else never]
+        pairs.append(np.stack(pair if outward < 0 else pair[::-1]))
     # a huge shift puts an edge at infinity, where it screens all or nothing
     with np.errstate(over="ignore"):
-        edges = np.stack([cut - margin, floor])[:, :, None] - distinct[:, None]
+        edges = np.concatenate(pairs, axis=1)[:, :, None] - np.tile(distinct, len(pairs))[:, None]
         if design.kind == "equicorrelated":
             scale = math.sqrt(1.0 - design.rho)  # z = (shift + c) + scale * G
             edges, slope = edges / scale, -1.0 / scale
@@ -378,8 +457,10 @@ def _screen_for(scenario: Scenario, shift: np.ndarray, distinct: np.ndarray, cut
             edges, slope = edges * _SQRT2, 1.0
         else:
             slope = 0.0
-    column = np.searchsorted(distinct, shift) if distinct.size > 1 else np.zeros(1, dtype=np.intp)
-    return _Screen(edges, column, slope)
+    ends = None
+    if segments is not None:
+        ends = np.tile(distinct[[j for _, j in segments]], 2 if two_sided else 1)
+    return _Screen(edges, column, slope, segments, ends)
 
 
 def _screens(scenario: Scenario, distinct: np.ndarray, counts: np.ndarray, cut: float) -> bool:
@@ -406,17 +487,22 @@ class _Plan:
     """How one run decides. With ``words`` the statistics are the top 31
     bits of the draws' words, read off their states before the mix's last
     xorshift, and the bands are on those bits; otherwise the statistics are
-    z (|z| when two-sided). Either way a
-    tile holds them test-major, (k, rows). ``test`` bands each test's
-    decision at alpha. ``joint`` bands the disjunction: a scalar band meets
-    each replication's maximum, a (k, 1) column of bands, one per test,
-    meets its statistics as they are, or, for Hochberg, sorted ascending.
-    Hochberg sorts only the replications its bracket leaves open: one whose
-    maximum reaches the band of step alpha / k rejects, and one with K
-    rejections at alpha whose maximum is below ``retain[K]`` retains.
-    Replications that fall inside a joint band are judged on their p-values
-    by :func:`~alphagate.decisions.reject`. ``screen`` is the z route's
-    :class:`_Screen`, if it has one."""
+    z (|z| when two-sided). ``test`` bands each test's decision at alpha.
+    ``joint`` bands the disjunction: a scalar band meets each replication's
+    maximum, a (k, 1) column of bands, one per test, meets its statistics
+    as they are, or, for Hochberg, sorted ascending. Hochberg sorts only the
+    replications its bracket leaves open: one whose maximum reaches the band
+    of step alpha / k rejects, and one with K rejections at alpha whose
+    maximum is below ``retain[K]`` retains. Replications that fall inside a
+    joint band are judged on their p-values by
+    :func:`~alphagate.decisions.reject`. ``screen`` is the z route's
+    :class:`_Screen`, if it has one.
+
+    A tile judged whole holds its statistics test-major, (k, rows). A tile
+    of a screen with segments holds none: it judges each test at alpha on
+    its word's head, takes each replication's maximum from its segments'
+    extremes, and makes the z of the replications Hochberg sorts alone, each
+    as a whole tile would hold it."""
 
     words: bool
     hochberg: bool
@@ -447,7 +533,7 @@ def _plan(scenario: Scenario) -> _Plan:
         # is the lowest of all: a statistic below it changes no decision
         screen = None
         if _screens(scenario, distinct, counts, test.lower):
-            screen = _screen_for(scenario, shift, distinct, test.lower)
+            screen = _screen_for(scenario, shift, distinct, test)
         retain = None
         if hochberg:
             # a rejection at rank i puts i p-values at or below alpha / (k - i + 1),
@@ -483,18 +569,22 @@ class _Scratch:
     ``top``, of the statistics' type, ``maybe``, ``joint`` and, for
     Hochberg, ``cut`` (the bracket's retain cut) hold one value per
     replication. A shorter tile takes their heads. The z route's screen
-    carves its (2, distinct shifts, rows) edges and word bounds from
-    ``edges`` and ``bounds``, one column only for the independent design, whose bounds no
-    shared draw moves.
+    converts its (2, edges, rows) edges in ``edges`` and keeps the word
+    bounds they give, and with segments the head edges too, in ``bounds``:
+    one column only for the independent design, whose bounds no shared draw
+    moves.
 
-    Views that are idle while a tile is judged hold its compact arrays: the
-    screen's kept draws take their shared terms in ``stats``, and their test
-    and replication indices and shifts in ``seed_bits`` and ``ratio``, which
-    the chunk needs only before its first tile and after its last. Those two
+    Views that are idle while a tile is judged hold its compact arrays. A
+    tile screened with segments, which makes no statistics, holds in
+    ``stats`` first its tests' heads, as uint32, then its extremes' words
+    and their z, and its sorted replications' words. The kept draws take
+    their shared terms where their words were picked, and their test and
+    replication indices and shifts in ``seed_bits`` and ``ratio``, which the
+    chunk needs only before its first tile and after its last. Those two
     hold the longer of a chunk and k, so that the kept draws of a tile of
-    one replication are gathered in one piece. Hochberg
-    copies the replications its bracket leaves open to ``bits``, and once a
-    tile is decided ``mask`` takes its rejections of true nulls.
+    one replication are gathered in one piece. Hochberg copies, or makes,
+    the statistics of the replications its bracket leaves open in ``bits``,
+    and once a tile is decided ``mask`` takes its rejections of true nulls.
 
     A chunk's per-replication counts ``r`` and ``v`` take the smallest
     unsigned type that holds k, and a tile's per-test ``counts`` the one that
@@ -550,72 +640,216 @@ def _head(view: np.ndarray, rows: int) -> np.ndarray:
     return _carve(view, (len(view), rows))
 
 
-def _screened_z(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """The z route's statistics of one tile, (k, rows), in ``scratch.stats``:
-    z (|z| when two-sided) bitwise as :func:`_z_block` makes it wherever it
-    can reach ``plan.test.lower``, and -inf wherever the plan's screen shows
-    that it cannot. Only the draws of the first kind go through ndtri (see
-    the module docstring)."""
-    design, k, rows, screen = scenario.design, scenario.k, len(seeds), plan.screen
+def _tile_words(scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """The z route's words of one tile: its tests' words, (k, rows) in
+    ``scratch.bits``, and each replication's :func:`_common` term, in the
+    head of ``scratch.stats`` (:data:`_NO_COMMON` under the independent
+    design)."""
+    design, rows = scenario.design, len(seeds)
     stats, bits = _head(scratch.stats, rows), _head(scratch.bits, rows)
     # word_block fills (rows, draws); its transposes make the tile test-major.
     # The words go to bits and the normals to stats: numpy would copy words
     # mapped to floats in their own memory
     words = word_block(seeds, len(bits), bits.T, stats.view(np.uint64).T).T
-    tests, x = words[-k:], stats[-k:]  # after the shared draw, if any
     common = _NO_COMMON if design.kind == "independent" else _common(design, normal_from_words(words[0], stats[0]))
-    if screen is None:
-        normal_from_words(tests, x)
-        _assemble(design, x, common, plan.shift[:, None], out=_carve(bits.view(np.float64), x.shape))
-        if scenario.sides is Sides.TWO_SIDED:
-            np.abs(x, out=x)
-        return x
+    return words[-scenario.k :], common
 
-    # a test's words in [bounds[1], bounds[0]) are screened out: the edges
-    # in G become word tops, narrowed by the margin, then words
+
+def _screen_tops(screen: _Screen, common: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """The word tops of the screen's edges for each :func:`_common` term,
+    (2, edges, len(common)), in ``scratch.edges``. A test's tops in
+    [tops[1, j], tops[0, j]) are screened out; an empty interval starts at
+    its end."""
     edges = _carve(scratch.edges, (*screen.edges.shape[:2], common.size))
     np.multiply(common, screen.slope, out=edges)
     edges += screen.edges
     _word_tops(edges)
-    np.minimum(edges[1], edges[0], out=edges[1])  # an empty interval stays below 2**64
-    edges *= float(1 << int(_WORD_DROP))
-    bounds = _carve(scratch.bounds, edges.shape)
-    np.copyto(bounds, edges, casting="unsafe")
+    shifts = len(screen.edges[0]) // (1 if screen.segments is None else 2)
+    np.minimum(edges[1, :shifts], edges[0, :shifts], out=edges[1, :shifts])
+    return edges
 
-    # x held the mixing states; now each test's bounds, then the picked
-    # words, whose normals go to bits. Every index is in range: take's
-    # "clip" only spares it a buffered out
+
+def _kept_z(
+    scenario: Scenario, words: np.ndarray, keep: np.ndarray, shift: np.ndarray, common: np.ndarray,
+    out: np.ndarray, scratch: _Scratch,
+) -> np.ndarray:
+    """z (|z| when two-sided) of each word of a (m, n) block that ``keep``
+    marks, with its row's ``shift`` and its column's :func:`_common` term, as
+    :func:`_z_block` makes it, and -inf elsewhere, below every band; in
+    ``out``, a float64 block of the same shape. Only the kept words go
+    through ndtri: they are picked into ``out``, made normals in the memory
+    of ``words``, which they spend, and assembled compactly by the same IEEE
+    operations as _z_block's, so each is the same double."""
+    design, n = scenario.design, words.shape[1]
+    where = np.flatnonzero(keep)
+    # every index is in range: take's "clip" only spares it a buffered out
+    picked = np.take(words, where, out=out.view(np.uint64).reshape(-1)[: where.size], mode="clip")
+    kept = normal_from_words(picked, words.view(np.float64).reshape(-1)[: where.size])
+
+    # gathered in pieces as long as the spare views, at least k; the shared
+    # terms go where the picked words were
+    shared = out.reshape(-1)
+    step = scratch.ratio.size
+    for lo in range(0, where.size, step):
+        hi = min(lo + step, where.size)
+        index = np.floor_divide(where[lo:hi], n, out=scratch.seed_bits[: hi - lo].view(np.intp))
+        row_shift = np.take(shift, index, out=scratch.ratio[: hi - lo], mode="clip")
+        term = None
+        if design.kind != "independent":
+            index *= n
+            np.subtract(where[lo:hi], index, out=index)
+            term = np.take(common, index, out=shared[lo:hi], mode="clip")
+        _assemble(design, kept[lo:hi], term, row_shift, out=term)
+    if scenario.sides is Sides.TWO_SIDED:
+        np.abs(kept, out=kept)
+    out.fill(-np.inf)
+    shared[where] = kept
+    return out
+
+
+def _screened_z(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """The z route's statistics of one tile judged whole, (k, rows), in
+    ``scratch.stats``: z (|z| when two-sided) bitwise as :func:`_z_block`
+    makes it wherever it can reach ``plan.test.lower``, and -inf wherever
+    the plan's screen shows that it cannot. Only the draws of the first kind
+    go through ndtri (see the module docstring)."""
+    design, k, rows, screen = scenario.design, scenario.k, len(seeds), plan.screen
+    tests, common = _tile_words(scenario, seeds, scratch)
+    x = _head(scratch.stats, rows)[-k:]  # after the shared draw, if any
+    if screen is None:
+        normal_from_words(tests, x)
+        _assemble(design, x, common, plan.shift[:, None], out=_carve(scratch.bits.view(np.float64), x.shape))
+        if scenario.sides is Sides.TWO_SIDED:
+            np.abs(x, out=x)
+        return x
+
+    # a test's words in [bounds[1], bounds[0]) are screened out
+    tops = _screen_tops(screen, common, scratch)
+    tops *= float(1 << int(_WORD_DROP))
+    bounds = _carve(scratch.bounds, tops.shape)
+    np.copyto(bounds, tops, casting="unsafe")
+    # x held the mixing states; now each test's bounds
     each = _carve(x.view(np.uint64), (screen.column.size, common.size))
     np.take(bounds[0], screen.column, axis=0, out=each, mode="clip")
     above = np.greater_equal(tests, each, out=_head(scratch.rejected, rows))
     np.take(bounds[1], screen.column, axis=0, out=each, mode="clip")
     keep = np.less(tests, each, out=_head(scratch.mask, rows))
     keep |= above
-    where = np.flatnonzero(keep)
-    picked = np.take(tests, where, out=x.view(np.uint64).reshape(-1)[: where.size], mode="clip")
-    kept = normal_from_words(picked, bits.view(np.float64).reshape(-1)[: where.size])
+    return _kept_z(scenario, tests, keep, plan.shift, common, x, scratch)
 
-    # z of the kept draws alone, by _assemble's operations on their own test's
-    # shift and replication's shared term, gathered in pieces as long as the
-    # spare views, at least k; their shared terms go where the picked words were
-    shared = x.reshape(-1)
-    step = scratch.ratio.size
-    for lo in range(0, where.size, step):
-        hi = min(lo + step, where.size)
-        index = np.floor_divide(where[lo:hi], rows, out=scratch.seed_bits[: hi - lo].view(np.intp))
-        shift = np.take(plan.shift, index, out=scratch.ratio[: hi - lo], mode="clip")
-        term = None
-        if design.kind != "independent":
-            index *= rows
-            np.subtract(where[lo:hi], index, out=index)
-            term = np.take(common, index, out=shared[lo:hi], mode="clip")
-        _assemble(design, kept[lo:hi], term, shift, out=term)
-    if scenario.sides is Sides.TWO_SIDED:
-        np.abs(kept, out=kept)
-    # a screened-out draw is -inf, below every band
-    x.fill(-np.inf)
-    shared[where] = kept
-    return x
+
+class _Words(NamedTuple):
+    """One tile of a run screened with segments, before any z of its tests is
+    made (:func:`_screened_words`). ``tests`` are its tests' words, (k, rows)
+    in ``scratch.bits``, and ``common`` each replication's :func:`_common`
+    term. ``bounds`` holds the lower end and then the width of each distinct
+    shift's screened words, (2, distinct shifts, rows or 1), and ``heads``
+    the lower ends and then the widths of its screened heads and of its heads
+    that may not reject, (2, 2, distinct shifts, rows or 1)."""
+
+    tests: np.ndarray
+    common: np.ndarray
+    bounds: np.ndarray
+    heads: np.ndarray
+
+
+def _screened_words(plan: _Plan, scenario: Scenario, seeds: np.ndarray, scratch: _Scratch) -> _Words:
+    """One tile of a run screened with segments: its words and the screen's
+    word bounds and head edges, in ``scratch.bounds``, from one conversion
+    of the screen's edges for the tile's shared terms."""
+    tests, common = _tile_words(scenario, seeds, scratch)
+    tops = _screen_tops(plan.screen, common, scratch)
+    shifts, columns = len(tops[0]) // 2, common.size
+    # the words of [b1, b0) as a lower end and a width, which a word minus
+    # the lower end, wrapping around, is below exactly when it is inside
+    bounds = _carve(scratch.bounds, (2, shifts, columns))
+    np.copyto(bounds[0], tops[1, :shifts], casting="unsafe")
+    np.subtract(tops[0, :shifts], tops[1, :shifts], out=bounds[1], casting="unsafe")
+    bounds <<= _WORD_DROP
+    # the same tops' 31-bit heads: the screened interval rounded inward and
+    # the pair that surely rejects outward, as [lower, upper) intervals that
+    # nest, 2**31 standing for never
+    tops *= 2.0**-_TOP_DROP
+    np.floor(tops[0], out=tops[0])
+    np.ceil(tops[1], out=tops[1])
+    np.minimum(tops, 2.0**31, out=tops)
+    screened_upper, unrejected_lower = tops[0, :shifts], tops[0, shifts:]
+    screened_lower, unrejected_upper = tops[1, :shifts], tops[1, shifts:]
+    np.minimum(screened_lower, screened_upper, out=screened_lower)
+    np.minimum(unrejected_lower, screened_lower, out=unrejected_lower)
+    np.maximum(unrejected_upper, screened_upper, out=unrejected_upper)
+    heads = _carve(scratch.bounds[bounds.size :].view(np.uint32), (2, 2, shifts, columns))
+    for index, (lower, upper) in enumerate(((screened_lower, screened_upper), (unrejected_lower, unrejected_upper))):
+        np.copyto(heads[0, index], lower, casting="unsafe")
+        np.subtract(upper, lower, out=heads[1, index], casting="unsafe")
+    return _Words(tests, common, bounds, heads)
+
+
+def _head_verdicts(plan: _Plan, scenario: Scenario, tile: _Words, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Each test's verdicts at alpha, (k, rows), on its word's 31-bit head:
+    whether it surely rejects, outside the second interval, and whether it
+    may, outside the screened one. A test that may but does not surely
+    reject ties an edge or falls between the intervals, where its band is.
+    The heads take the memory the tile's mixing used."""
+    k, rows = tile.tests.shape
+    heads = _head(scratch.stats, rows)[-k:].reshape(-1).view(np.uint32)
+    heads, shifted = heads[: k * rows].reshape(k, rows), heads[k * rows :].reshape(k, rows)
+    np.right_shift(tile.tests, _STATE_DROP, out=heads, casting="unsafe")
+    rejected, outside = _head(scratch.rejected, rows), _head(scratch.mask, rows)
+    lower, width = tile.heads
+    for tests, j in plan.screen.segments:
+        for index, verdict in enumerate((outside, rejected)):
+            head = heads[tests]
+            if scenario.sides is Sides.TWO_SIDED:  # the lower ends are 0 when one-sided
+                head = np.subtract(head, lower[index, j], out=shifted[tests])
+            np.greater_equal(head, width[index, j], out=verdict[tests])
+    return rejected, outside
+
+
+def _extreme_top(plan: _Plan, scenario: Scenario, tile: _Words, scratch: _Scratch) -> np.ndarray:
+    """Each replication's largest z (|z| when two-sided) among the draws the
+    screen keeps, -inf where it keeps none, in ``scratch.top``. Within a
+    segment z only grows with the word, so that z is one of its extremes':
+    the largest word, and the smallest when two-sided. Only the kept
+    extremes go through ndtri. They take the memory of the tile's heads."""
+    screen, (k, rows) = plan.screen, tile.tests.shape
+    count, m = len(screen.segments), screen.ends.size
+    spare = _head(scratch.stats, rows)[-k:].reshape(-1)
+    ends, z = spare[: m * rows].view(np.uint64).reshape(m, rows), spare[m * rows : 2 * m * rows].reshape(m, rows)
+    keep, offset = _carve(scratch.mask, (m, rows)), z.view(np.uint64)
+    lower, width = tile.bounds
+    for row in range(m):
+        tests, j = screen.segments[row % count]
+        (np.max if row < count else np.min)(tile.tests[tests], axis=0, out=ends[row])
+        np.subtract(ends[row], lower[j], out=offset[row])
+        np.greater_equal(offset[row], width[j], out=keep[row])
+    _kept_z(scenario, ends, keep, screen.ends, tile.common, z, scratch)
+    return np.max(z, axis=0, out=scratch.top[:rows])
+
+
+def _kept_columns(
+    plan: _Plan, scenario: Scenario, tile: _Words, unsettled: np.ndarray, scratch: _Scratch
+) -> np.ndarray:
+    """The statistics of the given replications of a tile screened with
+    segments, (k, len(unsettled)), in ``scratch.bits``: bitwise those
+    :func:`_screened_z` would make, with only their kept draws through
+    ndtri."""
+    screen, (k, rows) = plan.screen, tile.tests.shape
+    n = unsettled.size
+    words = _carve(_head(scratch.stats, rows)[-k:].view(np.uint64), (k, n))
+    np.take(tile.tests, unsettled, axis=1, out=words, mode="clip")
+    columns = _carve(scratch.bits.view(np.float64), (k, n))  # the tile's words are spent
+    bounds, common = tile.bounds, tile.common
+    if common.size > 1:
+        bounds = np.take(bounds, unsettled, axis=2, out=_carve(scratch.edges.view(np.uint64), (*bounds.shape[:2], n)),
+                         mode="clip")
+        common = np.take(common, unsettled, out=scratch.cut[:n], mode="clip")
+    lower, width = bounds
+    keep, offset = _carve(scratch.mask, (k, n)), columns.view(np.uint64)
+    for tests, j in screen.segments:
+        np.subtract(words[tests], lower[j], out=offset[tests])
+        np.greater_equal(offset[tests], width[j], out=keep[tests])
+    return _kept_z(scenario, words, keep, plan.shift, common, columns, scratch)
 
 
 def _step_up(plan: _Plan, columns: np.ndarray, passes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -640,6 +874,7 @@ def _decide(
     :func:`_z_block`."""
     k, sides, alpha = scenario.k, scenario.sides, scenario.alpha_joint
     rows = len(seeds)
+    x = tile = None
     if plan.words:
         # the top 31 bits of each word, from its state before the mix's last
         # xorshift; _premixed_block fills (rows, k), and its transposes make
@@ -648,12 +883,16 @@ def _decide(
         state = _premixed_block(seeds, k, _head(scratch.stats, rows).T, _head(scratch.bits, rows).T).T
         x = _carve(scratch.bits.view(np.uint32), state.shape)
         np.right_shift(state, _STATE_DROP, out=x, casting="unsafe")
-    else:
+    elif plan.screen is None or plan.screen.segments is None:
         x = _screened_z(plan, scenario, seeds, scratch)
+    else:
+        tile = _screened_words(plan, scenario, seeds, scratch)
 
-    rejected = np.greater_equal(x, plan.test.upper, out=_head(scratch.rejected, rows))
-    mask = _head(scratch.mask, rows)
-    maybe = np.greater_equal(x, plan.test.lower, out=mask)
+    if tile is None:
+        rejected = np.greater_equal(x, plan.test.upper, out=_head(scratch.rejected, rows))
+        maybe = np.greater_equal(x, plan.test.lower, out=_head(scratch.mask, rows))
+    else:
+        rejected, maybe = _head_verdicts(plan, scenario, tile, scratch)
     if np.count_nonzero(maybe) != np.count_nonzero(rejected):
         # maybe and not rejected: inside the band; outside it p_from_z agrees
         reps = np.flatnonzero(np.logical_or.reduce(np.greater(maybe, rejected, out=maybe), axis=0))
@@ -666,20 +905,24 @@ def _decide(
         # the bracket: a maximum that reaches the band of step alpha / k
         # rejects, one below the retain cut of its replication's count
         # retains, and only the replications in between are sorted
-        top = np.max(x, axis=0, out=scratch.top[:rows])
+        top = np.max(x, axis=0, out=scratch.top[:rows]) if tile is None else _extreme_top(plan, scenario, tile, scratch)
         np.greater_equal(top, plan.joint.upper[-1, 0], out=joint)
         np.greater_equal(top, np.take(plan.retain, counts, out=scratch.cut[:rows], mode="clip"), out=maybe)
         unsettled = np.flatnonzero(np.greater(maybe, joint, out=maybe))
         if unsettled.size:
-            # bits is spent once the tile's z is made
-            columns = _carve(scratch.bits.view(np.float64), (k, unsettled.size))
-            np.take(x, unsettled, axis=1, out=columns, mode="clip")
+            if tile is None:
+                # bits is spent once the tile's z is made
+                columns = _carve(scratch.bits.view(np.float64), (k, unsettled.size))
+                np.take(x, unsettled, axis=1, out=columns, mode="clip")
+            else:
+                columns = _kept_columns(plan, scenario, tile, unsettled, scratch)
             joint[unsettled], maybe[unsettled] = _step_up(plan, columns, _carve(scratch.mask, columns.shape))
     elif np.ndim(plan.joint.upper) == 0:
-        top = np.max(x, axis=0, out=scratch.top[:rows])
+        top = np.max(x, axis=0, out=scratch.top[:rows]) if tile is None else _extreme_top(plan, scenario, tile, scratch)
         np.greater_equal(top, plan.joint.upper, out=joint)
         np.greater_equal(top, plan.joint.lower, out=maybe)
     else:
+        mask = _head(scratch.mask, rows)
         np.logical_or.reduce(np.greater_equal(x, plan.joint.upper, out=mask), axis=0, out=joint)
         np.logical_or.reduce(np.greater_equal(x, plan.joint.lower, out=mask), axis=0, out=maybe)
     # maybe and not joint: inside the band

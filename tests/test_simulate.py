@@ -15,7 +15,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
@@ -959,6 +959,33 @@ def screened_tiles(draw):
     return s, rows
 
 
+@st.composite
+def head_tiles(draw):
+    """(scenario, tile rows): a z-route scenario whose shifts are one, two
+    halves or a few interleaved values, so that a screen finds segments."""
+    k = draw(st.integers(24, 48))
+    values = draw(st.lists(st.sampled_from([0.0, 0.4, -1.5, 3.0, 37.6]) | st.floats(-12, 12), min_size=1,
+                           max_size=3, unique=True))
+    if draw(st.booleans()):
+        shifts = [values[i * len(values) // k] for i in range(k)]
+    else:
+        shifts = [values[i % len(values)] for i in range(k)]
+    rows = draw(st.integers(1, 40))
+    s = scenario(
+        k,
+        alpha=draw(st.sampled_from([1e-6, 0.05, 0.7])),
+        nulls=[d == 0.0 for d in shifts],
+        deltas=shifts,
+        n=2,
+        design=draw(st.sampled_from(SCREEN_DESIGNS)),
+        sides=draw(st.sampled_from(list(Sides))),
+        method=AdjustmentMethod.HOCHBERG,
+        reps=rows,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return s, rows
+
+
 class TestScreen:
     """The z route's screen: every statistic it computes is _z_block's, and
     every one it skips lies below the lowest band edge."""
@@ -969,7 +996,7 @@ class TestScreen:
         s, rows = tile
         plan = SIM._plan(s)
         # screened even where the screen would not pay
-        screen = SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0], plan.test.lower)
+        screen = SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0], plan.test)
         plan = dataclasses.replace(plan, screen=screen)
         scratch = SIM._Scratch(plan, s, rows, rows)
         seeds = rep_seed_block(s.seed, 0, rows)
@@ -1010,7 +1037,7 @@ class TestScreen:
         seeds, plan = rep_seed_block(s.seed, 0, rows), SIM._plan(s)
         z = np.abs(SIM._z_block(s, seeds, plan.shift).T)
         distinct, _ = SIM._distinct(plan.shift)
-        for screen in (None, SIM._screen_for(s, plan.shift, distinct, plan.test.lower)):
+        for screen in (None, SIM._screen_for(s, plan.shift, distinct, plan.test)):
             planned = dataclasses.replace(plan, screen=screen)
             scratch = SIM._Scratch(planned, s, rows, rows)
             x = SIM._screened_z(planned, s, seeds, scratch)
@@ -1019,29 +1046,114 @@ class TestScreen:
             assert np.array_equal(x[kept].view(np.uint64), z[kept].view(np.uint64))
             assert bool(kept.all()) is (screen is None)
 
+    @settings(max_examples=100, derandomize=True)
+    @given(head_tiles(), st.integers(-3, 3))
+    def test_head_tiles_make_the_whole_tiles_maxima_and_columns(self, tile, reach):
+        # a tile screened with segments makes z only for the kept extremes of
+        # each segment and for the columns it sorts: its maxima and columns
+        # are bitwise those of the same words judged whole
+        s, rows = tile
+        plan = SIM._plan(s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "_SEGMENT_COST", 2)  # segments at small k too
+            screen = SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0], plan.test)
+        assert screen.segments is not None
+        plan = dataclasses.replace(plan, screen=screen)
+        seeds = rep_seed_block(s.seed, 0, rows)
+        words = word_block(seeds, SIM._draws(s))
+        scratch = SIM._Scratch(plan, s, rows, rows)
+
+        # half of the test words within a few tops of their replication's
+        # screen edges, where the whole tile's words turn from -inf to z
+        tile = SIM._screened_words(plan, s, seeds, scratch)
+        lower, width = (b[np.broadcast_to(screen.column, (s.k,))].astype(np.int64) >> 11 for b in tile.bounds)
+        rng = np.random.default_rng(s.seed % 2**32)
+        edge = np.where(rng.integers(0, 2, size=(s.k, rows)) == 1, lower, lower + width)
+        tops = np.clip(edge + reach + rng.integers(-3, 4, size=(s.k, rows)), 0, 2**53 - 1).astype(np.uint64)
+        planted = (tops << np.uint64(11)) | rng.integers(0, 2048, size=tops.shape, dtype=np.uint64)
+        words[:, -s.k :] = np.where(rng.random(planted.shape) < 0.5, words[:, -s.k :].T, planted).T
+        # and replication 0's all on the lowest word kept above the screen
+        words[0, -s.k :] = np.minimum(lower + width, 2**53 - 1)[:, 0].astype(np.uint64) << np.uint64(11)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "word_block", lambda seeds, draws, out, scratch: np.copyto(out, words) or out)
+            whole = SIM._screened_z(dataclasses.replace(plan, screen=dataclasses.replace(screen, segments=None)),
+                                    s, seeds, SIM._Scratch(plan, s, rows, rows)).copy()
+            top = SIM._extreme_top(plan, s, SIM._screened_words(plan, s, seeds, scratch), scratch)
+            # within a segment z only grows with the word, to within an ulp of
+            # ndtri, and no two random or planted words of one are that close
+            assert np.array_equal(top.view(np.uint64), whole.max(axis=0).view(np.uint64))
+            assert np.shares_memory(top, scratch.top)
+            unsettled = rng.permutation(rows)[: rng.integers(1, rows + 1)]
+            columns = SIM._kept_columns(plan, s, SIM._screened_words(plan, s, seeds, scratch), unsettled, scratch)
+        assert np.array_equal(columns.view(np.uint64), whole[:, unsettled].view(np.uint64))
+        assert np.shares_memory(columns, scratch.bits)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        design=st.sampled_from(SCREEN_DESIGNS),
+        sides=st.sampled_from(list(Sides)),
+        method=st.sampled_from(FWER_METHODS),
+        shifts=st.sampled_from(["one", "two", "interleaved", "per test"]),
+        k=st.integers(2, 40),
+        reps=st.integers(1, 300) | st.just(CHUNK_REPS + 5),
+        alpha=st.sampled_from([1e-6, 0.05, 0.3]),
+        cost=st.sampled_from([None, 2]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_screened_runs_equal_unscreened_ones(self, design, sides, method, shifts, k, reps, alpha, cost, seed):
+        # the estimates of a run with the screen forced on, on its heads where
+        # it finds segments, equal those with it forced off, at 1 and 2 threads
+        if reps > CHUNK_REPS:
+            k = min(k, 12)
+        deltas = {"one": [0.0] * k, "two": [0.0] * (k // 2) + [0.5] * (k - k // 2),
+                  "interleaved": [(0.0, 0.5, 1.5)[i % 3] for i in range(k)],
+                  "per test": [0.1 * i for i in range(k)]}[shifts]
+        s = scenario(k, alpha=alpha, nulls=[d == 0.0 for d in deltas], deltas=deltas, n=2, design=design,
+                     sides=sides, method=method, reps=reps, seed=seed)
+        for threads in (1, 2):
+            estimates = []
+            for screens in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(SIM, "_screens", lambda *args: screens)
+                    if cost is not None:
+                        mp.setattr(SIM, "_SEGMENT_COST", cost)
+                    estimates.append(simulate(s, threads=threads))
+            assert estimates[0] == estimates[1]
+
     def test_normals_drawn_on_the_benchmark_shape(self, monkeypatch):
         # a count, not a time: on the benchmark's wide equicorrelated shape the
-        # screen keeps about a fifth of the test draws, plus each shared one
+        # screen keeps about a fifth of the test draws, but only the shared
+        # draw, the kept largest and smallest words of each shift's tests and
+        # the kept draws of the replications Hochberg sorts become normals
         wide = [0.0] * 100 + [0.4] * 100
         s = scenario(200, nulls=[d == 0.0 for d in wide], deltas=wide, design=Design.equicorrelated(0.5),
                      sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOCHBERG, reps=20_000, seed=3)
         drawn, ndtri_of = [], RNG.ndtri
         monkeypatch.setattr(RNG, "ndtri", lambda u, **kw: drawn.append(u.size) or ndtri_of(u, **kw))
         simulate(s, threads=2)
-        assert s.reps < sum(drawn) <= 0.25 * s.k * s.reps + s.reps
+        # the shared draw, at most four kept extremes and the kept draws of the
+        # few sorted replications: about 6 normals per replication, not 42
+        assert s.reps < sum(drawn) <= 10 * s.reps
 
-    def test_a_one_row_tile_assembles_its_kept_draws_at_once(self, monkeypatch):
+    @pytest.mark.parametrize("shifts", [1, 64], ids=["heads", "whole"])
+    def test_a_one_row_tile_assembles_its_kept_draws_at_once(self, shifts, monkeypatch):
         # at reps 1 a chunk is one replication long; the kept draws' z were
-        # once gathered in pieces of that length, one _assemble call each
+        # once gathered in pieces of that length, one _assemble call each. With
+        # 64 shifts in turn a tile is judged whole, and with one on its heads,
+        # where the kept extremes and any sorted column are each a block
         k = CHUNK_REPS + 3_616
-        s = scenario(k, design=Design.equicorrelated(0.25), sides=Sides.TWO_SIDED,
-                     method=AdjustmentMethod.HOCHBERG, reps=1)
-        assert SIM._plan(s).screen is not None
-        calls, assemble = [], SIM._assemble
+        deltas = [0.01 * (i % shifts) for i in range(k)]
+        s = scenario(k, nulls=[d == 0.0 for d in deltas], deltas=deltas, design=Design.equicorrelated(0.25),
+                     sides=Sides.TWO_SIDED, method=AdjustmentMethod.HOCHBERG, reps=1)
+        screen = SIM._plan(s).screen
+        assert screen is not None and (screen.segments is None) is (shifts > 1)
+        calls, blocks, assemble, kept_z = [], [], SIM._assemble, SIM._kept_z
         monkeypatch.setattr(SIM, "_assemble", lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
+        monkeypatch.setattr(SIM, "_kept_z", lambda *args: blocks.append(args[1].size) or kept_z(*args))
         monkeypatch.setattr(SIM, "_z_block", lambda *args: pytest.fail("no statistic should fall in a band"))
         simulate(s)
-        assert len(calls) == 1
+        assert len(calls) == len(blocks) and blocks[0] == (k if shifts > 1 else 2)
 
     @pytest.mark.parametrize(
         "design, sides, alpha, deltas, screened",
@@ -1218,13 +1330,17 @@ def unmix_last(words):
     return words ^ (words >> np.uint64(31)) ^ (words >> np.uint64(62))
 
 
+HEAD_DESIGNS = [Design.independent(), Design.equicorrelated(0.3), Design.shared_control()]
+
+
 class TestInsideBands:
     """Statistics planted inside and around every band: the decisions must
     still equal the p-value route's, so the in-band fallback is exact. They
     are planted where the tile's statistics are made, in the tile's own
     memory: ``_screened_z`` writes ``scratch.stats``, ``_premixed_block``
-    its ``out``. Both fallbacks draw their replications again with
-    ``_z_block``, which hands back the planted rows of the seeds it gets."""
+    and, for a tile judged on heads, ``word_block`` their ``out``. Both
+    fallbacks draw their replications again with ``_z_block``, which hands
+    back the planted rows of the seeds it gets."""
 
     @staticmethod
     def near(edges, rng, shape, reach=300):
@@ -1298,6 +1414,69 @@ class TestInsideBands:
         monkeypatch.setattr(SIM, "_screened_z", plant)
         self.check(s, plan, z, monkeypatch)
 
+    @pytest.mark.parametrize("lowered", [False, True], ids=["exact", "maxima-an-ulp-low"])
+    @pytest.mark.parametrize(
+        "design, sides, method",
+        [(design, sides, method) for design in HEAD_DESIGNS for sides in Sides for method in FWER_METHODS
+         # the independent design's one-sided single-step runs take the word route
+         if design.kind != "independent" or sides is Sides.TWO_SIDED or method is AdjustmentMethod.HOCHBERG],
+        ids=lambda v: getattr(v, "kind", getattr(v, "value", v)),
+    )
+    def test_head_route(self, design, sides, method, lowered, monkeypatch):
+        k, rows, rng = 16, 3000, np.random.default_rng(8)
+        deltas = [0.0] * 8 + [0.3] * 8
+        s = scenario(k, nulls=[d == 0.0 for d in deltas], deltas=deltas, design=design, sides=sides,
+                     method=method, alpha=0.3, reps=rows)
+        plan = SIM._plan(s)
+        monkeypatch.setattr(SIM, "_SEGMENT_COST", 2)  # segments at k = 16
+        plan = dataclasses.replace(plan, screen=SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0], plan.test))
+        assert not plan.words and plan.screen.segments is not None
+        seeds = np.arange(rows, dtype=np.uint64)
+        words = word_block(seeds, SIM._draws(s))
+        monkeypatch.setattr(SIM, "word_block", lambda seeds, draws, out, scratch: np.copyto(out, words) or out)
+
+        # each test's four head edges in each replication, which its shared
+        # draw moves: the screened interval [edges[0], edges[1]) and the one
+        # [edges[2], edges[3]) outside which a test surely rejects
+        column = np.broadcast_to(plan.screen.column, (k,))
+        tile = SIM._screened_words(plan, s, seeds, SIM._Scratch(plan, s, rows, 1))
+        lower, width = (h.astype(np.int64)[:, column] for h in tile.heads)
+        edges = np.stack([lower[0], lower[0] + width[0], lower[1], lower[1] + width[1]])
+        edges = np.broadcast_to(edges, (4, k, rows)).transpose(0, 2, 1)
+        # words whose heads are at every edge, and a step to either side
+        pick = rng.integers(0, 4, size=(rows, k))
+        heads = np.take_along_axis(edges, pick[None], axis=0)[0] + rng.integers(-1, 2, size=pick.shape)
+        heads = np.clip(heads, 0, 2**31 - 1).astype(np.uint64)
+        planted = (heads << np.uint64(33)) | rng.integers(0, 2**33, size=heads.shape, dtype=np.uint64)
+        words[:, -k:] = np.where(rng.random(planted.shape) < 0.3, words[:, -k:], planted)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "normal_block", lambda seeds, draws: normal_from_words(words[seeds.astype(np.intp)]))
+            z = SIM._z_block(s, seeds, plan.shift)
+
+        if lowered:
+            # ndtri is monotone only to within an ulp, so a segment's largest
+            # word may give a maximum an ulp below the largest z. That moves a
+            # maximum into a band or into the sort, both exact, but never
+            # across a band, which is 2**-40 relative wide: each decision holds
+            def extreme_top(plan, scenario, tile, scratch, extreme_top=SIM._extreme_top):
+                top = extreme_top(plan, scenario, tile, scratch)
+                return np.nextafter(top, -np.inf, out=top)
+
+            monkeypatch.setattr(SIM, "_extreme_top", extreme_top)
+        _, joint, redrawn = self.decide(s, plan, z, monkeypatch)
+        assert np.array_equal(joint, p_space_joint(p_from_z(z, sides), s.alpha_joint, method))
+
+        # exactly the replications with a head that ties an edge or falls
+        # between the intervals are redrawn for their tests' verdicts
+        head = (words[:, -k:] >> np.uint64(33)).astype(np.int64)
+        screened = (head >= edges[0]) & (head < edges[1])
+        certain = screened | (head < edges[2]) | (head >= edges[3])
+        assert screened.any() and (certain & ~screened).any() and (~certain).any()
+        assert np.all(edges[0] >= edges[2]) and np.all(edges[1] <= edges[3])
+        for index in range(4):
+            assert (head == edges[index]).any()
+        assert np.array_equal(redrawn[0], np.flatnonzero((~certain).any(axis=1)))
+
     @pytest.mark.parametrize("method", FWER_METHODS[:3], ids=lambda m: m.value)
     @pytest.mark.parametrize(
         "deltas",
@@ -1357,29 +1536,30 @@ class TestInsideBands:
         assert ties[3000:].any() and not np.any(ties & ~in_test)
         assert np.array_equal(np.unique(np.concatenate(redrawn)), np.flatnonzero(in_test | in_joint))
 
-    @pytest.mark.parametrize("route", ["words", "z"])
+    @pytest.mark.parametrize("route", ["words", "z", "heads"])
     def test_a_redrawn_p_value_at_alpha_rejects(self, route, monkeypatch):
         # alpha is exactly the p-value of one redrawn statistic z0, which
         # p_from_z(z0) <= alpha rejects and p_from_z(z0) < alpha would not
-        k, rows, rng = 3, 8, np.random.default_rng(10)
+        k, rows, rng = 8, 8, np.random.default_rng(10)
         words = rng.integers(0, 2**64, size=(rows, k), dtype=np.uint64)
-        words[3, 1] = np.uint64((int(0.975 * 2**53) << 11) | 0x3A5)
+        # z0 = -1.96: on the z routes the tile judges |z0|, the redraw z0 itself
+        words[3, 1] = np.uint64((int((0.975 if route == "words" else 0.025) * 2**53) << 11) | 0x3A5)
         z = ndtri(uniform_from_words(words.copy()))
-        if route == "words":
-            sides, design = Sides.ONE_SIDED, Design.independent()
-        else:
-            sides, design = Sides.TWO_SIDED, Design.equicorrelated(0.3)
-            z[3, 1] = -z[3, 1]  # the tile holds |z0|, the redraw z0 itself
+        sides = Sides.ONE_SIDED if route == "words" else Sides.TWO_SIDED
         alpha = p_from_z(float(z[3, 1]), sides)
-        s = scenario(k, alpha=alpha, design=design, sides=sides, method=AdjustmentMethod.BONFERRONI)
+        s = scenario(k, alpha=alpha, sides=sides, method=AdjustmentMethod.BONFERRONI, reps=rows)
         plan = SIM._plan(s)
         assert plan.words is (route == "words")
         if plan.words:
             states = unmix_last(words)
             monkeypatch.setattr(SIM, "_premixed_block", lambda seeds, draws, out, scratch: np.copyto(out, states) or out)
         else:
-            monkeypatch.setattr(SIM, "_screened_z",
-                                lambda plan, scenario, seeds, scratch: np.abs(z.T, out=SIM._head(scratch.stats, rows)[-k:]))
+            # the independent design's z is its draw: judged whole, or on heads
+            monkeypatch.setattr(SIM, "_SEGMENT_COST", 2 if route == "heads" else k + 1)
+            plan = dataclasses.replace(plan, screen=SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0],
+                                                                    plan.test))
+            assert (plan.screen.segments is None) is (route == "z")
+            monkeypatch.setattr(SIM, "word_block", lambda seeds, draws, out, scratch: np.copyto(out, words) or out)
         rejected, _, redrawn = self.decide(s, plan, z, monkeypatch)
         assert rejected[1, 3] and 3 in redrawn[0]
 
@@ -1454,9 +1634,10 @@ class TestHochbergBracket:
     def test_settled_verdicts_equal_the_sort_and_the_rest_are_sorted(self, s):
         k, rows = s.k, s.reps
         plan = SIM._plan(s)
-        # screened, so the joint fallback draws its replications again
-        plan = dataclasses.replace(plan, screen=SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0],
-                                                                plan.test.lower))
+        # screened and judged whole, so the joint fallback draws its
+        # replications again
+        screen = SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0], plan.test)
+        plan = dataclasses.replace(plan, screen=dataclasses.replace(screen, segments=None))
         tile, z = self.plant(s, plan, np.random.default_rng(s.seed))
         sorted_columns = []
 
@@ -1491,6 +1672,68 @@ class TestHochbergBracket:
         if unsettled.any():
             assert len(sorted_columns) == 1
             assert np.array_equal(sorted_columns[0], np.sort(tile[:, unsettled], axis=0))
+        else:
+            assert not sorted_columns
+
+    @settings(max_examples=100, derandomize=True)
+    @given(bracket_tiles())
+    def test_head_tiles_sort_the_whole_tiles_columns(self, s):
+        # the same bracket on a tile judged on its heads, from planted words:
+        # its maxima come from each segment's extremes and its sorted columns
+        # from their own kept draws, and both equal those of the tile judged whole
+        k, rows = s.k, s.reps
+        plan = SIM._plan(s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "_SEGMENT_COST", 2)  # segments at small k too
+            screen = SIM._screen_for(s, plan.shift, SIM._distinct(plan.shift)[0], plan.test)
+        assume(screen.segments is not None)
+        plan, rng = dataclasses.replace(plan, screen=screen), np.random.default_rng(s.seed)
+        seeds = np.arange(rows, dtype=np.uint64)
+        words = word_block(seeds, SIM._draws(s))
+        # each replication's test words put a statistic within a few ulps of a
+        # retain cut, of the band of step alpha / k or of an edge of the test
+        # band, and others near the test band
+        common = SIM._common(s.design, normal_from_words(words[:, :1].copy()))
+        anchors = np.concatenate([plan.joint.lower[:, 0], plan.joint.upper[-1:, 0], [plan.test.lower, plan.test.upper]])
+        target = anchors[rng.integers(0, len(anchors), size=(rows, k))]
+        target = np.where(rng.random(target.shape) < 0.5, target, plan.test.lower * rng.uniform(0.5, 1.0, target.shape))
+        if s.sides is Sides.TWO_SIDED:
+            target *= rng.choice([-1.0, 1.0], size=target.shape)
+        own = (target - plan.shift - common) / math.sqrt(1.0 - s.design.rho)
+        tops = np.clip(ndtr(own) * 2.0**53, 0, 2**53 - 1).astype(np.uint64)
+        planted = (tops << np.uint64(11)) | rng.integers(0, 2048, size=tops.shape, dtype=np.uint64)
+        words[:, 1:] = np.where(rng.random(planted.shape) < 0.3, words[:, 1:], planted)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "word_block", lambda seeds, draws, out, scratch: np.copyto(out, words) or out)
+            whole = SIM._screened_z(dataclasses.replace(plan, screen=dataclasses.replace(screen, segments=None)),
+                                    s, seeds, SIM._Scratch(plan, s, rows, rows)).copy()
+            mp.setattr(SIM, "normal_block", lambda seeds, draws: normal_from_words(words[seeds.astype(np.intp)]))
+            z = SIM._z_block(s, seeds, plan.shift)
+        sorted_columns = []
+
+        def step_up(plan, columns, passes, sort=SIM._step_up):
+            verdict = sort(plan, columns, passes)
+            sorted_columns.append(columns.copy())
+            return verdict
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SIM, "_step_up", step_up)
+            mp.setattr(SIM, "word_block", lambda seeds, draws, out, scratch: np.copyto(out, words) or out)
+            mp.setattr(SIM, "_z_block", lambda scenario, seeds, shift: z[seeds.astype(np.intp)])
+            counts = np.empty(rows, dtype=np.uint8)
+            rejected, joint = SIM._decide(plan, s, seeds, SIM._Scratch(plan, s, rows, rows), counts)
+
+        p = p_from_z(z, s.sides)
+        assert np.array_equal(rejected.T, p <= s.alpha_joint)
+        assert np.array_equal(joint, p_space_joint(p, s.alpha_joint, s.method))
+        counts = (p <= s.alpha_joint).sum(axis=1)
+        top = whole.max(axis=0)
+        retains = top < plan.joint.lower[np.minimum(k - counts, k - 1), 0]
+        rejects = top >= plan.joint.upper[-1, 0]
+        unsettled = ~retains & ~rejects
+        if unsettled.any():
+            assert len(sorted_columns) == 1
+            assert np.array_equal(sorted_columns[0], np.sort(whole[:, unsettled], axis=0))
         else:
             assert not sorted_columns
 
