@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
 from .errors import FileFormatError, InvalidBattery
-from .validators import is_bool
+from .validators import Record, is_bool
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,12 +34,12 @@ if TYPE_CHECKING:
 #: A battery of at most this many rows is checked, judged and rendered in
 #: plain Python, and a larger one with numpy; both routes give the same
 #: bits. With numpy already loaded, an in-process ``decide`` costs the same
-#: on both at about 160-220 rows (2-vCPU Xeon, median over 61 alternating
-#: rounds of the four modes in both formats: Python 0.88 vs numpy 0.91 ms at
-#: 128 rows, 1.06-1.09 vs 1.04-1.11 ms at 192, 1.19 vs 1.13 ms at 256, 3.00
-#: vs 2.46 ms at 1,000), so at this size no in-process caller loses, and a
-#: cold ``decide`` on a smaller battery never pays numpy's import.
-SMALL_ROWS = 192
+#: on both at this size (2-vCPU Xeon, three runs of 201 alternating rounds
+#: of the four modes, plain Python over numpy: TSV 0.92-0.97 at 192 rows,
+#: 0.99-1.01 at 224, 1.02-1.04 at 256; pretty 0.98-1.01, 1.00 and
+#: 1.01-1.02), so no in-process caller loses, and a cold ``decide`` on a
+#: smaller battery never pays numpy's import.
+SMALL_ROWS = 224
 
 #: A tab or any character ``str.splitlines`` breaks at: none may sit in an id,
 #: so every id is one cell of a TSV row
@@ -47,7 +48,7 @@ _ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _NOT_SHAPE = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
-class TestBattery:
+class TestBattery(Record):
     """An ordered set of (hypothesis id, p-value) pairs awaiting judgment.
 
     A battery is held as two columns: ``ids``, a tuple of non-empty, distinct
@@ -59,10 +60,6 @@ class TestBattery:
     each access. A battery of at most :data:`SMALL_ROWS` rows builds ``p``
     on its first access, which may import numpy.
     """
-
-    #: ``_column`` is the p column as the battery was built: a list of floats
-    #: for at most SMALL_ROWS rows, else ``p`` itself; ``_p`` caches ``p``
-    __slots__ = ("ids", "_column", "_p")
 
     def __init__(self, entries: Iterable[tuple[str, object]] = ()) -> None:
         entries = tuple(entries)
@@ -85,11 +82,9 @@ class TestBattery:
         p = _checked_columns(ids, raw_p)
         if p is None:  # some check failed: name the first entry at fault
             _raise_first_fault(ids, raw_p)
-        for name, value in (("ids", ids), ("_column", p), ("_p", None if isinstance(p, list) else p)):
-            object.__setattr__(self, name, value)
+        self._set(ids=ids, _column=p)  # the p column as built: a list up to SMALL_ROWS rows, else ``p`` itself
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TestBattery is immutable; cannot set {name!r}")
+    __repr__ = object.__repr__
 
     def __reduce__(self):  # copy and pickle rebuild through the checks
         return TestBattery.from_columns, (self.ids, self.pvalues)
@@ -97,19 +92,12 @@ class TestBattery:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TestBattery):
-            return NotImplemented
-        return self.ids == other.ids and self.pvalues == other.pvalues
+    def _key(self) -> tuple:
+        return self.ids, self.pvalues
 
-    def __hash__(self) -> int:
-        return hash((self.ids, self.pvalues))
-
-    @property
-    def p(self) -> np.ndarray:
-        if self._p is None:  # a small battery builds its array on first access
-            object.__setattr__(self, "_p", as_array(self._column, "float64"))
-        return self._p
+    @cached_property
+    def p(self) -> np.ndarray:  # a small battery builds its array on first access
+        return as_array(self._column, "float64")
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:

@@ -122,8 +122,9 @@ def _real_cells(values, precision: int, pretty: bool) -> list[str]:
 
 
 def _cells(column, precision: int, pretty: bool):
-    """A float64 array as the cell of its one double if it holds one; else, in
-    TSV, a float64 array or a list of floats as it is, for the row templates;
+    """A float64 array as the cell of its one double if it holds one, and a
+    list of floats as the cell of its one float if it repeats one object; else,
+    in TSV, a float64 array or a list of floats as it is, for the row templates;
     else a tuple of its cells: a real by :func:`_real_cells`, a bool as true
     or false, else by ``str()``."""
     if not isinstance(column, list):
@@ -132,6 +133,8 @@ def _cells(column, precision: int, pretty: bool):
         return tuple(_real_cells(column, precision, pretty)) if pretty else column
     reals = [v for v in column if isinstance(v, float)]
     if len(reals) == len(column):  # decide's columns of a small battery
+        if reals and all(v is reals[0] for v in reals):  # a single-step rule's one level
+            return _real_cells(reals[:1], precision, pretty)[0]
         return tuple(_real_cells(reals, precision, pretty)) if pretty else column
     formatted = iter(_real_cells(reals, precision, pretty))
     return tuple(next(formatted) if isinstance(v, float) else ("true" if v else "false") if isinstance(v, bool)

@@ -48,7 +48,7 @@ from .battery import TestBattery, as_array, as_list
 from .enums import FWER_METHODS, AdjustmentMethod, TestingMode
 from .errors import InvalidBattery, InvalidMethod
 from .rates import bonferroni_adjust, sidak_adjust
-from .validators import real
+from .validators import Record, real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,18 +60,19 @@ class Verdict(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-class Decision:
+class Decision(Record):
     """Outcome of judging one battery under one testing mode.
 
     ``ids``, ``rejected`` (bool) and ``thresholds`` (float64) are columns in
     battery order. ``per_hypothesis`` and ``thresholds_used`` give the same
     by id, as dicts built on first access. ``joint`` is NOT_APPLICABLE
     exactly when the mode makes no joint claim. ``notes`` carries stable
-    advisory codes (documented in the README). A decision is read-only;
-    two are equal when every field is, and it has no hash. A decision on a
-    battery of at most :data:`~alphagate.battery.SMALL_ROWS` rows holds its
-    two columns as lists and builds each read-only array on its first
-    access, which may import numpy.
+    advisory codes (documented in the README). A decision is a read-only
+    :class:`~alphagate.validators.Record`; two are equal when every field
+    is, and it has no hash. A decision on a battery of at most
+    :data:`~alphagate.battery.SMALL_ROWS` rows holds its two columns as
+    lists and builds each read-only array on its first access, which may
+    import numpy.
     """
 
     __match_args__ = ("mode", "ids", "rejected", "thresholds", "joint", "notes")
@@ -85,30 +86,12 @@ class Decision:
         joint: Verdict,
         notes: tuple[str, ...] = (),
     ) -> None:
-        # a plain class, not a dataclass, so that a cold ``decide`` process
-        # does not import dataclasses, nor inspect through it
-        fields = ("mode", "ids", "_rejected", "_thresholds", "joint", "notes")
-        for name, value in zip(fields, (mode, ids, rejected, thresholds, joint, notes)):
-            object.__setattr__(self, name, value)
+        self._set(mode=mode, ids=ids, _rejected=rejected, _thresholds=thresholds, joint=joint, notes=notes)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    __hash__ = None
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def _key(self) -> tuple:
+    def _key(self) -> tuple:  # equality, copy and pickle see lists, whichever route judged the battery
         return self.mode, self.ids, as_list(self._rejected), as_list(self._thresholds), self.joint, self.notes
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, Decision) else NotImplemented
-
-    def __reduce__(self):  # copy and pickle hold lists, whichever route judged the battery
-        return type(self), self._key()
 
     @cached_property
     def rejected(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .validators import K_MAX, N_MAX, integer, real
+from .validators import K_MAX, N_MAX, Record, integer, real
 
 
 def _any_of(x: float, k: int) -> float:
@@ -98,41 +98,25 @@ def power_one_sided_z(alpha: float, delta: float, n: int) -> float:
     return ndtr(delta * math.sqrt(n / 2.0) + ndtri(alpha))
 
 
-class ErrorRateReport:
+class ErrorRateReport(Record):
     """Error-rate bookkeeping for t tests spread over h primary hypotheses;
     ``k`` = t/h, ``per_family_rate`` and ``fwer`` are derived. A report is
-    read-only, and equal to (and hashed as) any report of the same fields."""
+    a read-only :class:`~alphagate.validators.Record`, equal to (and hashed
+    as) any report of the same fields."""
 
     __match_args__ = ("t", "h", "alpha_per_test")
 
     def __init__(self, t: int, h: int, alpha_per_test: float) -> None:
-        # a plain class, not a dataclass, so that a cold CLI process does not
-        # import dataclasses, nor inspect through it, for one small report
         t = integer(t, "t", 1)
         h = integer(h, "h", 1)
         if t % h != 0:
             raise DomainError(f"h must divide t, got t={t}, h={h}")
         alpha_per_test = real(alpha_per_test, "alpha", 0, 1)
         integer(t // h, "k", 1, K_MAX)  # so that the rates below never raise
-        for name, value in zip(self.__match_args__, (t, h, alpha_per_test)):
-            object.__setattr__(self, name, value)
+        self._set(t=t, h=h, alpha_per_test=alpha_per_test)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(t={self.t!r}, h={self.h!r}, alpha_per_test={self.alpha_per_test!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.t, self.h, self.alpha_per_test) == (other.t, other.h, other.alpha_per_test)
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.h, self.alpha_per_test))
+    def _key(self) -> tuple:
+        return self.t, self.h, self.alpha_per_test
 
     @property
     def k(self) -> int:

@@ -8,6 +8,9 @@ is an integer here, and the check returns it as a Python int. A bool, Python
 or numpy, is neither an integer nor a real, and a value that ``float()``
 cannot take (``None``, a list, ``10**400``) fails the real check like any
 value out of range.
+
+:class:`Record` is the read-only protocol of the package's hand-written
+value types, ``TestBattery``, ``Decision`` and ``ErrorRateReport``.
 """
 
 from __future__ import annotations
@@ -74,3 +77,40 @@ def real(
             return x
         shown = repr(x)
     raise error(f"{name} must be a real in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {shown}", name)
+
+
+class Record:
+    """A read-only value: the base of ``TestBattery``, ``Decision`` and
+    ``ErrorRateReport``. These are plain classes, not dataclasses, so that a
+    cold CLI process imports neither dataclasses nor inspect through them.
+
+    A constructor writes the fields once, through :meth:`_set`; after that
+    no field, public or private, can be assigned or deleted, and a field
+    built on first access is a ``functools.cached_property``, which writes
+    the instance dict itself. Equality (with the same type only), hash,
+    copy and pickle go through the subclass's ``_key()``; copy and pickle
+    pass it back to the constructor, so a copy passes the checks again.
+    ``repr`` shows the fields that ``__match_args__`` names.
+    """
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"

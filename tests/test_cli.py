@@ -570,6 +570,17 @@ class TestConstantColumns:
             out = written(["value"], lambda values=values: [[np.array(values)]], 6, fmt)
             assert out == reference_table(["value"], [[v] for v in values], 6, fmt), values
 
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    def test_a_list_repeating_one_float_is_one_cell_as_an_array_is(self, fmt):
+        pretty = fmt == "pretty"
+        for value in (0.0, -0.0, 1e-5, 0.5):
+            column = [value] * 3  # one object, as a single-step rule's thresholds on the plain-Python route
+            assert cli._cells(column, 6, pretty) == cli._cells(np.array(column), 6, pretty)  # one str cell
+            out = written(["value"], lambda column=column: [[column]], 6, fmt)
+            assert out == reference_table(["value"], [[v] for v in column], 6, fmt), value
+        # equal values are not one object: 0.0 and -0.0 stay two doubles
+        assert written(["value"], lambda: [[[0.0, -0.0]]], 6, fmt) == reference_table(["value"], [[0.0], [-0.0]], 6, fmt)
+
 
 class TestDecideMemory:
     def test_bh_out_peak(self, tmp_path):

@@ -1,9 +1,12 @@
 """The shared argument checks, and every public check that calls them: junk
 in any scalar argument raises a ValueError subclass, never TypeError or
-OverflowError, and no scenario file makes the CLI report an internal error."""
+OverflowError, and no scenario file makes the CLI report an internal error.
+Last, the read-only protocol that the three hand-written value types share."""
 
+import copy
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphagate import cli, validators
+from alphagate.battery import SMALL_ROWS
 from alphagate.decisions import apply_bh, decide_conjunction, decide_disjunction, decide_individual
 from alphagate.errors import DomainError, InvalidScenario
 from alphagate.families import AdjustmentMethod, AlphaConfig, Design, Scenario, Sides, TestBattery, TestingMode
@@ -243,3 +247,56 @@ def test_malformed_scenario_file_never_exits_3(text, command):
         path.write_text(text, encoding="utf-8")
         argv = [arg.format(path=path) for arg in command]
         assert cli.main([*argv, "--out", str(Path(tmp, "out.tsv"))]) in (0, 2)
+
+
+def _pair():
+    return TestBattery((("a", 0.01), ("b", 0.2)))
+
+
+#: id -> (a builder of the value, every field it has, public and private,
+#: properties and fields built on first access among them)
+RECORDS = {
+    "battery": (_pair, ("ids", "_column", "p", "entries", "pvalues")),
+    "large-battery": (lambda: TestBattery.from_columns([f"h{i}" for i in range(SMALL_ROWS + 1)],
+                                                      [i / (SMALL_ROWS + 1) for i in range(SMALL_ROWS + 1)]),
+                      ("ids", "_column", "p", "entries", "pvalues")),
+    "decision": (lambda: decide_disjunction(_pair(), 0.05, AdjustmentMethod.HOLM),
+                 ("mode", "ids", "_rejected", "_thresholds", "rejected", "thresholds", "joint", "notes",
+                  "per_hypothesis", "thresholds_used")),
+    "report": (lambda: error_rate_report(20, 4, 0.05), ("t", "h", "alpha_per_test", "k", "per_family_rate", "fwer")),
+}
+
+
+class TestRecord:
+    @pytest.mark.parametrize("make, fields", RECORDS.values(), ids=RECORDS)
+    def test_no_field_can_be_assigned_or_deleted(self, make, fields):
+        record, same = make(), make()
+        for built in (False, True):  # before and after the fields built on first access exist
+            if built:
+                for name in fields:
+                    getattr(record, name)
+            for name in fields + ("other",):
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(record, name, None)
+                with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                    delattr(record, name)
+            assert record == same
+        assert all(getattr(record, name) is not None for name in fields)
+        if isinstance(record, TestBattery):
+            assert len(record) == len(same)
+
+    @pytest.mark.parametrize("make, fields", RECORDS.values(), ids=RECORDS)
+    def test_copies_are_equal_values_of_the_same_type(self, make, fields):
+        record = make()
+        for copied in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(copied) is type(record) and copied is not record and copied == record
+            if type(record).__hash__ is not None:
+                assert hash(copied) == hash(record)
+        others = [other for other in (build() for build, _ in RECORDS.values()) if type(other) is not type(record)]
+        assert all(record.__eq__(other) is NotImplemented and record != other for other in others)
+
+    def test_a_report_unpickles_through_its_checks(self):
+        data = pickle.dumps(error_rate_report(20, 4, 0.05))
+        assert data.count(b"K\x14K\x04") == 1  # t = 20, h = 4 as one-byte ints
+        with pytest.raises(DomainError, match="^h must divide t, got t=20, h=3$"):
+            pickle.loads(data.replace(b"K\x14K\x04", b"K\x14K\x03"))

@@ -13,8 +13,8 @@ methods), in tsv and pretty, at precisions 0, 6 and 17; the digest covers
 each call's exit code, stdout and stderr.
 
 Batteries hold 1 to 3,000 rows, log-uniform, and one in four holds 100 to
-400, about the 192 rows where ``decide`` moves from its plain-Python route
-to numpy. Their p-values are uniform draws, draws from 1e-12 to 1e-4 (which
+400, about the 224 rows (``battery.SMALL_ROWS``) where ``decide`` moves from
+its plain-Python route to numpy. Their p-values are uniform draws, draws from 1e-12 to 1e-4 (which
 print in scientific notation), values exactly on each method's steps at the
 run's alpha, 0, 1, -0, subnormals and ties, written in a few text forms;
 one battery in eight quotes its cells, and one in ten holds a row at fault
@@ -25,12 +25,13 @@ itself and not 3 * q / 3.
 
 A fifth of those rows come from three tie values, so every battery of the
 first line holds ties. The second line's batteries hold 193 to 5,000 rows,
-log-uniform, just above the 192 where ``decide`` moves to numpy, whose
-p-values are all distinct: uniform draws, draws from 1e-12 to 1e-4,
+log-uniform, whose p-values are all distinct (193 is one above the route's
+old edge, kept so that trees on either side of its move print comparable
+digests): uniform draws, draws from 1e-12 to 1e-4,
 values on the steps, 0 or 1 at most once each and subnormals, written in
-the same text forms; one in eight quotes its cells. Only such a battery
-keeps the order of numpy's default sort, which the first line never
-reaches.
+the same text forms; one in eight quotes its cells. Only such a battery,
+on the numpy route, keeps the order of numpy's default sort, which the
+first line never reaches.
 """
 
 from __future__ import annotations
